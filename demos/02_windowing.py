@@ -21,19 +21,20 @@ def main():
     print(f"\n{len(window_set)} window families over the same stream:")
     print(f"{'family':>14} {'windows':>8} {'events/window':>16}")
     for family in window_set.families:
-        sizes = [w.n_events for w in family.windows]
-        lo, hi = min(sizes), max(sizes)
-        mean = sum(sizes) / len(sizes)
+        sizes = family.n_events  # one entry per window: end_idx - start_idx
+        lo, hi, mean = sizes.min(), sizes.max(), sizes.mean()
         print(f"{family.label:>14} {len(family):>8} {lo:>5}..{hi:<5} (mean {mean:.0f})")
 
-    # Each family answers "which window represents time t*?" independently.
+    # Each family answers "which window represents time t*?" independently,
+    # for a whole grid of sample times at once.
     grid = sample_grid(stream)
-    t_star = int(grid[len(grid) // 2])
+    mid = len(grid) // 2
+    t_star = int(grid[mid])
     print(f"\nwindows aligned to t* = {t_star / 1e6:.1f} s:")
     for family in window_set.families:
-        w = family.windows[align_to_time(family, stream, t_star)]
-        print(f"{family.label:>14}: events [{w.start_idx}, {w.end_idx}) "
-              f"spanning [{w.t_start_us / 1e6:.2f}, {w.t_end_us / 1e6:.2f}) s")
+        w = align_to_time(family, stream, grid)[mid]
+        print(f"{family.label:>14}: events [{family.start_idx[w]}, {family.end_idx[w]}) "
+              f"spanning [{family.t_start_us[w] / 1e6:.2f}, {family.t_end_us[w] / 1e6:.2f}) s")
 
 
 if __name__ == "__main__":

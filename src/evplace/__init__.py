@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .descriptors import (
     AccumulationMode,
-    Descriptor,
     DescriptorParams,
     DescriptorSequence,
     accumulate_image,
@@ -82,7 +81,6 @@ from .synthetic import (
     run_synthetic_experiment,
 )
 from .windowing import (
-    Window,
     WindowFamily,
     WindowSet,
     WindowSpec,
@@ -101,7 +99,6 @@ __all__ = [
     "BoundsError",
     "ConfigError",
     "DegenerateDescriptorError",
-    "Descriptor",
     "DescriptorParams",
     "DescriptorSequence",
     "DistanceMatrix",
@@ -119,7 +116,6 @@ __all__ = [
     "SensorGeometry",
     "SyntheticWorld",
     "TraverseParams",
-    "Window",
     "WindowFamily",
     "WindowSet",
     "WindowSpec",

@@ -25,8 +25,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import PipelineConfig, load_config
 from .descriptors import describe_window_set, load_descriptors, write_descriptors
@@ -241,11 +239,9 @@ def cmd_windows(args) -> int:
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
         for fam in wset.families:
-            for i, w in enumerate(fam.windows):
-                lines.append(
-                    f"{fam.label},{i},{w.start_idx},{w.end_idx},"
-                    f"{w.t_start_us},{w.t_end_us},{w.n_events}"
-                )
+            columns = (fam.start_idx, fam.end_idx, fam.t_start_us, fam.t_end_us, fam.n_events)
+            for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+                lines.append(f"{fam.label},{i}," + ",".join(map(str, row)))
     with _stage("write"):
         _write(out, "windows.csv", ("\n".join(lines) + "\n").encode("utf-8"), outputs)
         _manifest(out, "windows", cfg, inputs, outputs)
@@ -313,8 +309,7 @@ def cmd_ensemble(args) -> int:
 
 def _restrict_to_ground_truth(matrix: DistanceMatrix, anchors) -> tuple[DistanceMatrix, object, int]:
     """Interpolate truth onto the matrix's query times, dropping uncovered rows."""
-    gt = interpolate_ground_truth(anchors, matrix.query_t_us)
-    keep = np.isin(matrix.query_t_us.astype(np.float64), gt.query_t_us)
+    gt, keep = interpolate_ground_truth(anchors, matrix.query_t_us)
     dropped = int(matrix.n_queries - keep.sum())
     if dropped:
         matrix = DistanceMatrix(

@@ -1,20 +1,22 @@
 """Turning event windows into fixed-length place descriptors.
 
-The built-in descriptor rasterizes a window into an event image,
-area-averages it down to a small frame, normalizes each patch to zero mean
-and unit variance, and flattens the result.  Patch normalization makes the
-vector invariant to global changes in event rate, which is what varies
-most between visits to the same place.
+The built-in descriptor rasterizes a window's events into a plain
+``(height, width)`` float array, area-averages it down to a small frame,
+normalizes each patch to zero mean and unit variance, and flattens the
+result into a 1-D vector.  Patch normalization makes the vector invariant
+to global changes in event rate, which is what varies most between visits
+to the same place.
 
 Descriptors computed elsewhere (e.g. by a learned image model on
 reconstructed frames) can be loaded from CSV and used interchangeably:
-downstream code only sees :class:`DescriptorSequence` objects.
+downstream code only sees :class:`DescriptorSequence` objects, a
+timestamp vector plus an ``(n, dim)`` value matrix.
 """
 
 from __future__ import annotations
 
 import enum
-import io
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,8 @@ from .errors import (
     OrderingError,
     ParseError,
 )
-from .events import EventStream, SensorGeometry
-from .windowing import Window, WindowFamily, WindowSet, WindowSpec, align_to_time
+from .events import EventStream, numbered_lines
+from .windowing import WindowSet, WindowSpec, align_to_time
 
 DEFAULT_CLIP = 3.0
 DEFAULT_DOWN_WIDTH = 32
@@ -48,25 +50,6 @@ class DescriptorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EventImage:
-    """A window rasterized onto the pixel array, shape ``(height, width)``."""
-
-    geometry: SensorGeometry
-    pixels: np.ndarray
-    mode: AccumulationMode
-
-    def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.float64)
-        if px.shape != (self.geometry.height, self.geometry.width):
-            raise ConfigError(
-                f"image shape {px.shape} does not match geometry "
-                f"{self.geometry.height}x{self.geometry.width}"
-            )
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
-
-
-@dataclass(frozen=True)
 class ExternalSource:
     """Tag for descriptor sequences that were loaded, not computed here."""
 
@@ -75,22 +58,6 @@ class ExternalSource:
     @property
     def label(self) -> str:
         return f"external_{self.name}"
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    """One place descriptor: a sample time and a fixed-length vector."""
-
-    t_us: int
-    values: np.ndarray
-    kind: DescriptorKind
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ConfigError("descriptor values must be a non-empty 1-D vector")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -129,9 +96,6 @@ class DescriptorSequence:
     def __len__(self) -> int:
         return int(self.t_us.size)
 
-    def descriptor(self, i: int) -> Descriptor:
-        return Descriptor(int(self.t_us[i]), self.values[i], self.kind)
-
 
 @dataclass(frozen=True)
 class DescriptorParams:
@@ -159,25 +123,26 @@ class DescriptorParams:
 
 
 def accumulate_image(
-    window: Window,
     stream: EventStream,
+    start_idx: int,
+    end_idx: int,
     mode: AccumulationMode = AccumulationMode.SIGNED_SUM,
     clip: float = DEFAULT_CLIP,
-) -> EventImage:
-    """Rasterize a window's events onto the pixel array.
+) -> np.ndarray:
+    """Rasterize events ``[start_idx, end_idx)`` onto the pixel array.
 
-    ``SIGNED_SUM`` adds each event's polarity and clips the result to
-    ``[-clip, +clip]``; ``COUNT`` counts events per pixel (no clipping);
-    ``BINARY`` marks pixels that fired at least once.  An empty window
-    yields an all-zero image.
+    Returns a float64 ``(height, width)`` array.  ``SIGNED_SUM`` adds each
+    event's polarity and clips the result to ``[-clip, +clip]``; ``COUNT``
+    counts events per pixel (no clipping); ``BINARY`` marks pixels that
+    fired at least once.  An empty range yields an all-zero image.
     """
     if clip <= 0:
         raise ConfigError(f"clip must be positive, got {clip}")
-    if window.end_idx > len(stream) or window.start_idx < 0:
+    if not (0 <= start_idx <= end_idx <= len(stream)):
         raise ConfigError("window indices fall outside the stream")
     geom = stream.geometry
     img = np.zeros((geom.height, geom.width), dtype=np.float64)
-    sl = slice(window.start_idx, window.end_idx)
+    sl = slice(start_idx, end_idx)
     if mode is AccumulationMode.SIGNED_SUM:
         np.add.at(img, (stream.y[sl], stream.x[sl]), stream.p[sl].astype(np.float64))
         np.clip(img, -clip, clip, out=img)
@@ -187,22 +152,22 @@ def accumulate_image(
         img[stream.y[sl], stream.x[sl]] = 1.0
     else:
         raise ConfigError(f"unknown accumulation mode {mode!r}")
-    return EventImage(geom, img, mode)
+    return img
 
 
+@functools.lru_cache(maxsize=64)
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
-    """Row-stochastic ``(n_out, n_in)`` box-average weights."""
+    """Row-stochastic ``(n_out, n_in)`` box-average weights, read-only.
+
+    Output cell ``r`` averages the input interval ``[r, r + 1) * n_in / n_out``;
+    each weight is that interval's overlap with input cell ``i``.
+    """
     scale = n_in / n_out
-    w = np.zeros((n_out, n_in), dtype=np.float64)
-    for r in range(n_out):
-        lo = r * scale
-        hi = (r + 1) * scale
-        i0 = int(np.floor(lo))
-        i1 = min(n_in, int(np.ceil(hi)))
-        for i in range(i0, i1):
-            overlap = min(i + 1.0, hi) - max(float(i), lo)
-            if overlap > 0:
-                w[r, i] = overlap / scale
+    r = np.arange(n_out, dtype=np.int64)[:, None]
+    i = np.arange(n_in, dtype=np.int64)[None, :]
+    overlap = np.minimum(i + 1.0, (r + 1) * scale) - np.maximum(i * 1.0, r * scale)
+    w = np.where(overlap > 0, overlap / scale, 0.0)
+    w.flags.writeable = False
     return w
 
 
@@ -220,13 +185,12 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def sad_descriptor(
-    image: EventImage,
+    image: np.ndarray,
     down_width: int = DEFAULT_DOWN_WIDTH,
     down_height: int = DEFAULT_DOWN_HEIGHT,
     patch: int = DEFAULT_PATCH,
-    t_us: int = 0,
-) -> Descriptor:
-    """Compute the patch-normalized frame descriptor of an event image.
+) -> np.ndarray:
+    """Compute the patch-normalized frame descriptor of a 2-D event image.
 
     The image is area-averaged down to ``down_height x down_width``, each
     non-overlapping ``patch x patch`` tile is shifted to zero mean and
@@ -238,18 +202,21 @@ def sad_descriptor(
         raise ConfigError(f"patch must be >= 1, got {patch}")
     if down_width % patch or down_height % patch:
         raise ConfigError(f"patch {patch} must divide {down_width}x{down_height}")
-    in_h, in_w = image.pixels.shape
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ConfigError(f"image must be 2-D, got shape {image.shape}")
+    in_h, in_w = image.shape
     if down_width > in_w or down_height > in_h:
         raise ConfigError(
             f"target {down_height}x{down_width} exceeds image {in_h}x{in_w}"
         )
-    small = _area_resize(image.pixels, down_height, down_width)
+    small = _area_resize(image, down_height, down_width)
     blocks = small.reshape(down_height // patch, patch, down_width // patch, patch)
     mean = blocks.mean(axis=(1, 3), keepdims=True)
     centered = blocks - mean
     std = np.sqrt((centered**2).mean(axis=(1, 3), keepdims=True))
     normed = np.where(std < DEGENERATE_STD, 0.0, centered / np.maximum(std, DEGENERATE_STD))
-    return Descriptor(t_us, normed.reshape(down_height, down_width).ravel(), DescriptorKind.SAD)
+    return normed.reshape(down_height, down_width).ravel()
 
 
 def describe_window_set(
@@ -258,12 +225,13 @@ def describe_window_set(
     grid: np.ndarray,
     params: DescriptorParams = DescriptorParams(),
 ) -> list[DescriptorSequence]:
-    """Descriptor sequence per window family, sampled on a common grid.
+    """One descriptor sequence per window family, sampled on a common grid.
 
     For every grid time the family window nearest in time is selected
-    (see :func:`evplace.windowing.align_to_time`), rasterized, and
-    described.  All returned sequences carry exactly the grid's
-    timestamps, so matrices built from them are index-aligned.
+    (see :func:`evplace.windowing.align_to_time`).  Each distinct selected
+    window is rasterized and described once.  All returned sequences carry
+    exactly the grid's timestamps, so matrices built from them are
+    index-aligned.
     """
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     if grid.size == 0:
@@ -272,17 +240,24 @@ def describe_window_set(
         raise OrderingError("sample grid must be strictly increasing")
     sequences = []
     for family in window_set.families:
-        cache: dict[int, np.ndarray] = {}
-        rows = np.empty((grid.size, params.dim), dtype=np.float64)
-        for j, t_star in enumerate(grid):
-            w = align_to_time(family, stream, int(t_star))
-            if w not in cache:
-                image = accumulate_image(family.windows[w], stream, params.mode, params.clip)
-                cache[w] = sad_descriptor(
-                    image, params.down_width, params.down_height, params.patch
-                ).values
-            rows[j] = cache[w]
-        sequences.append(DescriptorSequence(family.spec, grid, rows, DescriptorKind.SAD))
+        windows, row_window = np.unique(
+            align_to_time(family, stream, grid), return_inverse=True
+        )
+        frames = np.empty((windows.size, params.dim), dtype=np.float64)
+        for k, w in enumerate(windows):
+            image = accumulate_image(
+                stream,
+                int(family.start_idx[w]),
+                int(family.end_idx[w]),
+                params.mode,
+                params.clip,
+            )
+            frames[k] = sad_descriptor(
+                image, params.down_width, params.down_height, params.patch
+            )
+        sequences.append(
+            DescriptorSequence(family.spec, grid, frames[row_window], DescriptorKind.SAD)
+        )
     return sequences
 
 
@@ -293,15 +268,11 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     strictly increasing and every row must have the same dimension.
     Zero-norm rows are rejected because they have no direction to compare.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     times: list[int] = []
     rows: list[np.ndarray] = []
     dim = None
     prev_t = None
-    for lineno, raw in enumerate(io.StringIO(source), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue

@@ -12,13 +12,13 @@ the golden-output tests, and BLAS backends are free to reorder sums.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import Descriptor, DescriptorSequence
+from .descriptors import DescriptorSequence
 from .errors import ConfigError, DegenerateDescriptorError, OrderingError, ParseError
+from .events import numbered_lines
 
 
 class Metric(enum.Enum):
@@ -27,7 +27,7 @@ class Metric(enum.Enum):
 
 
 def _vector(d) -> np.ndarray:
-    v = np.asarray(d.values if isinstance(d, Descriptor) else d, dtype=np.float64)
+    v = np.asarray(d, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ConfigError("expected a non-empty 1-D descriptor vector")
     return v
@@ -157,14 +157,10 @@ def write_matrix_csv(matrix: DistanceMatrix) -> bytes:
 
 def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:
     """Parse a matrix written by :func:`write_matrix_csv`."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     ref_t = None
     query_t: list[int] = []
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(io.StringIO(source), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue

@@ -15,7 +15,6 @@ to retrieve at all.
 from __future__ import annotations
 
 import decimal
-import io
 import logging
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import ConfigError, MissingGroundTruthError, OrderingError, ParseError
+from .events import numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -81,13 +81,17 @@ class EvalResult:
             raise ConfigError("precision and recall must lie in [0, 1]")
 
 
-def interpolate_ground_truth(anchors: GroundTruth, query_grid) -> GroundTruth:
+def interpolate_ground_truth(
+    anchors: GroundTruth, query_grid
+) -> tuple[GroundTruth, np.ndarray]:
     """Densify anchor correspondences onto a query sample grid.
 
     Each grid time inside the anchor span gets a reference time linearly
     interpolated between its bracketing anchors.  Grid times outside the
     span have no bracketing pair; they are dropped and the count is
-    logged.  Dropped = ``len(query_grid) - len(result)``.
+    logged.  Returns the truth on the kept grid times and the boolean mask
+    over ``query_grid`` that selects them, so callers can drop the same
+    rows from their own data.
     """
     if len(anchors) < 2:
         raise ConfigError("interpolation needs at least 2 anchor pairs")
@@ -104,7 +108,7 @@ def interpolate_ground_truth(anchors: GroundTruth, query_grid) -> GroundTruth:
     if kept.size == 0:
         raise ConfigError("no grid points inside ground-truth coverage")
     refs = np.interp(kept, anchors.query_t_us, anchors.ref_t_us)
-    return GroundTruth(kept, refs)
+    return GroundTruth(kept, refs), inside
 
 
 def is_true_positive(matched_ref_t_us, gt_ref_t_us, loc_threshold_us: int) -> bool:
@@ -240,13 +244,9 @@ def _us_to_seconds_field(t_us: float) -> str:
 
 def read_ground_truth_csv(source) -> GroundTruth:
     """Parse ``t_query_s,t_ref_s`` rows (seconds, no header)."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     qs: list[float] = []
     rs: list[float] = []
-    for lineno, raw in enumerate(io.StringIO(source), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue

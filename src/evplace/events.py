@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,15 +27,6 @@ EVENT_CSV_HEADER = "t,x,y,p"
 DEFAULT_HOT_PIXEL_SIGMA = 5.0
 DEFAULT_BURST_BIN_US = 500
 DEFAULT_BURST_FRACTION = 0.25
-
-
-class Event(NamedTuple):
-    """A single brightness-change event."""
-
-    t: int
-    x: int
-    y: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,6 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def event(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
     def select(self, mask_or_index: np.ndarray) -> "EventStream":
         """New stream keeping the selected events (order preserved)."""
         return EventStream(
@@ -131,12 +119,18 @@ class EventStream:
         return self.y.astype(np.int64) * self.geometry.width + self.x.astype(np.int64)
 
 
-def _iter_lines(source) -> Iterable[str]:
+def numbered_lines(source) -> Iterator[tuple[int, str]]:
+    """``(1-based line number, raw line)`` pairs of CSV text.
+
+    ``source`` is a ``str``, UTF-8 ``bytes`` or a file-like object; every
+    CSV reader of the package starts here, so their error line numbers
+    count lines the same way.
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    return io.StringIO(source)
+    return enumerate(io.StringIO(source), start=1)
 
 
 def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
@@ -169,7 +163,7 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     ps: list[int] = []
     prev_t = -1
     seen_data = False
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.rstrip("\r\n")
         if not line:
             continue

@@ -38,9 +38,7 @@ from .events import EventStream
 from .windowing import (
     DEFAULT_APPROX_FRACTION,
     DEFAULT_GRID_DT_US,
-    WindowFamily,
     WindowSet,
-    WindowSpec,
     build_window_set,
     normalized_count,
     sample_grid,
@@ -96,8 +94,7 @@ def run_from_sequences(
     ):
         raise ConfigError("approximate query sequence is not grid-aligned")
 
-    gt = interpolate_ground_truth(anchors, q_grid)
-    keep = np.isin(q_grid.astype(np.float64), gt.query_t_us)
+    gt, keep = interpolate_ground_truth(anchors, q_grid)
     dropped = int(q_grid.size - keep.sum())
     if dropped:
         query_seqs = [_restrict(s, keep) for s in query_seqs]
@@ -172,10 +169,7 @@ def run_place_recognition(
     approx_query = None
     if approximate_fraction is not None:
         n_hat = normalized_count(approximate_fraction, query_stream.geometry)
-        family = WindowFamily(
-            WindowSpec.fixed_count(n_hat),
-            tuple(split_fixed_count(query_stream, n_hat)),
-        )
+        family = split_fixed_count(query_stream, n_hat)
         approx_query = describe_window_set(
             WindowSet((family,)), query_stream, q_grid, descriptor
         )[0]

@@ -8,6 +8,11 @@ stream.  Two slicing schemes are supported:
 * **fixed-time** windows hold whatever fell into a ``span_us`` interval,
   so their event count adapts instead.
 
+Each window is only an event index range plus the time interval it
+covers, so a :class:`WindowFamily` stores its windows as four parallel
+arrays, and :func:`align_to_time` maps a whole sample grid onto window
+indices in one vectorized pass.
+
 A :class:`WindowSet` bundles several window families of different sizes
 over the same stream.  Downstream code compares places once per family and
 fuses the resulting distance matrices, which is where the ensemble effect
@@ -75,42 +80,41 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class Window:
-    """One window: an event index range plus the time interval it covers.
+class WindowFamily:
+    """All windows of one spec over one stream, in temporal order.
 
-    Events ``[start_idx, end_idx)`` of the source stream belong to the
-    window and their timestamps lie within ``[t_start_us, t_end_us)``.
-    Fixed-time windows may be empty (``start_idx == end_idx``).
+    The ``k``-th window holds events ``[start_idx[k], end_idx[k])`` of the
+    source stream, whose timestamps lie within
+    ``[t_start_us[k], t_end_us[k])``.  The four arrays are int64, share one
+    length and are read-only.  Fixed-time windows may be empty
+    (``start_idx[k] == end_idx[k]``).
     """
 
     spec: WindowSpec
-    start_idx: int
-    end_idx: int
-    t_start_us: int
-    t_end_us: int
+    start_idx: np.ndarray
+    end_idx: np.ndarray
+    t_start_us: np.ndarray
+    t_end_us: np.ndarray
 
-    @property
-    def n_events(self) -> int:
-        return self.end_idx - self.start_idx
-
-    @property
-    def is_empty(self) -> bool:
-        return self.end_idx == self.start_idx
-
-
-@dataclass(frozen=True)
-class WindowFamily:
-    """All windows of one spec over one stream, in temporal order."""
-
-    spec: WindowSpec
-    windows: tuple[Window, ...]
+    def __post_init__(self):
+        names = ("start_idx", "end_idx", "t_start_us", "t_end_us")
+        arrays = [np.array(getattr(self, name), dtype=np.int64) for name in names]
+        if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
+            raise ConfigError("window arrays must be one-dimensional and share one length")
+        for name, arr in zip(names, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def label(self) -> str:
         return self.spec.label
 
+    @property
+    def n_events(self) -> np.ndarray:
+        return self.end_idx - self.start_idx
+
     def __len__(self) -> int:
-        return len(self.windows)
+        return int(self.start_idx.size)
 
 
 @dataclass(frozen=True)
@@ -138,28 +142,23 @@ def normalized_count(fraction: float, geometry: SensorGeometry) -> int:
     return max(1, int(math.floor(fraction * geometry.n_pixels + 0.5)))
 
 
-def split_fixed_count(stream: EventStream, count: int) -> list[Window]:
+def split_fixed_count(stream: EventStream, count: int) -> WindowFamily:
     """Split a stream into disjoint consecutive windows of ``count`` events.
 
     A trailing remainder shorter than ``count`` is dropped; a stream with
-    fewer than ``count`` events yields no windows at all.
+    fewer than ``count`` events yields a family with no windows.
     """
-    n = len(stream)
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    spec = WindowSpec.fixed_count(count)
-    windows = []
-    for k in range(n // count):
-        start = k * count
-        end = start + count
-        # Half-open time interval that contains exactly these events.
-        windows.append(
-            Window(spec, start, end, int(stream.t[start]), int(stream.t[end - 1]) + 1)
-        )
-    return windows
+    start = np.arange(len(stream) // count, dtype=np.int64) * count
+    end = start + count
+    # Half-open time intervals that contain exactly these events.
+    return WindowFamily(
+        WindowSpec.fixed_count(count), start, end, stream.t[start], stream.t[end - 1] + 1
+    )
 
 
-def split_fixed_time(stream: EventStream, span_us: int) -> list[Window]:
+def split_fixed_time(stream: EventStream, span_us: int) -> WindowFamily:
     """Split a stream into consecutive ``span_us`` intervals.
 
     Intervals are half-open ``[t_k, t_k + span)``, anchored at the first
@@ -171,15 +170,13 @@ def split_fixed_time(stream: EventStream, span_us: int) -> list[Window]:
         raise ConfigError(f"span_us must be positive, got {span_us}")
     if not len(stream):
         raise ConfigError("cannot split an empty stream into time windows")
-    spec = WindowSpec.fixed_time(span_us)
     t0 = int(stream.t[0])
     n_windows = int((int(stream.t[-1]) - t0) // span_us) + 1
     bounds = t0 + np.arange(n_windows + 1, dtype=np.int64) * span_us
     edges = np.searchsorted(stream.t, bounds)
-    return [
-        Window(spec, int(edges[k]), int(edges[k + 1]), int(bounds[k]), int(bounds[k + 1]))
-        for k in range(n_windows)
-    ]
+    return WindowFamily(
+        WindowSpec.fixed_time(span_us), edges[:-1], edges[1:], bounds[:-1], bounds[1:]
+    )
 
 
 def build_window_set(
@@ -219,45 +216,41 @@ def build_window_set(
             n = normalized_count(c, stream.geometry)
         else:
             n = int(c)
-        families.append(WindowFamily(WindowSpec.fixed_count(n), tuple(split_fixed_count(stream, n))))
+        families.append(split_fixed_count(stream, n))
     for s in spans_us:
-        families.append(WindowFamily(WindowSpec.fixed_time(int(s)), tuple(split_fixed_time(stream, s))))
+        families.append(split_fixed_time(stream, int(s)))
     return WindowSet(tuple(families))
 
 
-def align_to_time(family: WindowFamily, stream: EventStream, t_star_us: int) -> int:
-    """Index of the family window best aligned to sample time ``t_star_us``.
+def align_to_time(family: WindowFamily, stream: EventStream, t_us) -> np.ndarray:
+    """Index of the family window best aligned to each sample time in ``t_us``.
 
-    Among all events covered by the family, the one whose timestamp is
-    nearest to ``t_star_us`` is found (ties go to the earlier event), and
-    the index of the window containing it is returned.  Sample times beyond
-    the covered range thus resolve to the first or last non-empty window.
+    For every sample time, the event covered by the family whose timestamp
+    is nearest is found (ties go to the earlier event), and the index of
+    the window containing it is returned.  Sample times beyond the covered
+    range thus resolve to the first or last non-empty window.  Each sample
+    time costs two binary searches: one over events, one over windows.
     """
-    if not family.windows:
+    if not len(family):
         raise AlignmentError(f"family {family.label} has no windows")
-    lo = family.windows[0].start_idx
-    hi = family.windows[-1].end_idx
+    lo = int(family.start_idx[0])
+    hi = int(family.end_idx[-1])
     if lo == hi:
         raise AlignmentError(f"family {family.label} covers no events")
     t = stream.t[lo:hi]
-    pos = int(np.searchsorted(t, t_star_us, side="left"))
-    if pos == 0:
-        idx = 0
-    elif pos == t.size:
-        idx = t.size - 1
-    else:
-        # Tie between equally near neighbours goes to the earlier event.
-        if t_star_us - int(t[pos - 1]) <= int(t[pos]) - t_star_us:
-            idx = pos - 1
-        else:
-            idx = pos
-    event_idx = lo + idx
-    ends = np.array([w.end_idx for w in family.windows])
-    w = int(np.searchsorted(ends, event_idx, side="right"))
-    window = family.windows[w]
-    if not (window.start_idx <= event_idx < window.end_idx):
+    t_us = np.asarray(t_us, dtype=np.int64)
+    pos = np.searchsorted(t, t_us, side="left")
+    before = np.maximum(pos - 1, 0)
+    after = np.minimum(pos, t.size - 1)
+    # Tie between equally near neighbours goes to the earlier event.
+    take_before = (pos > 0) & (t_us - t[before] <= t[after] - t_us)
+    event_idx = lo + np.where(take_before, before, after)
+    w = np.searchsorted(family.end_idx, event_idx, side="right")
+    outside = (family.start_idx[w] > event_idx) | (event_idx >= family.end_idx[w])
+    if np.any(outside):
+        k = int(np.flatnonzero(outside)[0])
         raise AlignmentError(
-            f"family {family.label}: event {event_idx} not inside window {w}"
+            f"family {family.label}: event {int(event_idx[k])} not inside window {int(w[k])}"
         )
     return w
 

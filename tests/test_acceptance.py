@@ -25,10 +25,8 @@ import numpy as np
 from evplace.cli import main as cli_main
 from evplace.config import load_config
 from evplace.descriptors import (
-    AccumulationMode,
     DescriptorKind,
     DescriptorSequence,
-    EventImage,
     ExternalSource,
     load_descriptors,
     sad_descriptor,
@@ -57,7 +55,7 @@ from evplace.evaluation import (
 )
 from evplace.events import EventStream, SensorGeometry, parse_event_csv, write_event_csv
 from evplace.synthetic import generate_world, run_synthetic_experiment
-from evplace.windowing import split_fixed_count, split_fixed_time, align_to_time, WindowFamily
+from evplace.windowing import WindowFamily, align_to_time, split_fixed_count, split_fixed_time
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG = REPO / "configs" / "synthetic-default.json"
@@ -228,29 +226,31 @@ def _random_stream(rng, n, geometry):
 
 
 def _check_fixed_count(stream, count, failures, tag):
-    windows = split_fixed_count(stream, count)
+    family = split_fixed_count(stream, count)
     n = len(stream)
-    if len(windows) != n // count:
-        failures.append(f"{tag}: expected {n // count} windows, got {len(windows)}")
+    if len(family) != n // count:
+        failures.append(f"{tag}: expected {n // count} windows, got {len(family)}")
         return
-    for k, w in enumerate(windows):
-        if w.start_idx != k * count or w.end_idx != (k + 1) * count:
-            failures.append(f"{tag}: window {k} covers [{w.start_idx}, {w.end_idx})")
+    for k, (start, end, t_lo, t_hi) in enumerate(
+        zip(family.start_idx, family.end_idx, family.t_start_us, family.t_end_us)
+    ):
+        if start != k * count or end != (k + 1) * count:
+            failures.append(f"{tag}: window {k} covers [{start}, {end})")
             return
-        if not (w.t_start_us <= stream.t[w.start_idx] and stream.t[w.end_idx - 1] < w.t_end_us):
+        if not (t_lo <= stream.t[start] and stream.t[end - 1] < t_hi):
             failures.append(f"{tag}: window {k} time bounds exclude its events")
             return
 
 
 def _check_fixed_time(stream, span, failures, tag):
-    windows = split_fixed_time(stream, span)
+    family = split_fixed_time(stream, span)
     t0 = int(stream.t[0])
-    starts = np.array([w.start_idx for w in windows])
-    ends = np.array([w.end_idx for w in windows])
-    tlo = np.array([w.t_start_us for w in windows])
-    thi = np.array([w.t_end_us for w in windows])
-    grid = t0 + np.arange(len(windows) + 1, dtype=np.int64) * span
-    if not (np.array_equal(tlo, grid[:-1]) and np.array_equal(thi, grid[1:])):
+    starts, ends = family.start_idx, family.end_idx
+    grid = t0 + np.arange(len(family) + 1, dtype=np.int64) * span
+    if not (
+        np.array_equal(family.t_start_us, grid[:-1])
+        and np.array_equal(family.t_end_us, grid[1:])
+    ):
         failures.append(f"{tag}: interval bounds are not a contiguous grid from t0")
         return
     if starts[0] != 0 or ends[-1] != len(stream) or np.any(starts[1:] != ends[:-1]):
@@ -261,25 +261,26 @@ def _check_fixed_time(stream, span, failures, tag):
     if not np.all((starts[ks] <= idx) & (idx < ends[ks])):
         failures.append(f"{tag}: some event is outside its own time bin's window")
         return
-    if int(ks[-1]) != len(windows) - 1:
+    if int(ks[-1]) != len(family) - 1:
         failures.append(f"{tag}: trailing windows beyond the last event")
 
 
 def _check_alignment(stream, family: WindowFamily, rng, failures, tag):
-    lo = family.windows[0].start_idx
-    hi = family.windows[-1].end_idx
+    lo = int(family.start_idx[0])
+    hi = int(family.end_idx[-1])
     covered = stream.t[lo:hi]
     t_lo, t_hi = int(stream.t[0]) - 2_000, int(stream.t[-1]) + 2_000
-    for ts in rng.integers(t_lo, t_hi + 1, size=30):
-        got = align_to_time(family, stream, int(ts))
+    samples = rng.integers(t_lo, t_hi + 1, size=30)
+    got = align_to_time(family, stream, samples)
+    for ts, w in zip(samples, got):
         nearest = lo + int(np.argmin(np.abs(covered - ts)))
         expect = next(
             k
-            for k, w in enumerate(family.windows)
-            if w.start_idx <= nearest < w.end_idx
+            for k, (start, end) in enumerate(zip(family.start_idx, family.end_idx))
+            if start <= nearest < end
         )
-        if got != expect:
-            failures.append(f"{tag}: t*={ts} aligned to window {got}, nearest event is in {expect}")
+        if w != expect:
+            failures.append(f"{tag}: t*={ts} aligned to window {w}, nearest event is in {expect}")
             return
 
 
@@ -296,12 +297,10 @@ def test_windowing_invariants_on_random_streams():
         for span in (997, max(1, span_total // 17)):
             _check_fixed_time(stream, span, failures, f"n={n} span={span}")
         cw = split_fixed_count(stream, max(1, n // 13))
-        if cw:
-            fam = WindowFamily(cw[0].spec, tuple(cw))
-            _check_alignment(stream, fam, rng, failures, f"n={n} count align")
+        if len(cw):
+            _check_alignment(stream, cw, rng, failures, f"n={n} count align")
         tw = split_fixed_time(stream, max(1, span_total // 11))
-        fam = WindowFamily(tw[0].spec, tuple(tw))
-        _check_alignment(stream, fam, rng, failures, f"n={n} span align")
+        _check_alignment(stream, tw, rng, failures, f"n={n} span align")
     elapsed = time.perf_counter() - t0
     if elapsed >= 10.0:
         failures.append(f"took {elapsed:.2f}s, bound is 10s")
@@ -349,16 +348,9 @@ def test_metric_and_descriptor_properties():
         pixels = rng.random((geometry.height, geometry.width)) * 50.0
         alpha = float(10.0 ** rng.uniform(-2, 2))
         beta = float(rng.uniform(-50.0, 50.0))
-        base = sad_descriptor(
-            EventImage(geometry, pixels, AccumulationMode.COUNT), dw, dh, patch
-        )
-        moved = sad_descriptor(
-            EventImage(geometry, alpha * pixels + beta, AccumulationMode.COUNT),
-            dw,
-            dh,
-            patch,
-        )
-        err = float(np.max(np.abs(base.values - moved.values)))
+        base = sad_descriptor(pixels, dw, dh, patch)
+        moved = sad_descriptor(alpha * pixels + beta, dw, dh, patch)
+        err = float(np.max(np.abs(base - moved)))
         if err > 1e-9:
             failures.append(f"iter {i}: affine transform moved descriptor by {err:.3e}")
             break

@@ -10,8 +10,9 @@ from evplace.descriptors import (
     DescriptorKind,
     DescriptorParams,
     DescriptorSequence,
-    EventImage,
     ExternalSource,
+    _area_resize,
+    _area_weights,
     accumulate_image,
     describe_window_set,
     load_descriptors,
@@ -25,7 +26,7 @@ from evplace.errors import (
     ParseError,
 )
 from evplace.events import EventStream, SensorGeometry
-from evplace.windowing import build_window_set, sample_grid, split_fixed_count
+from evplace.windowing import align_to_time, build_window_set, sample_grid
 
 G = SensorGeometry(4, 4)
 
@@ -34,52 +35,45 @@ def _stream(rows, geometry=G):
     return EventStream.from_events(geometry, rows)
 
 
-def _image(pixels, geometry=None):
-    pixels = np.asarray(pixels, dtype=np.float64)
-    h, w = pixels.shape
-    return EventImage(geometry or SensorGeometry(w, h), pixels, AccumulationMode.COUNT)
-
-
 # ---------------------------------------------------------------------------
 # accumulation
 
 
-def _one_window(stream):
-    (w,) = split_fixed_count(stream, len(stream))
-    return w
+def _accumulate_all(stream, mode):
+    return accumulate_image(stream, 0, len(stream), mode, 3.0)
 
 
 def test_accumulate_signed_sum():
     s = _stream([(0, 1, 1, 1), (1, 1, 1, 1)])
-    img = accumulate_image(_one_window(s), s, AccumulationMode.SIGNED_SUM, 3.0)
-    assert img.pixels[1, 1] == 2.0
+    img = _accumulate_all(s, AccumulationMode.SIGNED_SUM)
+    assert img[1, 1] == 2.0
 
 
 def test_accumulate_signed_cancellation():
     s = _stream([(0, 1, 1, 1), (1, 1, 1, -1)])
-    img = accumulate_image(_one_window(s), s, AccumulationMode.SIGNED_SUM, 3.0)
-    assert img.pixels[1, 1] == 0.0
+    img = _accumulate_all(s, AccumulationMode.SIGNED_SUM)
+    assert img[1, 1] == 0.0
 
 
 def test_accumulate_clipping():
     s = _stream([(i, 2, 3, 1) for i in range(5)])
-    img = accumulate_image(_one_window(s), s, AccumulationMode.SIGNED_SUM, 3.0)
-    assert img.pixels[3, 2] == 3.0
+    img = _accumulate_all(s, AccumulationMode.SIGNED_SUM)
+    assert img[3, 2] == 3.0
 
 
 def test_accumulate_count_is_unclipped():
     s = _stream([(i, 2, 3, 1 if i % 2 else -1) for i in range(7)])
-    img = accumulate_image(_one_window(s), s, AccumulationMode.COUNT, 3.0)
-    assert img.pixels[3, 2] == 7.0
-    assert img.pixels.sum() == len(s)
+    img = _accumulate_all(s, AccumulationMode.COUNT)
+    assert img[3, 2] == 7.0
+    assert img.sum() == len(s)
 
 
 def test_accumulate_binary():
     s = _stream([(0, 0, 0, 1), (1, 0, 0, 1), (2, 3, 1, -1)])
-    img = accumulate_image(_one_window(s), s, AccumulationMode.BINARY, 3.0)
-    assert img.pixels[0, 0] == 1.0
-    assert img.pixels[1, 3] == 1.0
-    assert img.pixels.sum() == 2.0
+    img = _accumulate_all(s, AccumulationMode.BINARY)
+    assert img[0, 0] == 1.0
+    assert img[1, 3] == 1.0
+    assert img.sum() == 2.0
 
 
 def test_accumulate_count_total_fuzz():
@@ -94,8 +88,12 @@ def test_accumulate_count_total_fuzz():
             rng.integers(0, 4, size=n),
             rng.integers(0, 2, size=n) * 2 - 1,
         )
-        img = accumulate_image(_one_window(s), s, AccumulationMode.COUNT, 3.0)
-        assert img.pixels.sum() == n
+        img = _accumulate_all(s, AccumulationMode.COUNT)
+        assert img.sum() == n
+        lo, hi = sorted(rng.integers(0, n + 1, size=2).tolist())
+        assert accumulate_image(s, lo, hi, AccumulationMode.COUNT).sum() == hi - lo
+    with pytest.raises(ConfigError):
+        accumulate_image(s, 0, len(s) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,32 +101,32 @@ def test_accumulate_count_total_fuzz():
 
 
 def test_sad_constant_image_is_all_zero():
-    img = _image(np.full((4, 4), 7.0))
+    img = np.full((4, 4), 7.0)
     d = sad_descriptor(img, down_width=4, down_height=4, patch=2)
-    assert np.all(d.values == 0.0)
+    assert np.all(d == 0.0)
 
 
 def test_sad_shift_invariance():
     rng = np.random.default_rng(53)
     img = rng.random((8, 8))
-    a = sad_descriptor(_image(img), 8, 8, 4).values
-    b = sad_descriptor(_image(img + 11.5), 8, 8, 4).values
+    a = sad_descriptor(img, 8, 8, 4)
+    b = sad_descriptor(img + 11.5, 8, 8, 4)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_sad_positive_scale_invariance():
     rng = np.random.default_rng(59)
     img = rng.random((8, 8))
-    a = sad_descriptor(_image(img), 8, 8, 4).values
-    b = sad_descriptor(_image(img * 3.25), 8, 8, 4).values
+    a = sad_descriptor(img, 8, 8, 4)
+    b = sad_descriptor(img * 3.25, 8, 8, 4)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_sad_two_by_two_patch_normalization():
     # column pattern [[0,2],[0,2]]: mean 1, population std 1, so values
     # normalize to exactly (-1, 1, -1, 1) in row-major order
-    d = sad_descriptor(_image([[0.0, 2.0], [0.0, 2.0]]), 2, 2, 2)
-    assert list(d.values) == [-1.0, 1.0, -1.0, 1.0]
+    d = sad_descriptor([[0.0, 2.0], [0.0, 2.0]], 2, 2, 2)
+    assert list(d) == [-1.0, 1.0, -1.0, 1.0]
 
 
 def test_sad_downsample_is_box_average():
@@ -136,26 +134,75 @@ def test_sad_downsample_is_box_average():
     # differs from the rest, and one 2x2 patch normalizes it exactly
     img = np.zeros((4, 4))
     img[:2, :2] = 4.0
-    d = sad_descriptor(_image(img), 2, 2, 2)
+    d = sad_descriptor(img, 2, 2, 2)
     # downsampled image is [[4,0],[0,0]]; mean 1, std sqrt(3)
     expect = np.array([3.0, -1.0, -1.0, -1.0]) / np.sqrt(3.0)
-    np.testing.assert_allclose(d.values, expect, rtol=1e-12)
+    np.testing.assert_allclose(d, expect, rtol=1e-12)
 
 
 def test_sad_identity_resize_keeps_values():
     rng = np.random.default_rng(61)
     img = rng.random((6, 6))
-    d = sad_descriptor(_image(img), 6, 6, 6)
+    d = sad_descriptor(img, 6, 6, 6)
     manual = (img - img.mean()) / img.std()
-    np.testing.assert_allclose(d.values, manual.ravel(), rtol=1e-12)
+    np.testing.assert_allclose(d, manual.ravel(), rtol=1e-12)
 
 
 def test_sad_dimension_checks():
-    img = _image(np.zeros((4, 4)))
+    img = np.zeros((4, 4))
     with pytest.raises(ConfigError):
         sad_descriptor(img, 3, 4, 2)  # patch must divide width
     with pytest.raises(ConfigError):
         sad_descriptor(img, 8, 4, 2)  # cannot upsample
+    with pytest.raises(ConfigError):
+        sad_descriptor(img.ravel(), 4, 4, 2)  # needs a 2-D image
+
+
+def _area_weights_loop(n_in, n_out):
+    """Reference box-average weights, one overlap at a time."""
+    scale = n_in / n_out
+    w = np.zeros((n_out, n_in), dtype=np.float64)
+    for r in range(n_out):
+        lo = r * scale
+        hi = (r + 1) * scale
+        i0 = int(np.floor(lo))
+        i1 = min(n_in, int(np.ceil(hi)))
+        for i in range(i0, i1):
+            overlap = min(i + 1.0, hi) - max(float(i), lo)
+            if overlap > 0:
+                w[r, i] = overlap / scale
+    return w
+
+
+def test_area_weights_match_loop_oracle_bit_for_bit():
+    sizes_in = (1, 2, 3, 5, 7, 8, 12, 16, 24, 32, 33, 64, 100, 260, 346, 399)
+    sizes_out = (1, 2, 3, 6, 7, 8, 24, 32, 64)
+    for n_in in sizes_in:
+        for n_out in sizes_out:
+            got = _area_weights(n_in, n_out)
+            expect = _area_weights_loop(n_in, n_out)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes(), (n_in, n_out)
+            assert not got.flags.writeable  # shared by every caller of the cache
+
+
+def test_area_resize_matches_oracle_weights_at_sensor_size():
+    rng = np.random.default_rng(83)
+    geometry = SensorGeometry(346, 260)
+    n = 20_000
+    s = EventStream(
+        geometry,
+        np.sort(rng.integers(0, 1_000_000, size=n)),
+        rng.integers(0, 346, size=n),
+        rng.integers(0, 260, size=n),
+        rng.integers(0, 2, size=n) * 2 - 1,
+    )
+    wr, wc = _area_weights_loop(260, 24), _area_weights_loop(346, 32)
+    for mode in (AccumulationMode.SIGNED_SUM, AccumulationMode.COUNT):
+        img = accumulate_image(s, 0, n, mode, 3.0)
+        tmp = (wr[:, :, None] * img[None, :, :]).sum(axis=1)
+        expect = (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
+        assert _area_resize(img, 24, 32).tobytes() == expect.tobytes(), mode
 
 
 def test_descriptor_dim_matches_params():
@@ -190,6 +237,14 @@ def test_describe_window_set_shapes_and_grid():
         assert len(q) == grid.size
         assert np.array_equal(q.t_us, grid)
         assert q.dim == params.dim
+    # every row is the descriptor of the window aligned to its grid time alone
+    for family, q in zip(ws.families, seqs):
+        for j, t_star in enumerate(grid.tolist()):
+            (w,) = align_to_time(family, s, [t_star])
+            image = accumulate_image(
+                s, int(family.start_idx[w]), int(family.end_idx[w]), params.mode, params.clip
+            )
+            assert np.array_equal(q.values[j], sad_descriptor(image, 4, 4, 2))
 
 
 def test_describe_empty_grid_rejected():

@@ -68,26 +68,27 @@ def test_ground_truth_rejects_mismatched_lengths():
 
 
 def test_interpolation_midpoint():
-    dense = interpolate_ground_truth(_gt([(0, 0), (10, 20)]), [5.0])
+    dense, _ = interpolate_ground_truth(_gt([(0, 0), (10, 20)]), [5.0])
     assert dense.ref_t_us[0] == 10.0
 
 
 def test_interpolation_at_anchor_is_exact():
     anchors = _gt([(0, 3), (10, 20), (20, 25)])
-    dense = interpolate_ground_truth(anchors, [0.0, 10.0, 20.0])
+    dense, _ = interpolate_ground_truth(anchors, [0.0, 10.0, 20.0])
     np.testing.assert_array_equal(dense.ref_t_us, [3.0, 20.0, 25.0])
 
 
 def test_interpolation_piecewise():
-    dense = interpolate_ground_truth(_gt([(0, 0), (10, 20), (20, 25)]), [15.0])
+    dense, _ = interpolate_ground_truth(_gt([(0, 0), (10, 20), (20, 25)]), [15.0])
     assert dense.ref_t_us[0] == 22.5
 
 
 def test_interpolation_drops_uncovered_grid_points(caplog):
     anchors = _gt([(10, 10), (20, 20)])
     with caplog.at_level(logging.INFO, logger="evplace.evaluation"):
-        dense = interpolate_ground_truth(anchors, [0.0, 10.0, 15.0, 25.0])
+        dense, keep = interpolate_ground_truth(anchors, [0.0, 10.0, 15.0, 25.0])
     assert len(dense) == 2  # 0 and 25 fall outside the anchor span
+    np.testing.assert_array_equal(keep, [False, True, True, False])
     np.testing.assert_array_equal(dense.query_t_us, [10.0, 15.0])
     assert "dropped 2" in caplog.text
 

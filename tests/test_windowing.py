@@ -10,7 +10,6 @@ from evplace.events import EventStream, SensorGeometry
 from evplace.windowing import (
     DEFAULT_COUNT_FRACTIONS,
     DEFAULT_SPANS_US,
-    WindowSpec,
     align_to_time,
     build_window_set,
     normalized_count,
@@ -42,28 +41,34 @@ def _random_stream(rng, n, t_max=50_000):
 # fixed-count splitting
 
 
+def _ranges(family):
+    return list(zip(family.start_idx.tolist(), family.end_idx.tolist()))
+
+
 def test_fixed_count_drops_remainder():
-    windows = split_fixed_count(_stream_at(range(10)), 3)
-    assert [(w.start_idx, w.end_idx) for w in windows] == [(0, 3), (3, 6), (6, 9)]
+    fam = split_fixed_count(_stream_at(range(10)), 3)
+    assert _ranges(fam) == [(0, 3), (3, 6), (6, 9)]
 
 
 def test_fixed_count_exact_fit():
-    windows = split_fixed_count(_stream_at(range(5)), 5)
-    assert len(windows) == 1
-    assert (windows[0].start_idx, windows[0].end_idx) == (0, 5)
+    fam = split_fixed_count(_stream_at(range(5)), 5)
+    assert len(fam) == 1
+    assert _ranges(fam) == [(0, 5)]
 
 
 def test_fixed_count_insufficient_events():
-    assert split_fixed_count(_stream_at(range(4)), 5) == []
+    fam = split_fixed_count(_stream_at(range(4)), 5)
+    assert len(fam) == 0
+    assert fam.label == "count_5"
 
 
 def test_fixed_count_window_time_bounds_are_half_open():
     s = _stream_at([0, 5, 5, 9])
-    (w,) = split_fixed_count(s, 4)
+    fam = split_fixed_count(s, 4)
     # end bound is exclusive, so it sits one past the last timestamp
-    assert w.t_start_us == 0
-    assert w.t_end_us == 10
-    assert w.n_events == 4
+    assert fam.t_start_us.tolist() == [0]
+    assert fam.t_end_us.tolist() == [10]
+    assert fam.n_events.tolist() == [4]
 
 
 def test_fixed_count_properties_fuzz():
@@ -72,16 +77,19 @@ def test_fixed_count_properties_fuzz():
         n = int(rng.integers(0, 300))
         count = int(rng.integers(1, 20))
         s = _random_stream(rng, n)
-        windows = split_fixed_count(s, count)
-        assert len(windows) == n // count
+        fam = split_fixed_count(s, count)
+        assert len(fam) == n // count
         covered = []
         prev_end = 0
-        for w in windows:
-            assert w.end_idx - w.start_idx == count
-            assert w.start_idx == prev_end  # disjoint and gap-free
-            prev_end = w.end_idx
-            covered.extend(range(w.start_idx, w.end_idx))
+        for start, end in _ranges(fam):
+            assert end - start == count
+            assert start == prev_end  # disjoint and gap-free
+            prev_end = end
+            covered.extend(range(start, end))
         assert covered == list(range((n // count) * count))
+        for name in ("start_idx", "end_idx", "t_start_us", "t_end_us"):
+            arr = getattr(fam, name)
+            assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def test_fixed_count_rejects_bad_count():
@@ -94,22 +102,22 @@ def test_fixed_count_rejects_bad_count():
 
 
 def test_fixed_time_intervals():
-    windows = split_fixed_time(_stream_at([0, 10, 20]), 15)
-    assert [(w.t_start_us, w.t_end_us) for w in windows] == [(0, 15), (15, 30)]
-    assert [w.n_events for w in windows] == [2, 1]
+    fam = split_fixed_time(_stream_at([0, 10, 20]), 15)
+    assert list(zip(fam.t_start_us.tolist(), fam.t_end_us.tolist())) == [(0, 15), (15, 30)]
+    assert fam.n_events.tolist() == [2, 1]
 
 
 def test_fixed_time_retains_empty_windows():
-    windows = split_fixed_time(_stream_at([0, 40]), 15)
-    assert len(windows) == 3
-    assert [w.n_events for w in windows] == [1, 0, 1]
-    assert windows[1].is_empty
+    fam = split_fixed_time(_stream_at([0, 40]), 15)
+    assert len(fam) == 3
+    assert fam.n_events.tolist() == [1, 0, 1]
+    assert fam.start_idx[1] == fam.end_idx[1]
 
 
 def test_fixed_time_single_event():
-    (w,) = split_fixed_time(_stream_at([7]), 5)
-    assert (w.t_start_us, w.t_end_us) == (7, 12)
-    assert w.n_events == 1
+    fam = split_fixed_time(_stream_at([7]), 5)
+    assert _ranges(fam) == [(0, 1)]
+    assert (fam.t_start_us.tolist(), fam.t_end_us.tolist()) == ([7], [12])
 
 
 def test_fixed_time_empty_stream_rejected():
@@ -122,20 +130,18 @@ def test_fixed_time_partition_fuzz():
     for _ in range(30):
         s = _random_stream(rng, int(rng.integers(1, 300)))
         span = int(rng.integers(1, 5000))
-        windows = split_fixed_time(s, span)
+        fam = split_fixed_time(s, span)
         t0 = int(s.t[0])
         # windows tile [t0, beyond last event) without gaps
-        for k, w in enumerate(windows):
-            assert w.t_start_us == t0 + k * span
-            assert w.t_end_us == w.t_start_us + span
-        assert windows[-1].t_start_us <= int(s.t[-1]) < windows[-1].t_end_us
+        k = np.arange(len(fam))
+        assert np.array_equal(fam.t_start_us, t0 + k * span)
+        assert np.array_equal(fam.t_end_us, fam.t_start_us + span)
+        assert fam.t_start_us[-1] <= int(s.t[-1]) < fam.t_end_us[-1]
         # each event lands in exactly one window, by half-open membership
-        assignment = np.concatenate(
-            [np.full(w.end_idx - w.start_idx, k) for k, w in enumerate(windows)]
-        )
+        assignment = np.repeat(k, fam.n_events)
         expected = (s.t - t0) // span
         assert np.array_equal(assignment, expected)
-        assert sum(w.n_events for w in windows) == len(s)
+        assert int(fam.n_events.sum()) == len(s)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +194,7 @@ def test_build_window_set_counts_then_spans_order():
     ws = build_window_set(s, counts=[2], spans_us=[30])
     assert ws.labels == ("count_2", "span_30us")
     assert len(ws.families[0]) == 5
+    assert ws.families[1].n_events.tolist() == [3, 3, 3, 1]
 
 
 def test_build_window_set_fraction_vs_absolute():
@@ -211,46 +218,49 @@ def test_build_window_set_rejects_bool_count():
 # alignment
 
 
-def _family(stream, spec_windows):
-    from evplace.windowing import WindowFamily
-
-    return WindowFamily(spec_windows[0].spec, tuple(spec_windows))
-
-
 def test_align_picks_window_of_nearest_event():
     s = _stream_at([0, 10, 20])
-    fam = _family(s, split_fixed_time(s, 15))
-    assert align_to_time(fam, s, 12) == 0  # event 10 is nearer than 20
-    assert align_to_time(fam, s, 19) == 1
+    fam = split_fixed_time(s, 15)
+    # at 12 event 10 is nearer than 20; at 19 event 20 is nearer
+    assert align_to_time(fam, s, [12, 19]).tolist() == [0, 1]
 
 
 def test_align_tie_goes_to_earlier_event():
     s = _stream_at([10, 20])
-    fam = _family(s, split_fixed_time(s, 10))
-    assert align_to_time(fam, s, 15) == 0
+    fam = split_fixed_time(s, 10)
+    assert align_to_time(fam, s, [15]).tolist() == [0]
 
 
 def test_align_clamps_beyond_last_event():
     s = _stream_at([0, 40])
-    fam = _family(s, split_fixed_time(s, 15))
-    assert align_to_time(fam, s, 10_000) == 2  # last window holds the last event
+    fam = split_fixed_time(s, 15)
+    # the last window holds the last event, the first one the first event
+    assert align_to_time(fam, s, [10_000, -10_000]).tolist() == [2, 0]
 
 
 def test_align_skips_empty_windows():
     s = _stream_at([0, 40])
-    fam = _family(s, split_fixed_time(s, 15))
+    fam = split_fixed_time(s, 15)
     # t*=22 is inside the empty middle window; nearest events are 40 (|18|)
     # and 0 (|22|), so the final window wins
-    assert align_to_time(fam, s, 22) == 2
+    assert align_to_time(fam, s, [22]).tolist() == [2]
 
 
 def test_align_requires_events():
     s = _stream_at(range(4))
     with pytest.raises(AlignmentError):
-        from evplace.windowing import WindowFamily
+        align_to_time(split_fixed_count(s, 5), s, [0])
 
-        empty_fam = WindowFamily(WindowSpec.fixed_count(5), ())
-        align_to_time(empty_fam, s, 0)
+
+def _brute_force_align(s, fam, t_star):
+    """Index of the window holding the nearest covered event (ties: earlier)."""
+    lo, hi = int(fam.start_idx[0]), int(fam.end_idx[-1])
+    best_i = min(
+        range(lo, hi),
+        key=lambda i: (abs(int(s.t[i]) - t_star), int(s.t[i])),
+    )
+    (expect,) = [k for k, (a, b) in enumerate(_ranges(fam)) if a <= best_i < b]
+    return expect
 
 
 def test_align_matches_brute_force_fuzz():
@@ -258,26 +268,23 @@ def test_align_matches_brute_force_fuzz():
     for _ in range(40):
         s = _random_stream(rng, int(rng.integers(2, 150)), t_max=10_000)
         if rng.random() < 0.5:
-            windows = split_fixed_time(s, int(rng.integers(50, 3000)))
+            fam = split_fixed_time(s, int(rng.integers(50, 3000)))
         else:
-            count = int(rng.integers(1, len(s) + 1))
-            windows = split_fixed_count(s, count)
-            if not windows:
-                continue
-        fam = _family(s, windows)
-        t_star = int(rng.integers(-2000, 14_000))
-        got = align_to_time(fam, s, t_star)
-
-        # brute force: nearest covered event, ties to the earlier one
-        lo, hi = windows[0].start_idx, windows[-1].end_idx
-        best_i = min(
-            range(lo, hi),
-            key=lambda i: (abs(int(s.t[i]) - t_star), int(s.t[i])),
+            fam = split_fixed_count(s, int(rng.integers(1, len(s) + 1)))
+        t = s.t.astype(np.int64)
+        gaps = np.flatnonzero((np.diff(t) % 2 == 0) & (np.diff(t) > 0))
+        grid = np.concatenate(
+            [
+                rng.integers(-2000, 14_000, size=20),  # reaches beyond both ends
+                [int(t[0]) - 1, int(t[-1]) + 1],
+                (t[gaps] + t[gaps + 1]) // 2,  # exact ties between neighbours
+                t[rng.integers(0, t.size, size=5)],  # exactly on an event
+            ]
         )
-        (expect,) = [
-            k for k, w in enumerate(windows) if w.start_idx <= best_i < w.end_idx
-        ]
-        assert got == expect
+        got = align_to_time(fam, s, grid)
+        assert got.shape == grid.shape
+        for t_star, w in zip(grid.tolist(), got.tolist()):
+            assert w == _brute_force_align(s, fam, t_star)
 
 
 # ---------------------------------------------------------------------------

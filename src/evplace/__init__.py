@@ -83,7 +83,6 @@ from .synthetic import (
 from .windowing import (
     WindowFamily,
     WindowSet,
-    WindowSpec,
     align_to_time,
     build_window_set,
     normalized_count,
@@ -118,7 +117,6 @@ __all__ = [
     "TraverseParams",
     "WindowFamily",
     "WindowSet",
-    "WindowSpec",
     "accumulate_image",
     "align_to_time",
     "approximate_combine",

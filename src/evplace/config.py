@@ -13,36 +13,59 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .descriptors import AccumulationMode, DescriptorParams
+from .descriptors import (
+    DEFAULT_CLIP,
+    DEFAULT_DOWN_HEIGHT,
+    DEFAULT_DOWN_WIDTH,
+    DEFAULT_PATCH,
+    AccumulationMode,
+    DescriptorParams,
+)
 from .distance import Metric
-from .ensemble import EnsembleRule, RuleKind
+from .ensemble import DEFAULT_TRIM, EnsembleRule, RuleKind
 from .errors import ConfigError
-from .events import SensorGeometry
+from .evaluation import DEFAULT_LOC_THRESHOLD_US, DEFAULT_SWEEP_POINTS
+from .events import (
+    DEFAULT_BURST_BIN_US,
+    DEFAULT_BURST_FRACTION,
+    DEFAULT_HOT_PIXEL_SIGMA,
+    SensorGeometry,
+)
 from .synthetic import DEFAULT_SEGMENTS_PER_PLACE, TraverseParams
+from .windowing import (
+    DEFAULT_APPROX_FRACTION,
+    DEFAULT_COUNT_FRACTIONS,
+    DEFAULT_GRID_DT_US,
+    DEFAULT_SPANS_US,
+)
 
 DEFAULTS: dict[str, Any] = {
     "geometry": {"width": 346, "height": 260},
     "filters": {
-        "hot_pixels": {"enabled": True, "sigma": 5.0},
-        "bursts": {"enabled": True, "bin_us": 500, "fraction": 0.25},
+        "hot_pixels": {"enabled": True, "sigma": DEFAULT_HOT_PIXEL_SIGMA},
+        "bursts": {
+            "enabled": True,
+            "bin_us": DEFAULT_BURST_BIN_US,
+            "fraction": DEFAULT_BURST_FRACTION,
+        },
     },
     "windows": {
-        "counts": [0.1, 0.3, 0.6, 0.8],
-        "spans_ms": [44, 66, 88, 120, 140],
+        "counts": list(DEFAULT_COUNT_FRACTIONS),
+        "spans_ms": [s // 1000 for s in DEFAULT_SPANS_US],
     },
     "descriptor": {
         "mode": "signed_sum",
-        "clip": 3.0,
-        "down_width": 32,
-        "down_height": 24,
-        "patch": 8,
+        "clip": DEFAULT_CLIP,
+        "down_width": DEFAULT_DOWN_WIDTH,
+        "down_height": DEFAULT_DOWN_HEIGHT,
+        "patch": DEFAULT_PATCH,
     },
     "metric": "cosine",
-    "rule": {"kind": "mean", "trim": 1, "weights": None},
-    "approximate": {"enabled": True, "fraction": 0.5},
-    "grid_dt_us": 1_000_000,
-    "loc_threshold_us": 5_000_000,
-    "sweep": {"points": 100, "values": None},
+    "rule": {"kind": "mean", "trim": DEFAULT_TRIM, "weights": None},
+    "approximate": {"enabled": True, "fraction": DEFAULT_APPROX_FRACTION},
+    "grid_dt_us": DEFAULT_GRID_DT_US,
+    "loc_threshold_us": DEFAULT_LOC_THRESHOLD_US,
+    "sweep": {"points": DEFAULT_SWEEP_POINTS, "values": None},
     "synthetic": None,
 }
 
@@ -133,7 +156,11 @@ class PipelineConfig:
             keys, value = _parse_override(expr)
             _apply_override(raw, keys, value)
         merged = _merge(DEFAULTS, raw)
-        return cls._validate(merged)
+        try:
+            return cls._validate(merged)
+        except TypeError as e:
+            # A value of the wrong JSON type (a list where a number belongs, ...).
+            raise ConfigError(f"config value has the wrong type: {e}") from e
 
     @classmethod
     def _validate(cls, c: dict) -> "PipelineConfig":
@@ -195,7 +222,7 @@ class PipelineConfig:
         rule = EnsembleRule(
             kind,
             weights=tuple(float(w) for w in weights) if weights else None,
-            trim=int(r.get("trim", 1)),
+            trim=int(r.get("trim", DEFAULT_TRIM)),
         )
 
         ap = c["approximate"]

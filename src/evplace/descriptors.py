@@ -10,7 +10,9 @@ to the same place.
 Descriptors computed elsewhere (e.g. by a learned image model on
 reconstructed frames) can be loaded from CSV and used interchangeably:
 downstream code only sees :class:`DescriptorSequence` objects, a
-timestamp vector plus an ``(n, dim)`` value matrix.
+timestamp vector plus an ``(n, dim)`` value matrix under a label string.
+A computed sequence carries its window family's label (``count_230``,
+``span_44000us``); a loaded one is labelled ``external_<name>``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     ParseError,
 )
 from .events import EventStream, numbered_lines
-from .windowing import WindowSet, WindowSpec, align_to_time
+from .windowing import WindowSet, align_to_time
 
 DEFAULT_CLIP = 3.0
 DEFAULT_DOWN_WIDTH = 32
@@ -44,36 +46,24 @@ class AccumulationMode(enum.Enum):
     BINARY = "binary"
 
 
-class DescriptorKind(enum.Enum):
-    SAD = "sad"
-    EXTERNAL = "external"
-
-
-@dataclass(frozen=True)
-class ExternalSource:
-    """Tag for descriptor sequences that were loaded, not computed here."""
-
-    name: str
-
-    @property
-    def label(self) -> str:
-        return f"external_{self.name}"
-
-
 @dataclass(frozen=True)
 class DescriptorSequence:
     """Time-ordered descriptors of one source over one traverse.
 
+    ``label`` names the source: the window family's label (``count_<N>``
+    or ``span_<S>us``) for descriptors computed here, ``external_<name>``
+    for descriptors loaded from CSV.  It must be a non-empty string.
     Stored as a timestamp vector plus an ``(n, dim)`` value matrix so the
     distance stage can work on whole arrays.
     """
 
-    source: WindowSpec | ExternalSource
+    label: str
     t_us: np.ndarray
     values: np.ndarray
-    kind: DescriptorKind
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ConfigError(f"sequence label must be a non-empty string, got {self.label!r}")
         t = np.array(self.t_us, dtype=np.int64)
         v = np.array(self.values, dtype=np.float64)
         if t.ndim != 1 or v.ndim != 2 or t.size != v.shape[0]:
@@ -84,10 +74,6 @@ class DescriptorSequence:
         v.flags.writeable = False
         object.__setattr__(self, "t_us", t)
         object.__setattr__(self, "values", v)
-
-    @property
-    def label(self) -> str:
-        return self.source.label
 
     @property
     def dim(self) -> int:
@@ -255,9 +241,7 @@ def describe_window_set(
             frames[k] = sad_descriptor(
                 image, params.down_width, params.down_height, params.patch
             )
-        sequences.append(
-            DescriptorSequence(family.spec, grid, frames[row_window], DescriptorKind.SAD)
-        )
+        sequences.append(DescriptorSequence(family.label, grid, frames[row_window]))
     return sequences
 
 
@@ -267,6 +251,7 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     Rows are ``t_seconds,v1,...,vD`` with no header; timestamps must be
     strictly increasing and every row must have the same dimension.
     Zero-norm rows are rejected because they have no direction to compare.
+    The returned sequence is labelled ``external_<name>``.
     """
     times: list[int] = []
     rows: list[np.ndarray] = []
@@ -298,19 +283,12 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
         prev_t = t_us
         times.append(t_us)
         rows.append(vals)
+    label = f"external_{name}"
     if not rows:
         return DescriptorSequence(
-            ExternalSource(name),
-            np.array([], dtype=np.int64),
-            np.zeros((0, 0), dtype=np.float64),
-            DescriptorKind.EXTERNAL,
+            label, np.array([], dtype=np.int64), np.zeros((0, 0), dtype=np.float64)
         )
-    return DescriptorSequence(
-        ExternalSource(name),
-        np.array(times, dtype=np.int64),
-        np.vstack(rows),
-        DescriptorKind.EXTERNAL,
-    )
+    return DescriptorSequence(label, np.array(times, dtype=np.int64), np.vstack(rows))
 
 
 def write_descriptors(seq: DescriptorSequence) -> bytes:

@@ -133,6 +133,18 @@ def _stack(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> np.nda
     return np.stack([m.values for m in members])
 
 
+def _labelled_mean(
+    members: list[DistanceMatrix] | tuple[DistanceMatrix, ...], prefix: str
+) -> DistanceMatrix:
+    """Tree mean of ``members``, labelled ``<prefix>_mean_of_<k>``."""
+    return DistanceMatrix(
+        _tree_mean(_stack(members)),
+        members[0].query_t_us,
+        members[0].ref_t_us,
+        f"{prefix}_mean_of_{len(members)}",
+    )
+
+
 def combine(
     members: list[DistanceMatrix] | tuple[DistanceMatrix, ...], rule: EnsembleRule
 ) -> DistanceMatrix:
@@ -190,10 +202,12 @@ def majority_vote(
     stack = _stack(members)
     k, n_q, n_r = stack.shape
     votes = np.argmin(stack, axis=2)
+    # Count every (row, voted column) pair at once; argmax keeps the
+    # smallest column among tied counts.
+    rows = np.arange(n_q)
+    counts = np.bincount((rows * n_r + votes).ravel(), minlength=n_q * n_r)
     out = np.zeros((n_q, n_r), dtype=np.float64)
-    for i in range(n_q):
-        counts = np.bincount(votes[:, i], minlength=n_r)
-        out[i, int(np.argmax(counts))] = 1.0
+    out[rows, counts.reshape(n_q, n_r).argmax(axis=1)] = 1.0
     return DistanceMatrix(
         out, members[0].query_t_us, members[0].ref_t_us, f"majority_vote_of_{k}"
     )
@@ -228,13 +242,7 @@ def approximate_combine(
     if len(references) < 1:
         raise ConfigError("approximate ensemble needs at least one reference member")
     members = [build_distance_matrix(query, ref, metric) for ref in references]
-    fused = _tree_mean(_stack(members))
-    return DistanceMatrix(
-        fused,
-        members[0].query_t_us,
-        members[0].ref_t_us,
-        f"approx_mean_of_{len(members)}",
-    )
+    return _labelled_mean(members, "approx")
 
 
 def cross_window_members(
@@ -263,14 +271,7 @@ def cross_window_combine(
     metric: Metric,
 ) -> DistanceMatrix:
     """Mean-fused cross-window ensemble over all ``k * k`` family pairs."""
-    members = cross_window_members(query_seqs, reference_seqs, metric)
-    fused = _tree_mean(_stack(members))
-    return DistanceMatrix(
-        fused,
-        members[0].query_t_us,
-        members[0].ref_t_us,
-        f"cross_mean_of_{len(members)}",
-    )
+    return _labelled_mean(cross_window_members(query_seqs, reference_seqs, metric), "cross")
 
 
 def enumerate_weight_grid(

@@ -65,7 +65,7 @@ class PipelineResult:
 
 
 def _restrict(seq: DescriptorSequence, mask: np.ndarray) -> DescriptorSequence:
-    return DescriptorSequence(seq.source, seq.t_us[mask], seq.values[mask], seq.kind)
+    return DescriptorSequence(seq.label, seq.t_us[mask], seq.values[mask])
 
 
 def run_from_sequences(

@@ -11,7 +11,10 @@ stream.  Two slicing schemes are supported:
 Each window is only an event index range plus the time interval it
 covers, so a :class:`WindowFamily` stores its windows as four parallel
 arrays, and :func:`align_to_time` maps a whole sample grid onto window
-indices in one vectorized pass.
+indices in one vectorized pass.  A family is named only by its size: the
+label ``count_230`` marks windows of 230 events, ``span_44000us`` windows
+of 44 ms.  The label flows unchanged into descriptor sequences, distance
+matrices and output file names.
 
 A :class:`WindowSet` bundles several window families of different sizes
 over the same stream.  Downstream code compares places once per family and
@@ -26,7 +29,6 @@ number of pixels, e.g. a fraction of ``0.1`` on a 346x260 sensor means
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -43,60 +45,28 @@ DEFAULT_APPROX_FRACTION = 0.5
 DEFAULT_GRID_DT_US = 1_000_000
 
 
-class WindowKind(enum.Enum):
-    FIXED_COUNT = "fixed_count"
-    FIXED_TIME = "fixed_time"
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Identity of a window family: its kind and its one size parameter."""
-
-    kind: WindowKind
-    count: int | None = None
-    span_us: int | None = None
-
-    def __post_init__(self):
-        if self.kind is WindowKind.FIXED_COUNT:
-            if self.count is None or self.count < 1 or self.span_us is not None:
-                raise ConfigError("fixed-count spec needs count >= 1 and no span")
-        else:
-            if self.span_us is None or self.span_us < 1 or self.count is not None:
-                raise ConfigError("fixed-time spec needs span_us >= 1 and no count")
-
-    @classmethod
-    def fixed_count(cls, count: int) -> "WindowSpec":
-        return cls(WindowKind.FIXED_COUNT, count=int(count))
-
-    @classmethod
-    def fixed_time(cls, span_us: int) -> "WindowSpec":
-        return cls(WindowKind.FIXED_TIME, span_us=int(span_us))
-
-    @property
-    def label(self) -> str:
-        if self.kind is WindowKind.FIXED_COUNT:
-            return f"count_{self.count}"
-        return f"span_{self.span_us}us"
-
-
 @dataclass(frozen=True)
 class WindowFamily:
-    """All windows of one spec over one stream, in temporal order.
+    """All windows of one size over one stream, in temporal order.
 
-    The ``k``-th window holds events ``[start_idx[k], end_idx[k])`` of the
-    source stream, whose timestamps lie within
-    ``[t_start_us[k], t_end_us[k])``.  The four arrays are int64, share one
-    length and are read-only.  Fixed-time windows may be empty
+    ``label`` names the family by its size: ``count_<N>`` for windows of
+    ``N`` events, ``span_<S>us`` for windows of ``S`` microseconds.  It must
+    be a non-empty string.  The ``k``-th window holds events
+    ``[start_idx[k], end_idx[k])`` of the source stream, whose timestamps
+    lie within ``[t_start_us[k], t_end_us[k])``.  The four arrays are int64,
+    share one length and are read-only.  Fixed-time windows may be empty
     (``start_idx[k] == end_idx[k]``).
     """
 
-    spec: WindowSpec
+    label: str
     start_idx: np.ndarray
     end_idx: np.ndarray
     t_start_us: np.ndarray
     t_end_us: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ConfigError(f"family label must be a non-empty string, got {self.label!r}")
         names = ("start_idx", "end_idx", "t_start_us", "t_end_us")
         arrays = [np.array(getattr(self, name), dtype=np.int64) for name in names]
         if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
@@ -104,10 +74,6 @@ class WindowFamily:
         for name, arr in zip(names, arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def label(self) -> str:
-        return self.spec.label
 
     @property
     def n_events(self) -> np.ndarray:
@@ -154,7 +120,7 @@ def split_fixed_count(stream: EventStream, count: int) -> WindowFamily:
     end = start + count
     # Half-open time intervals that contain exactly these events.
     return WindowFamily(
-        WindowSpec.fixed_count(count), start, end, stream.t[start], stream.t[end - 1] + 1
+        f"count_{int(count)}", start, end, stream.t[start], stream.t[end - 1] + 1
     )
 
 
@@ -175,7 +141,7 @@ def split_fixed_time(stream: EventStream, span_us: int) -> WindowFamily:
     bounds = t0 + np.arange(n_windows + 1, dtype=np.int64) * span_us
     edges = np.searchsorted(stream.t, bounds)
     return WindowFamily(
-        WindowSpec.fixed_time(span_us), edges[:-1], edges[1:], bounds[:-1], bounds[1:]
+        f"span_{int(span_us)}us", edges[:-1], edges[1:], bounds[:-1], bounds[1:]
     )
 
 

@@ -25,9 +25,7 @@ import numpy as np
 from evplace.cli import main as cli_main
 from evplace.config import load_config
 from evplace.descriptors import (
-    DescriptorKind,
     DescriptorSequence,
-    ExternalSource,
     load_descriptors,
     sad_descriptor,
     write_descriptors,
@@ -168,7 +166,7 @@ def test_combination_rules_match_straight_line_oracles():
 def _external_seq(rng, name, n, dim, t0=0):
     t = t0 + np.cumsum(rng.integers(1, 1_000_000, n)).astype(np.int64)
     vals = rng.standard_normal((n, dim))
-    return DescriptorSequence(ExternalSource(name), t, vals, DescriptorKind.EXTERNAL)
+    return DescriptorSequence(f"external_{name}", t, vals)
 
 
 def test_reduction_identities_are_exact():
@@ -552,10 +550,9 @@ def test_round_trip_io_on_fuzzed_inputs():
         n = int(rng.integers(1, 30))
         dim = int(rng.integers(1, 16))
         seq = DescriptorSequence(
-            ExternalSource("fuzz"),
+            "external_fuzz",
             np.cumsum(rng.integers(1, 10**6, n)).astype(np.int64),
             rng.standard_normal((n, dim)) * 10.0 ** int(rng.integers(-12, 13)),
-            DescriptorKind.EXTERNAL,
         )
         back = load_descriptors(io.BytesIO(write_descriptors(seq)))
         if not (np.array_equal(back.t_us, seq.t_us) and np.array_equal(back.values, seq.values)):

@@ -91,6 +91,26 @@ def test_synth_without_synthetic_section_fails(tmp_path, capsys):
     assert "[config]" in err and "synthetic" in err
 
 
+def test_wrongly_typed_override_fails_with_config_tag(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    events = workspace["data"] / "query_events.csv"
+    overrides = ("grid_dt_us=[1]", "descriptor.clip=null", "rule.weights=5", "windows.counts=5")
+    for override in overrides:
+        rc = main(
+            [
+                "windows",
+                "--config", str(workspace["cfg"]),
+                "--set", override,
+                "--events", str(events),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, override
+        err = capsys.readouterr().err
+        assert err.startswith("evplace windows: error [config]") and "wrong type" in err, err
+    assert not out.exists()
+
+
 def test_set_override_lands_in_manifest(workspace, tmp_path):
     out = tmp_path / "out"
     rc = main(

@@ -106,6 +106,11 @@ def test_validation_catches_bad_values():
         {"loc_threshold_us": 0},
         {"sweep": {"points": 0}},
         {"sweep": {"values": [0.5, 0.2]}},
+        # values of the wrong JSON type
+        {"grid_dt_us": [1]},
+        {"descriptor": {"clip": None}},
+        {"rule": {"weights": 5}},
+        {"windows": {"counts": 5}},
     ]
     for raw in bad_cases:
         with pytest.raises(ConfigError):

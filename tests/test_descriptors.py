@@ -7,10 +7,8 @@ import pytest
 
 from evplace.descriptors import (
     AccumulationMode,
-    DescriptorKind,
     DescriptorParams,
     DescriptorSequence,
-    ExternalSource,
     _area_resize,
     _area_weights,
     accumulate_image,
@@ -309,17 +307,18 @@ def test_descriptor_csv_round_trip_fuzz():
         dim = int(rng.integers(1, 16))
         t_us = np.cumsum(rng.integers(1, 10_000_000, size=n)).astype(np.int64)
         values = rng.standard_normal((n, dim))
-        seq = DescriptorSequence(ExternalSource("fuzz"), t_us, values, DescriptorKind.EXTERNAL)
+        seq = DescriptorSequence("external_fuzz", t_us, values)
         back = load_descriptors(write_descriptors(seq), "fuzz")
         assert np.array_equal(back.t_us, seq.t_us)
         assert np.array_equal(back.values, seq.values)  # bit-exact round trip
 
 
+@pytest.mark.parametrize("label", ["", None, 3, b"external_x"])
+def test_sequence_rejects_bad_label(label):
+    with pytest.raises(ConfigError, match="label"):
+        DescriptorSequence(label, np.array([5], dtype=np.int64), np.ones((1, 3)))
+
+
 def test_sequence_requires_strictly_increasing_times():
     with pytest.raises(OrderingError):
-        DescriptorSequence(
-            ExternalSource("x"),
-            np.array([5, 5], dtype=np.int64),
-            np.ones((2, 3)),
-            DescriptorKind.EXTERNAL,
-        )
+        DescriptorSequence("external_x", np.array([5, 5], dtype=np.int64), np.ones((2, 3)))

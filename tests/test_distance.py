@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evplace.descriptors import DescriptorKind, DescriptorSequence, ExternalSource
+from evplace.descriptors import DescriptorSequence
 from evplace.distance import (
     DistanceMatrix,
     Metric,
@@ -17,16 +17,13 @@ from evplace.distance import (
     write_matrix_csv,
 )
 from evplace.errors import ConfigError, DegenerateDescriptorError, ParseError
-from evplace.windowing import WindowSpec
 
 
 def _seq(values, t_us=None, name="s"):
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if t_us is None:
         t_us = np.arange(values.shape[0], dtype=np.int64) * 1_000_000
-    return DescriptorSequence(
-        ExternalSource(name), np.asarray(t_us, dtype=np.int64), values, DescriptorKind.EXTERNAL
-    )
+    return DescriptorSequence(f"external_{name}", np.asarray(t_us, dtype=np.int64), values)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +131,7 @@ def test_matrix_label_from_shared_source():
 
 
 def test_matrix_label_from_distinct_sources():
-    spec_q = WindowSpec.fixed_count(5)
-    q = DescriptorSequence(spec_q, np.array([0]), np.ones((1, 3)), DescriptorKind.SAD)
+    q = DescriptorSequence("count_5", np.array([0]), np.ones((1, 3)))
     r = _seq([[1.0, 1.0, 1.0]], name="b")
     m = build_distance_matrix(q, r, Metric.SAD)
     assert m.member_label == "count_5_vs_external_b"

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from evplace.descriptors import DescriptorKind, DescriptorSequence, ExternalSource
+from evplace.descriptors import DescriptorSequence
 from evplace.distance import DistanceMatrix, Metric, best_match_per_query, build_distance_matrix
 from evplace.ensemble import (
     DEFAULT_WEIGHT_GRID,
@@ -41,7 +41,7 @@ def _random_members(rng, k, nq=6, nr=5):
 def _seq(values, name="s"):
     values = np.asarray(values, dtype=np.float64)
     t = np.arange(values.shape[0], dtype=np.int64)
-    return DescriptorSequence(ExternalSource(name), t, values, DescriptorKind.EXTERNAL)
+    return DescriptorSequence(f"external_{name}", t, values)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,43 @@ def test_majority_vote_rows_have_exactly_one_vote():
     votes = majority_vote(_random_members(rng, 5))
     assert np.all(votes.values.sum(axis=1) == 1.0)
     assert np.all((votes.values == 0.0) | (votes.values == 1.0))
+
+
+def _majority_vote_loop(stack):
+    """Oracle: one ``bincount`` per query row, ties to the smallest column."""
+    k, n_q, n_r = stack.shape
+    votes = np.argmin(stack, axis=2)
+    out = np.zeros((n_q, n_r), dtype=np.float64)
+    for i in range(n_q):
+        counts = np.bincount(votes[:, i], minlength=n_r)
+        out[i, int(np.argmax(counts))] = 1.0
+    return out
+
+
+def test_majority_vote_matches_loop_oracle_fuzz():
+    rng = np.random.default_rng(167)
+    tied_rows = 0
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        n_q = int(rng.integers(1, 12))
+        n_r = int(rng.integers(1, 7))
+        # Small integer distances: members often tie on their argmin.
+        stack = rng.integers(0, 3, size=(k, n_q, n_r)).astype(np.float64)
+        if k % 2 == 0 and n_r > 1:
+            # Force a vote tie on one row: half the members pick column a,
+            # half pick column b, with a > b half the time.
+            i = int(rng.integers(n_q))
+            a, b = rng.choice(n_r, size=2, replace=False)
+            stack[:, i, :] = 1.0
+            stack[: k // 2, i, a] = 0.0
+            stack[k // 2 :, i, b] = 0.0
+        counts = np.stack(
+            [np.bincount(row, minlength=n_r) for row in np.argmin(stack, axis=2).T]
+        )
+        tied_rows += int(np.sum((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+        members = [_matrix(m) for m in stack]
+        np.testing.assert_array_equal(majority_vote(members).values, _majority_vote_loop(stack))
+    assert tied_rows > 100
 
 
 def test_majority_vote_requires_two_members():

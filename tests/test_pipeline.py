@@ -7,10 +7,8 @@ import pytest
 
 from evplace.descriptors import (
     AccumulationMode,
-    DescriptorKind,
     DescriptorParams,
     DescriptorSequence,
-    ExternalSource,
 )
 from evplace.ensemble import EnsembleRule
 from evplace.errors import ConfigError
@@ -27,10 +25,9 @@ DESCRIPTOR = DescriptorParams(
 
 def _seq(values, t_us, name="s"):
     return DescriptorSequence(
-        ExternalSource(name),
+        f"external_{name}",
         np.asarray(t_us, dtype=np.int64),
         np.asarray(values, dtype=np.float64),
-        DescriptorKind.EXTERNAL,
     )
 
 

@@ -14,6 +14,7 @@ from evplace.windowing import (
     build_window_set,
     normalized_count,
     sample_grid,
+    WindowFamily,
     split_fixed_count,
     split_fixed_time,
 )
@@ -123,6 +124,12 @@ def test_fixed_time_single_event():
 def test_fixed_time_empty_stream_rejected():
     with pytest.raises(ConfigError):
         split_fixed_time(EventStream.empty(G), 10)
+
+
+@pytest.mark.parametrize("label", ["", None, 5, b"count_2", ("count_2",)])
+def test_family_rejects_bad_label(label):
+    with pytest.raises(ConfigError, match="label"):
+        WindowFamily(label, [0], [2], [0], [11])
 
 
 def test_fixed_time_partition_fuzz():

@@ -3,10 +3,12 @@
 Eight subcommands cover the pipeline end to end: ``filter`` and ``synth``
 produce event streams, ``windows``/``describe``/``distance``/``ensemble``/
 ``evaluate`` run single stages, and ``run`` chains everything from inputs
-to evaluation.  Every command validates its configuration before touching
-data, writes its outputs into ``--output`` together with a
-``manifest.json`` recording the resolved config plus SHA-256 digests of
-all inputs, and exits non-zero with a stage-tagged message on failure.
+to evaluation.  :func:`main` does the work they share: it loads and
+validates the configuration before touching data, runs the subcommand, and
+writes a ``manifest.json`` recording the resolved config, SHA-256 digests of all
+inputs and the output list.  The ``--output`` directory is made at the
+first write, so a command that fails before writing leaves none behind.
+Every failure prints ``evplace <cmd>: error [<stage>] ...`` and exits 1.
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
@@ -94,54 +96,36 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _prepare(output: str) -> tuple[Path, list[str], dict]:
-    out = Path(output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, [], {}
+class _Outputs:
+    """One command's output directory plus the manifest entries it collects.
 
+    The directory is made at the first write, so a command that fails
+    before writing anything leaves no directory behind.
+    """
 
-def _ingest(inputs: dict, role: str, path: str) -> bytes:
-    """Read an input file, recording its digest for the manifest."""
-    data = Path(path).read_bytes()
-    entry = {"file": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()}
-    if role in inputs:
-        # repeated roles (descriptor file lists) become numbered entries
-        suffix = 2
-        while f"{role}_{suffix}" in inputs:
-            suffix += 1
-        role = f"{role}_{suffix}"
-    inputs[role] = entry
-    return data
+    def __init__(self, directory: str):
+        self.dir = Path(directory)
+        self.inputs: dict = {}
+        self.names: list[str] = []
 
+    def read(self, role: str, path: str) -> bytes:
+        """Read an input file, recording its digest for the manifest."""
+        data = Path(path).read_bytes()
+        entry = {"file": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()}
+        if role in self.inputs:
+            # repeated roles (descriptor file lists) become numbered entries
+            suffix = 2
+            while f"{role}_{suffix}" in self.inputs:
+                suffix += 1
+            role = f"{role}_{suffix}"
+        self.inputs[role] = entry
+        return data
 
-def _write(out: Path, name: str, data: bytes, outputs: list[str]) -> None:
-    (out / name).write_bytes(data)
-    outputs.append(name)
-
-
-def _manifest(
-    out: Path,
-    command: str,
-    cfg: PipelineConfig,
-    inputs: dict,
-    outputs: list[str],
-    notes: dict | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": cfg.resolved,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-    }
-    if notes:
-        manifest["notes"] = notes
-    (out / "manifest.json").write_bytes(_json_bytes(manifest))
-
-
-def _load_stream(args_path: str, cfg: PipelineConfig, inputs: dict, role: str):
-    data = _ingest(inputs, role, args_path)
-    return parse_event_csv(data, cfg.geometry)
+    def write(self, name: str, data: bytes) -> None:
+        if not self.names:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / name).write_bytes(data)
+        self.names.append(name)
 
 
 def _apply_filters(stream, cfg: PipelineConfig):
@@ -179,31 +163,24 @@ def _eval_summary(label: str, result: EvalResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, cfg, out) and returns its manifest notes
 
 
-def cmd_filter(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def cmd_filter(args, cfg: PipelineConfig, out: _Outputs) -> None:
     with _stage("read-events"):
-        stream = _load_stream(args.events, cfg, inputs, "events")
+        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
     n_in = len(stream)
     stream, report = _apply_filters(stream, cfg)
     with _stage("write"):
-        _write(out, "filtered.csv", write_event_csv(stream), outputs)
+        out.write("filtered.csv", write_event_csv(stream))
         report = {"events_in": n_in, "events_out": len(stream), **report}
-        _write(out, "filter_report.json", _json_bytes(report), outputs)
-        _manifest(out, "filter", cfg, inputs, outputs)
-    return 0
+        out.write("filter_report.json", _json_bytes(report))
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("config"):
-        cfg = load_config(args.config, args.set)
         if cfg.synthetic is None:
             raise ConfigError("synth needs a config with a 'synthetic' section")
-    out, outputs, inputs = _prepare(args.output)
     s = cfg.synthetic
     with _stage("generate"):
         world = generate_world(s.world_seed, s.n_places, cfg.geometry, s.segments_per_place)
@@ -211,30 +188,19 @@ def cmd_synth(args) -> int:
         q_stream, q_gt = generate_traverse(world, s.query)
         anchors = pair_ground_truth(q_gt, ref_gt)
     with _stage("write"):
-        _write(out, "reference_events.csv", write_event_csv(ref_stream), outputs)
-        _write(out, "query_events.csv", write_event_csv(q_stream), outputs)
-        _write(out, "ground_truth.csv", write_ground_truth_csv(anchors), outputs)
-        _manifest(
-            out,
-            "synth",
-            cfg,
-            inputs,
-            outputs,
-            notes={
-                "places": s.n_places,
-                "reference_events": len(ref_stream),
-                "query_events": len(q_stream),
-            },
-        )
-    return 0
+        out.write("reference_events.csv", write_event_csv(ref_stream))
+        out.write("query_events.csv", write_event_csv(q_stream))
+        out.write("ground_truth.csv", write_ground_truth_csv(anchors))
+    return {
+        "places": s.n_places,
+        "reference_events": len(ref_stream),
+        "query_events": len(q_stream),
+    }
 
 
-def cmd_windows(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
     with _stage("read-events"):
-        stream = _load_stream(args.events, cfg, inputs, "events")
+        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
     with _stage("windowing"):
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
@@ -243,68 +209,43 @@ def cmd_windows(args) -> int:
             for i, row in enumerate(zip(*(c.tolist() for c in columns))):
                 lines.append(f"{fam.label},{i}," + ",".join(map(str, row)))
     with _stage("write"):
-        _write(out, "windows.csv", ("\n".join(lines) + "\n").encode("utf-8"), outputs)
-        _manifest(out, "windows", cfg, inputs, outputs)
-    return 0
+        out.write("windows.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def cmd_describe(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
     with _stage("read-events"):
-        stream = _load_stream(args.events, cfg, inputs, "events")
+        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
     with _stage("describe"):
         grid = sample_grid(stream, cfg.grid_dt_us)
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         seqs = describe_window_set(wset, stream, grid, cfg.descriptor)
     with _stage("write"):
         for seq in seqs:
-            _write(out, f"descriptors_{_slug(seq.label)}.csv", write_descriptors(seq), outputs)
-        _manifest(out, "describe", cfg, inputs, outputs)
-    return 0
+            out.write(f"descriptors_{_slug(seq.label)}.csv", write_descriptors(seq))
 
 
-def cmd_distance(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def cmd_distance(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-descriptors"):
-        q_seq = load_descriptors(_ingest(inputs, "query", args.query), _stem(args.query))
-        r_seq = load_descriptors(
-            _ingest(inputs, "reference", args.reference), _stem(args.reference)
-        )
+        q_seq = load_descriptors(out.read("query", args.query), _stem(args.query))
+        r_seq = load_descriptors(out.read("reference", args.reference), _stem(args.reference))
     with _stage("distance"):
         matrix = build_distance_matrix(q_seq, r_seq, cfg.metric)
     with _stage("write"):
-        _write(out, "distance.csv", write_matrix_csv(matrix), outputs)
-        _manifest(out, "distance", cfg, inputs, outputs, notes={"label": matrix.member_label})
-    return 0
+        out.write("distance.csv", write_matrix_csv(matrix))
+    return {"label": matrix.member_label}
 
 
-def cmd_ensemble(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def cmd_ensemble(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-matrices"):
-        members = [
-            read_matrix_csv(_ingest(inputs, "member", path), _stem(path))
-            for path in args.members
-        ]
+        members = [read_matrix_csv(out.read("member", path), _stem(path)) for path in args.members]
     with _stage("combine"):
         fused = combine(members, cfg.rule)
     with _stage("write"):
-        _write(out, "ensemble.csv", write_matrix_csv(fused), outputs)
+        out.write("ensemble.csv", write_matrix_csv(fused))
         if cfg.rule.kind is RuleKind.MAJORITY_VOTE:
             # votes count agreement; also emit the distance-like flip
-            _write(
-                out,
-                "ensemble_distances.csv",
-                write_matrix_csv(votes_as_distances(fused)),
-                outputs,
-            )
-        _manifest(out, "ensemble", cfg, inputs, outputs, notes={"label": fused.member_label})
-    return 0
+            out.write("ensemble_distances.csv", write_matrix_csv(votes_as_distances(fused)))
+    return {"label": fused.member_label}
 
 
 def _restrict_to_ground_truth(matrix: DistanceMatrix, anchors) -> tuple[DistanceMatrix, object, int]:
@@ -318,61 +259,48 @@ def _restrict_to_ground_truth(matrix: DistanceMatrix, anchors) -> tuple[Distance
     return matrix, gt, dropped
 
 
-def cmd_evaluate(args) -> int:
-    with _stage("config"):
-        cfg = load_config(args.config, args.set)
-    out, outputs, inputs = _prepare(args.output)
+def _pr_curve(matrix: DistanceMatrix, gt, cfg: PipelineConfig) -> list[EvalResult]:
+    """Precision/recall over the configured sweep, or the matrix's own sweep."""
+    sweep = cfg.sweep_values
+    if sweep is None:
+        sweep = default_similarity_sweep(matrix, cfg.sweep_points)
+    return precision_recall_curve(matrix, gt, cfg.loc_threshold_us, sweep)
+
+
+def cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-inputs"):
-        matrix = read_matrix_csv(_ingest(inputs, "matrix", args.matrix), _stem(args.matrix))
-        anchors = read_ground_truth_csv(_ingest(inputs, "ground_truth", args.gt))
+        matrix = read_matrix_csv(out.read("matrix", args.matrix), _stem(args.matrix))
+        anchors = read_ground_truth_csv(out.read("ground_truth", args.gt))
     with _stage("evaluate"):
         matrix, gt, dropped = _restrict_to_ground_truth(matrix, anchors)
         full = precision_at_full_recall(matrix, gt, cfg.loc_threshold_us)
-        sweep = cfg.sweep_values
-        if sweep is None:
-            sweep = default_similarity_sweep(matrix, cfg.sweep_points)
-        curve = precision_recall_curve(matrix, gt, cfg.loc_threshold_us, sweep)
+        curve = _pr_curve(matrix, gt, cfg)
     with _stage("write"):
-        _write(out, "eval.csv", write_eval_results_csv([full]), outputs)
-        _write(out, "pr.csv", write_eval_results_csv(curve), outputs)
-        _manifest(
-            out,
-            "evaluate",
-            cfg,
-            inputs,
-            outputs,
-            notes={"dropped_queries": dropped, "precision": full.precision},
-        )
-    return 0
+        out.write("eval.csv", write_eval_results_csv([full]))
+        out.write("pr.csv", write_eval_results_csv(curve))
+    return {"dropped_queries": dropped, "precision": full.precision}
 
 
-def _write_run_outputs(
-    out: Path, outputs: list[str], cfg: PipelineConfig, result: PipelineResult
-) -> None:
+def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResult) -> None:
     for matrix, ev in zip(result.members, result.member_evals):
         slug = _slug(matrix.member_label)
-        _write(out, f"dist_{slug}.csv", write_matrix_csv(matrix), outputs)
-        _write(out, f"eval_{slug}.csv", write_eval_results_csv([ev]), outputs)
+        out.write(f"dist_{slug}.csv", write_matrix_csv(matrix))
+        out.write(f"eval_{slug}.csv", write_eval_results_csv([ev]))
 
     fused = result.fused
     fused_slug = _slug(fused.member_label)
-    _write(out, f"dist_{fused_slug}.csv", write_matrix_csv(fused), outputs)
-    _write(out, f"eval_{fused_slug}.csv", write_eval_results_csv([result.fused_eval]), outputs)
+    out.write(f"dist_{fused_slug}.csv", write_matrix_csv(fused))
+    out.write(f"eval_{fused_slug}.csv", write_eval_results_csv([result.fused_eval]))
     fused_dist = (
         votes_as_distances(fused) if cfg.rule.kind is RuleKind.MAJORITY_VOTE else fused
     )
-    sweep = cfg.sweep_values
-    if sweep is None:
-        sweep = default_similarity_sweep(fused_dist, cfg.sweep_points)
-    curve = precision_recall_curve(fused_dist, result.ground_truth, cfg.loc_threshold_us, sweep)
-    _write(out, f"pr_{fused_slug}.csv", write_eval_results_csv(curve), outputs)
+    curve = _pr_curve(fused_dist, result.ground_truth, cfg)
+    out.write(f"pr_{fused_slug}.csv", write_eval_results_csv(curve))
 
     if result.approximate is not None:
         slug = _slug(result.approximate.member_label)
-        _write(out, f"dist_{slug}.csv", write_matrix_csv(result.approximate), outputs)
-        _write(
-            out, f"eval_{slug}.csv", write_eval_results_csv([result.approximate_eval]), outputs
-        )
+        out.write(f"dist_{slug}.csv", write_matrix_csv(result.approximate))
+        out.write(f"eval_{slug}.csv", write_eval_results_csv([result.approximate_eval]))
 
     summary = {
         "members": [
@@ -388,12 +316,11 @@ def _write_run_outputs(
         "dropped_grid_points": result.dropped_grid_points,
         "loc_threshold_us": cfg.loc_threshold_us,
     }
-    _write(out, "summary.json", _json_bytes(summary), outputs)
+    out.write("summary.json", _json_bytes(summary))
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("config"):
-        cfg = load_config(args.config, args.set)
         event_mode = args.query is not None or args.reference is not None
         desc_mode = bool(args.query_descriptors) or bool(args.reference_descriptors)
         if event_mode and (args.query is None or args.reference is None):
@@ -402,14 +329,13 @@ def cmd_run(args) -> int:
             raise ConfigError("--query-descriptors and --reference-descriptors go together")
         if event_mode == desc_mode:
             raise ConfigError("pass either event CSVs or descriptor CSVs, not both")
-    out, outputs, inputs = _prepare(args.output)
     with _stage("read-ground-truth"):
-        anchors = read_ground_truth_csv(_ingest(inputs, "ground_truth", args.gt))
+        anchors = read_ground_truth_csv(out.read("ground_truth", args.gt))
 
     if event_mode:
         with _stage("read-events"):
-            q_stream = _load_stream(args.query, cfg, inputs, "query")
-            r_stream = _load_stream(args.reference, cfg, inputs, "reference")
+            q_stream = parse_event_csv(out.read("query", args.query), cfg.geometry)
+            r_stream = parse_event_csv(out.read("reference", args.reference), cfg.geometry)
         q_stream, _ = _apply_filters(q_stream, cfg)
         r_stream, _ = _apply_filters(r_stream, cfg)
         with _stage("pipeline"):
@@ -429,11 +355,11 @@ def cmd_run(args) -> int:
     else:
         with _stage("read-descriptors"):
             q_seqs = [
-                load_descriptors(_ingest(inputs, "query_descriptors", p), _stem(p))
+                load_descriptors(out.read("query_descriptors", p), _stem(p))
                 for p in args.query_descriptors
             ]
             r_seqs = [
-                load_descriptors(_ingest(inputs, "reference_descriptors", p), _stem(p))
+                load_descriptors(out.read("reference_descriptors", p), _stem(p))
                 for p in args.reference_descriptors
             ]
         if cfg.approximate_fraction is not None:
@@ -449,17 +375,9 @@ def cmd_run(args) -> int:
             )
 
     with _stage("write"):
-        _write_run_outputs(out, outputs, cfg, result)
-        _manifest(
-            out,
-            "run",
-            cfg,
-            inputs,
-            outputs,
-            notes={"dropped_grid_points": result.dropped_grid_points},
-        )
+        _write_run_outputs(out, cfg, result)
     print(f"fused {result.fused.member_label}: precision {result.fused_eval.precision:.4f}")
-    return 0
+    return {"dropped_grid_points": result.dropped_grid_points}
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +458,25 @@ def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _stage("config"):
+            cfg = load_config(args.config, args.set)
+        out = _Outputs(args.output)
+        notes = args.func(args, cfg, out)
+        with _stage("write"):
+            manifest = {
+                "command": args.command,
+                "version": __version__,
+                "config": cfg.resolved,
+                "inputs": out.inputs,
+                "outputs": sorted(out.names),
+            }
+            if notes:
+                manifest["notes"] = notes
+            out.write("manifest.json", _json_bytes(manifest))
     except StageError as e:
         print(f"evplace {args.command}: error {e}", file=sys.stderr)
         return 1
-    except EvPlaceError as e:
-        print(f"evplace {args.command}: error: {e}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

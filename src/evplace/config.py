@@ -187,9 +187,12 @@ class PipelineConfig:
                 raise ConfigError(f"absolute window count {v} must be >= 1")
         spans_us = []
         for v in spans_ms:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"windows.spans_ms entry {v!r} is not a positive number")
-            spans_us.append(int(round(float(v) * 1000)))
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"windows.spans_ms entry {v!r} is not a number")
+            span_us = int(round(float(v) * 1000))
+            if span_us < 1:
+                raise ConfigError(f"windows.spans_ms entry {v!r} must be at least 0.001 (1 us)")
+            spans_us.append(span_us)
 
         d = c["descriptor"]
         try:

@@ -24,6 +24,7 @@ import numpy as np
 from .descriptors import DescriptorSequence
 from .distance import DistanceMatrix, Metric, build_distance_matrix
 from .errors import ConfigError
+from .evaluation import DEFAULT_LOC_THRESHOLD_US, precision_at_full_recall
 
 DEFAULT_WEIGHT_GRID = (0.5, 0.75, 1.0, 1.25, 1.5)
 DEFAULT_TRIM = 1
@@ -293,7 +294,7 @@ def enumerate_weight_grid(
 def weight_grid_search(
     members: list[DistanceMatrix] | tuple[DistanceMatrix, ...],
     ground_truth,
-    loc_threshold_us: int | None = None,
+    loc_threshold_us: int = DEFAULT_LOC_THRESHOLD_US,
     grid: tuple[float, ...] = DEFAULT_WEIGHT_GRID,
 ):
     """Yield ``(weights, EvalResult)`` for every weight vector on the grid.
@@ -302,10 +303,6 @@ def weight_grid_search(
     Selection is left to the caller, who may prefer precision, sparsity,
     or any other tie-break.
     """
-    from .evaluation import DEFAULT_LOC_THRESHOLD_US, precision_at_full_recall
-
-    if loc_threshold_us is None:
-        loc_threshold_us = DEFAULT_LOC_THRESHOLD_US
     for weights in enumerate_weight_grid(len(members), grid):
         fused = combine(members, EnsembleRule.weighted(weights))
         yield weights, precision_at_full_recall(fused, ground_truth, loc_threshold_us)

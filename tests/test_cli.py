@@ -202,6 +202,26 @@ def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "[read-events]" in err and "nope.csv" in err
+    assert not (tmp_path / "o").exists()  # nothing was written, so no directory
+
+
+def test_output_beneath_a_file_fails_with_write_tag(workspace, tmp_path, capsys):
+    events = tmp_path / "clean.csv"
+    _write_clean_stream(events)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory")
+    rc = main(
+        [
+            "filter",
+            "--config", str(workspace["cfg"]),
+            "--events", str(events),
+            "-o", str(blocker / "sub"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace filter: error [write]"), err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +413,25 @@ def test_run_requires_reference_with_query(workspace, tmp_path, capsys):
 def test_empty_window_grids_fail_before_any_processing(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     data = workspace["data"]
-    rc = main(
-        [
-            "run",
-            "--config", str(workspace["cfg"]),
-            "--set", "windows.counts=[]",
-            "--set", "windows.spans_ms=[]",
-            "--query", str(data / "query_events.csv"),
-            "--reference", str(data / "reference_events.csv"),
-            "--gt", str(data / "ground_truth.csv"),
-            "-o", str(out),
-        ]
+    cases = (
+        ["windows.counts=[]", "windows.spans_ms=[]"],
+        ["windows.spans_ms=[0.0001]"],  # rounds to a 0 us span
     )
-    assert rc == 1
-    assert "[config]" in capsys.readouterr().err
-    assert not out.exists()  # validation failed before the output dir was made
+    for overrides in cases:
+        rc = main(
+            [
+                "run",
+                "--config", str(workspace["cfg"]),
+                *[arg for override in overrides for arg in ("--set", override)],
+                "--query", str(data / "query_events.csv"),
+                "--reference", str(data / "reference_events.csv"),
+                "--gt", str(data / "ground_truth.csv"),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, overrides
+        assert "[config]" in capsys.readouterr().err
+        assert not out.exists()  # validation failed before the output dir was made
 
 
 def test_run_prints_fused_precision(workspace, tmp_path, capsys):

@@ -97,6 +97,7 @@ def test_validation_catches_bad_values():
         {"windows": {"counts": [True]}},
         {"windows": {"counts": [-3]}},
         {"windows": {"spans_ms": [-1]}},
+        {"windows": {"spans_ms": [0.0001]}},  # rounds to a 0 us span
         {"descriptor": {"mode": "velocity"}},
         {"descriptor": {"down_width": 400}},
         {"metric": "euclidean"},

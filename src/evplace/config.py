@@ -161,6 +161,9 @@ class PipelineConfig:
         except TypeError as e:
             # A value of the wrong JSON type (a list where a number belongs, ...).
             raise ConfigError(f"config value has the wrong type: {e}") from e
+        except OverflowError as e:
+            # An infinite number (JSON Infinity, 1e400) where an integer belongs.
+            raise ConfigError(f"config value is out of range: {e}") from e
 
     @classmethod
     def _validate(cls, c: dict) -> "PipelineConfig":

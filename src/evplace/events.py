@@ -6,6 +6,14 @@ coordinates, and a polarity in ``{-1, +1}``.  Streams are stored as
 parallel numpy arrays sorted by time, which keeps windowing and
 accumulation vectorized.
 
+Event CSV files are read by :func:`parse_event_csv` in one of two ways.  A
+file in the strict form :func:`write_event_csv` produces is parsed in one
+vectorized pass (``np.fromstring`` over the whole text); any other file,
+and any file whose values that pass finds invalid, is parsed again row by
+row, which accepts the lenient forms (CRLF, blank lines, ``+5``) and names
+the offending line in its error.  The choice follows from the text alone;
+no setting selects between the two.
+
 Two denoising filters operate on whole streams: :func:`remove_hot_pixels`
 drops pixels that fire far more often than the sensor average, and
 :func:`filter_bursts` drops short time slices in which an implausible
@@ -15,6 +23,7 @@ fraction of the array fired at once.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -23,6 +32,12 @@ import numpy as np
 from .errors import BoundsError, ConfigError, OrderingError, ParseError
 
 EVENT_CSV_HEADER = "t,x,y,p"
+# Each strict row is three commas, then a newline.
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+# A field of at most 18 characters cannot overflow int64.
+_MAX_FIELD_CHARS = 18
+_CHECK_BLOCK_BYTES = 1 << 20
+_WRITE_BLOCK_ROWS = 1 << 16
 
 DEFAULT_HOT_PIXEL_SIGMA = 5.0
 DEFAULT_BURST_BIN_US = 500
@@ -63,10 +78,9 @@ class EventStream:
     p: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=np.int64)
-        x = np.array(self.x, dtype=np.int32)
-        y = np.array(self.y, dtype=np.int32)
-        p = np.array(self.p, dtype=np.int8)
+        # Validate the values as given, then narrow: a cast first would wrap
+        # an out-of-range value (x = 2**32 + 1 becomes 1) and hide it.
+        t, x, y, p = (np.asarray(a) for a in (self.t, self.x, self.y, self.p))
         if not (t.ndim == x.ndim == y.ndim == p.ndim == 1):
             raise ConfigError("event arrays must be one-dimensional")
         if not (t.size == x.size == y.size == p.size):
@@ -74,7 +88,7 @@ class EventStream:
         if t.size:
             if t[0] < 0:
                 raise OrderingError("timestamps must be non-negative")
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 raise OrderingError("timestamps must be sorted non-decreasing")
             if np.any((x < 0) | (x >= self.geometry.width)):
                 raise BoundsError(f"x coordinate outside [0, {self.geometry.width})")
@@ -82,7 +96,10 @@ class EventStream:
                 raise BoundsError(f"y coordinate outside [0, {self.geometry.height})")
             if np.any((p != 1) & (p != -1)):
                 raise ConfigError("polarity must be -1 or +1")
-        for name, arr in (("t", t), ("x", x), ("y", y), ("p", p)):
+        for name, arr, dtype in (
+            ("t", t, np.int64), ("x", x, np.int32), ("y", y, np.int32), ("p", p, np.int8)
+        ):
+            arr = np.array(arr, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -136,6 +153,14 @@ def numbered_lines(source) -> Iterator[tuple[int, str]]:
 def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     """Parse ``t,x,y,p`` rows into an :class:`EventStream`.
 
+    A file in the exact form :func:`write_event_csv` produces (an optional
+    ``t,x,y,p`` header, then rows of four integer fields of at most 18
+    characters each, LF endings) is parsed in one vectorized pass.  Anything
+    else, and any file that pass finds invalid, is parsed again row by row,
+    which accepts every form described below and reports the exact error.
+    Both paths give the same stream or the same error; no setting selects
+    between them.
+
     Parameters
     ----------
     source : str, bytes, or file-like
@@ -157,6 +182,81 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     BoundsError, OrderingError
         Out-of-range coordinates or a timestamp regression.
     """
+    if hasattr(source, "read"):
+        source = source.read()
+    data = source.encode("ascii") if isinstance(source, str) and source.isascii() else source
+    if isinstance(data, bytes):
+        try:
+            stream = _parse_strict(data, geometry)
+        except (BoundsError, ConfigError, OrderingError):
+            stream = None
+        if stream is not None:
+            return stream
+    return _parse_rows(source, geometry)
+
+
+def _parse_strict(data: bytes, geometry: SensorGeometry) -> EventStream | None:
+    """The stream of a strictly formatted file, or ``None`` to refuse it.
+
+    Accepts exactly: an optional ``t,x,y,p`` header, then rows of four
+    fields matching ``-?[0-9]+`` of at most 18 characters (so no value can
+    overflow int64), ending in LF (optional after the last row).  Values
+    are checked by :class:`EventStream`, whose errors carry no line number;
+    the caller re-parses row by row on a refusal or any such error.
+    """
+    header = EVENT_CSV_HEADER.encode() + b"\n"
+    body = data[len(header):] if data.startswith(header) else data
+    if not body:
+        return EventStream.empty(geometry)
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if body.translate(None, b"0123456789,-\n"):
+        return None
+    # Check whole rows a block at a time, so the checks' index arrays stay
+    # small next to the values.
+    n_values = 0
+    start = 0
+    while start < len(body):
+        end = body.find(b"\n", start + _CHECK_BLOCK_BYTES) + 1 or len(body)
+        n_fields = _strict_field_count(np.frombuffer(body, np.uint8, end - start, start))
+        if n_fields is None:
+            return None
+        n_values += n_fields
+        start = end
+    flat = body.replace(b"\n", b",")
+    del body
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.fromstring(flat, dtype=np.int64, count=n_values, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    del flat
+    if values.size != n_values:
+        return None
+    rows = values.reshape(-1, 4)
+    p = np.where(rows[:, 3] == 0, -1, rows[:, 3])
+    return EventStream(geometry, rows[:, 0], rows[:, 1], rows[:, 2], p)
+
+
+def _strict_field_count(a: np.ndarray) -> int | None:
+    """Field count of whole strict rows (bytes ending in LF), or ``None``."""
+    sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    if sep.size % 4 or np.any(a[sep].reshape(-1, 4) != _ROW_SEPARATORS):
+        return None
+    gap = np.diff(sep, prepend=-1)  # field length + 1
+    if gap.min() < 2 or gap.max() > _MAX_FIELD_CHARS + 1:
+        return None
+    # A sign opens its field and is followed by a digit; the byte before
+    # a sign at offset 0 is the block's final newline.
+    sign = np.flatnonzero(a == ord("-"))
+    if np.any(a[sign - 1] > ord(",")) or np.any(a[sign + 1] < ord("0")):
+        return None
+    return sep.size
+
+
+def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
+    """Row-by-row :func:`parse_event_csv`: every accepted form, exact errors."""
     ts: list[int] = []
     xs: list[int] = []
     ys: list[int] = []
@@ -211,10 +311,12 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
 
 def write_event_csv(stream: EventStream) -> bytes:
     """Serialize a stream as ``t,x,y,p`` CSV (header row, LF endings)."""
-    parts = [EVENT_CSV_HEADER, "\n"]
-    t, x, y, p = stream.t, stream.x, stream.y, stream.p
-    for i in range(len(stream)):
-        parts.append(f"{t[i]},{x[i]},{y[i]},{p[i]}\n")
+    parts = [EVENT_CSV_HEADER + "\n"]
+    # One %-format per block of rows; blocks bound the Python ints alive at once.
+    for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
+        block = slice(start, start + _WRITE_BLOCK_ROWS)
+        rows = np.column_stack([stream.t[block], stream.x[block], stream.y[block], stream.p[block]])
+        parts.append("%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
     return "".join(parts).encode("utf-8")
 
 
@@ -295,12 +397,14 @@ def filter_bursts(
         return stream
     n_pix = stream.geometry.n_pixels
     bin_idx = stream.t // bin_us
-    # Count distinct pixels per bin via unique (bin, pixel) pairs.
-    pair = bin_idx * n_pix + stream.pixel_index()
-    unique_pairs = np.unique(pair)
-    bins_of_pairs = unique_pairs // n_pix
-    bins, distinct = np.unique(bins_of_pairs, return_counts=True)
-    burst_bins = bins[distinct > fraction * n_pix]
-    if burst_bins.size == 0:
+    # Distinct pixels per bin: sort the (bin, pixel) keys and count each key
+    # that differs from its predecessor.  t is sorted, so the sort only
+    # reorders within a bin and bin_idx stays the bin of every sorted key.
+    pair = np.sort(bin_idx * n_pix + stream.pixel_index())
+    new_pixel = np.r_[True, pair[1:] != pair[:-1]]
+    bin_start = np.flatnonzero(np.r_[True, bin_idx[1:] != bin_idx[:-1]])
+    distinct = np.add.reduceat(new_pixel, bin_start, dtype=np.int64)
+    burst = distinct > fraction * n_pix
+    if not burst.any():
         return stream
-    return stream.select(~np.isin(bin_idx, burst_bins))
+    return stream.select(~np.repeat(burst, np.diff(bin_start, append=pair.size)))

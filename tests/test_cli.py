@@ -111,6 +111,25 @@ def test_wrongly_typed_override_fails_with_config_tag(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+def test_infinite_override_fails_with_config_tag(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    events = workspace["data"] / "query_events.csv"
+    for override in ("grid_dt_us=Infinity", "windows.spans_ms=[1e400]", "windows.spans_ms=[-Infinity]"):
+        rc = main(
+            [
+                "windows",
+                "--config", str(workspace["cfg"]),
+                "--set", override,
+                "--events", str(events),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, override
+        err = capsys.readouterr().err
+        assert err.startswith("evplace windows: error [config]") and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_set_override_lands_in_manifest(workspace, tmp_path):
     out = tmp_path / "out"
     rc = main(

@@ -112,6 +112,12 @@ def test_validation_catches_bad_values():
         {"descriptor": {"clip": None}},
         {"rule": {"weights": 5}},
         {"windows": {"counts": 5}},
+        # infinite numbers where an integer belongs (JSON Infinity, 1e400)
+        {"grid_dt_us": float("inf")},
+        {"windows": {"spans_ms": [float("inf")]}},
+        {"windows": {"spans_ms": [1e400]}},
+        {"filters": {"bursts": {"bin_us": float("-inf")}}},
+        {"geometry": {"width": float("inf")}},
     ]
     for raw in bad_cases:
         with pytest.raises(ConfigError):

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evplace import events
 from evplace.errors import BoundsError, ConfigError, OrderingError, ParseError
 from evplace.events import (
+    EVENT_CSV_HEADER,
     EventStream,
     SensorGeometry,
+    _parse_rows,
+    _parse_strict,
     filter_bursts,
     parse_event_csv,
     remove_hot_pixels,
@@ -54,6 +63,21 @@ def test_stream_rejects_out_of_bounds():
 def test_stream_rejects_bad_polarity():
     with pytest.raises(ConfigError):
         _stream([(0, 0, 0, 2)])
+
+
+def test_stream_validates_before_narrowing():
+    # A cast to int32/int8 before the checks would wrap 2**32 + 1 to 1 and
+    # 257 to 1, and truncate t = -0.5 to 0, and accept all three.
+    g = SensorGeometry(4, 4)
+    for wrap in (list, lambda v: np.array(v, dtype=np.int64)):
+        with pytest.raises(BoundsError):
+            EventStream(g, wrap([0]), wrap([2**32 + 1]), wrap([0]), wrap([1]))
+        with pytest.raises(BoundsError):
+            EventStream(g, wrap([0]), wrap([0]), wrap([2**32 + 1]), wrap([1]))
+        with pytest.raises(ConfigError):
+            EventStream(g, wrap([0]), wrap([0]), wrap([0]), wrap([257]))
+    with pytest.raises(OrderingError):
+        EventStream(g, [-0.5], [0], [0], [1])
 
 
 def test_stream_arrays_are_read_only():
@@ -133,6 +157,175 @@ def test_csv_round_trip_fuzz():
         assert np.array_equal(back.x, s.x)
         assert np.array_equal(back.y, s.y)
         assert np.array_equal(back.p, s.p)
+
+
+def _write_event_csv_loop(stream):
+    """The per-row writer ``write_event_csv`` replaced: the byte oracle."""
+    parts = [EVENT_CSV_HEADER, "\n"]
+    t, x, y, p = stream.t, stream.x, stream.y, stream.p
+    for i in range(len(stream)):
+        parts.append(f"{t[i]},{x[i]},{y[i]},{p[i]}\n")
+    return "".join(parts).encode("utf-8")
+
+
+def _outcome(parse, source, geometry):
+    """A parse's arrays with their dtypes, or its exception class and message."""
+    try:
+        s = parse(source, geometry)
+    except Exception as e:  # the oracle comparison covers every failure
+        return type(e), str(e)
+    return [(a.dtype, a.tolist()) for a in (s.t, s.x, s.y, s.p)]
+
+
+def _assert_parses_like_rows(text: str, geometry=G4):
+    """``parse_event_csv`` equals ``_parse_rows`` on str, bytes and file input."""
+    expected = _outcome(_parse_rows, text, geometry)
+    data = text.encode("utf-8")
+    assert _outcome(_parse_rows, data, geometry) == expected
+    for make in (lambda: text, lambda: data, lambda: io.BytesIO(data), lambda: io.StringIO(text)):
+        assert _outcome(parse_event_csv, make(), geometry) == expected, text
+
+
+@st.composite
+def _csv_files(draw):
+    """A valid event CSV for G4 as (header, rows of field strings, final newline)."""
+    n = draw(st.integers(0, 12))
+    t = draw(st.integers(0, 10**15))
+    rows = []
+    for _ in range(n):
+        t += draw(st.integers(0, 3))
+        x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows.append([str(t), str(x), str(y), str(draw(st.sampled_from([-1, 0, 1])))])
+    return draw(st.booleans()), rows, draw(st.booleans())
+
+
+def _render(header, rows, final_newline, header_text=EVENT_CSV_HEADER, newline="\n"):
+    lines = ([header_text] if header else []) + [",".join(r) for r in rows]
+    return newline.join(lines) + (newline if final_newline and lines else "")
+
+
+# Replacement fields: each is accepted by int() but refused by the strict
+# pass, or is malformed, or overflows int64, or is at the 18-character limit.
+_ODD_FIELDS = [
+    "+5", " 5", "5 ", "1_0", "\uff15", "-", "+", " ", "\t", "- 5", "", "--1", "1-2", "-0", "007",
+    "123456789012345678", "-12345678901234567", "1234567890123456789", "9999999999999999999",
+    "12345678901234567890", "-12345678901234567890", "9223372036854775807",
+    "9223372036854775808", str(2**32 + 1), "0", "2", "-5",
+]
+
+
+def test_parse_matches_row_oracle_on_every_odd_field():
+    rows = [["5", "1", "2", "1"], ["6", "3", "0", "0"], ["9", "0", "3", "-1"]]
+    for field in _ODD_FIELDS:
+        for row, column in np.ndindex(3, 4):
+            odd = [list(r) for r in rows]
+            odd[row][column] = field
+            for header in (False, True):
+                _assert_parses_like_rows(_render(header, odd, True))
+
+
+# Check-block sizes: every row its own block, a few rows, the real size.
+_CHECK_BLOCKS = st.sampled_from([1, 20, events._CHECK_BLOCK_BYTES])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files(), _CHECK_BLOCKS)
+def test_parse_matches_row_oracle_on_valid_files(case, block_bytes):
+    header, rows, final_newline = case
+    text = _render(header, rows, final_newline)
+    # a file with LF endings never needs the row loop
+    lf_text = _render(header, rows, final_newline or not rows)
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", block_bytes):
+        _assert_parses_like_rows(text)
+        assert _parse_strict(lf_text.encode(), G4) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files(), _CHECK_BLOCKS, st.data())
+def test_parse_matches_row_oracle_on_mutated_files(case, block_bytes, data):
+    header, rows, final_newline = case
+    mutation = data.draw(
+        st.sampled_from(
+            ["crlf", "blank", "header", "field", "trailing_comma", "field_count",
+             "polarity", "negative_t", "regression", "huge_x"]
+        )
+    )
+    header_text, newline = EVENT_CSV_HEADER, "\n"
+    rows = [list(r) for r in rows] or [["0", "0", "0", "1"]]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if mutation == "crlf":
+        newline = "\r\n"
+    elif mutation == "blank":
+        k = data.draw(st.integers(1, 3))
+        rows[i:i] = [[""]] * k
+    elif mutation == "header":
+        header = True
+        header_text = data.draw(st.sampled_from(["T,X,Y,P", " t,x,y,p ", "t,X,y,P\t", "t, x, y, p"]))
+    elif mutation == "field":
+        rows[i][data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(_ODD_FIELDS))
+    elif mutation == "trailing_comma":
+        rows[i][3] += ","
+    elif mutation == "field_count":
+        rows[i] = rows[i][: data.draw(st.integers(1, 3))] if data.draw(st.booleans()) else rows[i] + ["1"]
+    elif mutation == "polarity":
+        rows[i][3] = data.draw(st.sampled_from(["0", "2", "-2", "1", "-1"]))
+    elif mutation == "negative_t":
+        rows[i][0] = "-" + data.draw(st.sampled_from(["1", "5", "0"]))
+    elif mutation == "regression":
+        rows[i][0] = str(int(rows[i - 1][0]) - 1) if i else "-1"
+    elif mutation == "huge_x":
+        rows[i][1] = str(2**32 + 1)
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", block_bytes):
+        _assert_parses_like_rows(_render(header, rows, final_newline, header_text, newline))
+
+
+def test_parse_errors_keep_line_and_class_past_the_strict_pass():
+    good = "t,x,y,p\n" + "".join(f"{i},1,2,1\n" for i in range(50))
+    cases = [
+        (good + "60,4,0,1\n", BoundsError, "line 52"),
+        (good + "60,0,9,0\n", BoundsError, "line 52"),
+        (good + "3,0,0,1\n", OrderingError, "line 52"),
+        (good + "60,0,0,2\n", ParseError, "line 52"),
+        (good + "-60,0,0,1\n", ParseError, "line 52"),
+        (good + "60,0,0\n", ParseError, "line 52"),
+        (good + "60,0,0\n1,61,0,0,1\n", ParseError, "line 52"),
+        (good + "60,0,0,1,\n", ParseError, "line 52"),
+        (good + "60,-,0,1\n", ParseError, "line 52"),
+        (good + "12345678901234567890,0,0,1\n", OverflowError, "int"),
+    ]
+    for text, error, match in cases:
+        with pytest.raises(error, match=match):
+            parse_event_csv(text.encode(), G4)
+        _assert_parses_like_rows(text)
+
+
+@st.composite
+def _streams(draw):
+    g = SensorGeometry(draw(st.integers(1, 400)), draw(st.integers(1, 300)))
+    n = draw(st.integers(0, 40))
+    t = np.cumsum(draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n)), dtype=np.int64)
+    x = draw(st.lists(st.integers(0, g.width - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, g.height - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return EventStream(g, t, np.array(x, dtype=np.int64), np.array(y, dtype=np.int64),
+                       np.array(p, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_streams(), st.sampled_from([1, 3, 16, events._WRITE_BLOCK_ROWS]))
+def test_write_matches_row_oracle_bytes(stream, block_rows):
+    with mock.patch.object(events, "_WRITE_BLOCK_ROWS", block_rows):
+        data = write_event_csv(stream)
+    assert data == _write_event_csv_loop(stream)
+    back = parse_event_csv(data, stream.geometry)
+    assert all(np.array_equal(getattr(back, k), getattr(stream, k)) for k in "txyp")
+
+
+def test_write_matches_row_oracle_across_blocks():
+    rng = np.random.default_rng(29)
+    for n in (0, 1, events._WRITE_BLOCK_ROWS, events._WRITE_BLOCK_ROWS + 3):
+        s = _random_stream(rng, n, SensorGeometry(346, 260), t_max=10**12)
+        assert write_event_csv(s) == _write_event_csv_loop(s)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +485,33 @@ def test_burst_output_is_subsequence():
     keep = [i for i in range(len(s)) if int(s.t[i]) // 100 in kept_bins]
     assert np.array_equal(out.t, s.t[keep])
     assert np.array_equal(out.x, s.x[keep])
+
+
+def _filter_bursts_unique(stream, bin_us, fraction):
+    """The two-``np.unique`` distinct-pixel count: the burst filter's oracle."""
+    n_pix = stream.geometry.n_pixels
+    bin_idx = stream.t // bin_us
+    pair = bin_idx * n_pix + stream.pixel_index()
+    bins, distinct = np.unique(np.unique(pair) // n_pix, return_counts=True)
+    return stream.select(~np.isin(bin_idx, bins[distinct > fraction * n_pix])), distinct
+
+
+def test_burst_matches_unique_oracle_fuzz():
+    # On 16 pixels every fraction c/16 is exact, so sweeping c hits bins
+    # at exactly fraction * n_pix and pins every distinct count.
+    rng = np.random.default_rng(31)
+    at_threshold = 0
+    for _ in range(40):
+        s = _random_stream(rng, int(rng.integers(1, 600)), t_max=int(rng.integers(1, 5000)))
+        bin_us = int(rng.integers(1, 400))
+        for c in range(0, 17):
+            fraction = max(c, 0.5) / 16
+            out = filter_bursts(s, bin_us=bin_us, fraction=fraction)
+            expected, distinct = _filter_bursts_unique(s, bin_us, fraction)
+            at_threshold += int(np.sum(distinct == fraction * 16))
+            for k in "txyp":
+                assert np.array_equal(getattr(out, k), getattr(expected, k))
+    assert at_threshold > 100
 
 
 def test_burst_rejects_bad_params():

@@ -166,7 +166,11 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wc = _area_weights(in_w, out_w)
     # Two broadcast-and-sum contractions; reductions stay inside numpy's
     # pairwise summation, which keeps results reproducible bit for bit.
-    tmp = (wr[:, :, None] * pixels[None, :, :]).sum(axis=1)
+    # The rows are contracted one output row at a time: a single
+    # (out_h, in_h, in_w) product is 17 MB at 346x260, and whether the
+    # allocator serves it from freed heap or fresh pages made the peak RSS
+    # of a run differ by that much from one input to the next.
+    tmp = np.stack([(w[:, None] * pixels).sum(axis=0) for w in wr])
     return (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
 
 

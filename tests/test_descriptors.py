@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,20 @@ def test_area_resize_matches_oracle_weights_at_sensor_size():
         tmp = (wr[:, :, None] * img[None, :, :]).sum(axis=1)
         expect = (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
         assert _area_resize(img, 24, 32).tobytes() == expect.tobytes(), mode
+
+
+def test_area_resize_temporaries_stay_small_at_sensor_size():
+    # A whole (24, 260, 346) float64 product would be 17 MB; one output row
+    # at a time it is under 1 MB.
+    img = np.random.default_rng(84).random((260, 346))
+    _area_resize(img, 24, 32)  # fills the weight cache outside the measurement
+    tracemalloc.start()
+    try:
+        _area_resize(img, 24, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * img.nbytes
 
 
 def test_descriptor_dim_matches_params():

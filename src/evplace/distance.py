@@ -98,11 +98,15 @@ class DistanceMatrix:
         return int(self.values.shape[1])
 
 
-def _unit_rows(values: np.ndarray, label: str) -> np.ndarray:
+def _unit_rows(seq: DescriptorSequence, side: str) -> np.ndarray:
+    values = seq.values
     norms = np.sqrt((values * values).sum(axis=1))
-    if np.any(norms == 0.0):
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        first_s = float(seq.t_us[zero[0]]) / 1e6
         raise DegenerateDescriptorError(
-            f"{label}: zero-norm descriptor cannot be compared with cosine"
+            f"{side} {seq.label}: {zero.size} zero-norm descriptor(s), the first at "
+            f"t={first_s!r} s, cannot be compared with cosine"
         )
     return values / norms[:, None]
 
@@ -123,8 +127,8 @@ def build_distance_matrix(
     label = query.label if query.label == reference.label else f"{query.label}_vs_{reference.label}"
     out = np.empty((len(query), len(reference)), dtype=np.float64)
     if metric is Metric.COSINE:
-        qh = _unit_rows(query.values, f"query {query.label}")
-        rh = _unit_rows(reference.values, f"reference {reference.label}")
+        qh = _unit_rows(query, "query")
+        rh = _unit_rows(reference, "reference")
         for i in range(qh.shape[0]):
             diff = rh - qh[i]
             out[i] = 0.5 * (diff * diff).sum(axis=1)

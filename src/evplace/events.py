@@ -311,17 +311,15 @@ def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
 
 def write_event_csv(stream: EventStream) -> bytes:
     """Serialize a stream as ``t,x,y,p`` CSV (header row, LF endings)."""
-    parts = [EVENT_CSV_HEADER + "\n"]
-    # One %-format per block of rows; blocks bound the Python ints alive at once.
+    parts = [(EVENT_CSV_HEADER + "\n").encode("ascii")]
+    # One %-format per block of rows; blocks bound the Python ints alive at
+    # once, and encoding each block keeps two copies of the text, not three.
     for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
         block = slice(start, start + _WRITE_BLOCK_ROWS)
         rows = np.column_stack([stream.t[block], stream.x[block], stream.y[block], stream.p[block]])
-        parts.append("%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
-    return "".join(parts).encode("utf-8")
-
-
-def _pixel_counts(stream: EventStream) -> np.ndarray:
-    return np.bincount(stream.pixel_index(), minlength=stream.geometry.n_pixels)
+        text = "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
+        parts.append(text.encode("ascii"))
+    return b"".join(parts)
 
 
 def remove_hot_pixels(
@@ -334,6 +332,10 @@ def remove_hot_pixels(
     (including silent pixels).  Flagging and removal repeat until the
     distribution is stable, so applying the filter twice changes nothing.
 
+    The rounds run on the count vector alone: removing a pixel's events
+    changes no other pixel's count, so each round zeroes the flagged
+    counts, and the events are selected once at the end.
+
     Parameters
     ----------
     stream : EventStream
@@ -344,23 +346,27 @@ def remove_hot_pixels(
     -------
     (EventStream, list of (x, y))
         The filtered stream and the flagged pixels in the order found
-        (row-major scan within each round).
+        (row-major scan within each round).  With nothing flagged the
+        stream is the input itself.
     """
     if sigma <= 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     flagged: list[tuple[int, int]] = []
     width = stream.geometry.width
-    current = stream
-    while len(current):
-        counts = _pixel_counts(current)
+    pixel = stream.pixel_index()
+    counts = np.bincount(pixel, minlength=stream.geometry.n_pixels)
+    hot_mask = np.zeros(counts.size, dtype=bool)
+    while True:
         threshold = counts.mean() + sigma * counts.std()
         hot = np.flatnonzero(counts > threshold)
         if hot.size == 0:
             break
         flagged.extend((int(i % width), int(i // width)) for i in hot)
-        keep = ~np.isin(current.pixel_index(), hot)
-        current = current.select(keep)
-    return current, flagged
+        hot_mask[hot] = True
+        counts[hot] = 0
+    if not flagged:
+        return stream, flagged
+    return stream.select(~hot_mask[pixel]), flagged
 
 
 def filter_bursts(

@@ -11,6 +11,7 @@ from evplace.descriptors import (
     AccumulationMode,
     DescriptorParams,
     DescriptorSequence,
+    _area_band,
     _area_resize,
     _area_weights,
     accumulate_image,
@@ -96,6 +97,56 @@ def test_accumulate_count_total_fuzz():
         accumulate_image(s, 0, len(s) + 1)
 
 
+def _accumulate_add_at(stream, start_idx, end_idx, mode, clip):
+    """Scatter-add rasterization ``accumulate_image`` replaced: its oracle."""
+    img = np.zeros((stream.geometry.height, stream.geometry.width), dtype=np.float64)
+    y, x, p = (a[start_idx:end_idx] for a in (stream.y, stream.x, stream.p))
+    if mode is AccumulationMode.SIGNED_SUM:
+        np.add.at(img, (y, x), p.astype(np.float64))
+        np.clip(img, -clip, clip, out=img)
+    elif mode is AccumulationMode.COUNT:
+        np.add.at(img, (y, x), 1.0)
+    else:
+        img[y, x] = 1.0
+    return img
+
+
+def test_accumulate_matches_add_at_oracle_bit_for_bit():
+    rng = np.random.default_rng(89)
+    geometries = (G, SensorGeometry(7, 5), SensorGeometry(346, 260))
+    for geometry in geometries:
+        for _ in range(6):
+            n = int(rng.integers(1, 3000))
+            s = EventStream(
+                geometry,
+                np.sort(rng.integers(0, 10**6, size=n)),
+                rng.integers(0, geometry.width, size=n),
+                rng.integers(0, geometry.height, size=n),
+                rng.integers(0, 2, size=n) * 2 - 1,
+            )
+            lo, hi = sorted(rng.integers(0, n + 1, size=2).tolist())
+            for mode in AccumulationMode:
+                for start, end in ((0, n), (lo, hi), (lo, lo)):  # (lo, lo) is empty
+                    clip = float(rng.choice([0.5, 2.0, 3.0, 1e9]))
+                    got = accumulate_image(s, start, end, mode, clip)
+                    expect = _accumulate_add_at(s, start, end, mode, clip)
+                    assert got.dtype == np.float64 and got.shape == expect.shape
+                    assert got.tobytes() == expect.tobytes(), (geometry, mode, start, end)
+
+
+def test_accumulate_cancelling_pixel_and_empty_range_are_positive_zero():
+    s = _stream([(0, 1, 2, 1), (1, 1, 2, -1), (2, 3, 0, -1), (3, 3, 0, -1)])
+    for mode in AccumulationMode:
+        img = accumulate_image(s, 0, len(s), mode, 3.0)
+        assert img.tobytes() == _accumulate_add_at(s, 0, len(s), mode, 3.0).tobytes()
+        empty = accumulate_image(s, 2, 2, mode, 3.0)
+        assert empty.dtype == np.float64 and empty.shape == (4, 4)
+        assert not np.signbit(empty).any() and not empty.any()
+    img = accumulate_image(s, 0, len(s), AccumulationMode.SIGNED_SUM, 3.0)
+    assert img[2, 1] == 0.0 and not np.signbit(img[2, 1])
+    assert img[0, 3] == -2.0
+
+
 # ---------------------------------------------------------------------------
 # SAD descriptor
 
@@ -158,6 +209,14 @@ def test_sad_dimension_checks():
         sad_descriptor(img.ravel(), 4, 4, 2)  # needs a 2-D image
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sad_rejects_non_finite_image(bad):
+    img = np.random.default_rng(97).random((260, 346))
+    img[100, 200] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        sad_descriptor(img)
+
+
 def _area_weights_loop(n_in, n_out):
     """Reference box-average weights, one overlap at a time."""
     scale = n_in / n_out
@@ -205,9 +264,66 @@ def test_area_resize_matches_oracle_weights_at_sensor_size():
         assert _area_resize(img, 24, 32).tobytes() == expect.tobytes(), mode
 
 
+def _area_resize_dense(img, out_h, out_w):
+    """Every input row in every output row: the banded row step's oracle."""
+    wr = _area_weights_loop(img.shape[0], out_h)
+    wc = _area_weights_loop(img.shape[1], out_w)
+    tmp = (wr[:, :, None] * img[None, :, :]).sum(axis=1)
+    return (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (260, 346, 24, 32),
+        (260, 346, 12, 16),
+        (77, 100, 24, 32),
+        (399, 399, 8, 8),
+        (33, 47, 9, 13),
+        (24, 32, 12, 16),
+        (7, 5, 3, 2),
+        (130, 1, 3, 1),  # one column: numpy sums the rows pairwise
+    ],
+)
+def test_area_resize_banded_rows_match_dense_product(shape):
+    in_h, in_w, out_h, out_w = shape
+    rng = np.random.default_rng(in_h * 1000 + in_w)
+    signed_zeros = np.where(rng.random((in_h, in_w)) < 0.5, 0.0, -0.0)
+    sparse_negative = np.where(
+        rng.random((in_h, in_w)) < 0.05, -rng.integers(1, 4, size=(in_h, in_w)), 0.0
+    )
+    # Every pixel -0.0 but one outside row 0's band: the zero-weight terms
+    # the band skips differ in the sign of their zeros.
+    one_positive = np.full((in_h, in_w), -0.0)
+    one_positive[-1, in_w // 2] = 1.0
+    images = [rng.standard_normal((in_h, in_w)) for _ in range(5)]
+    images += [rng.integers(-3, 4, size=(in_h, in_w)).astype(np.float64)]
+    images += [signed_zeros, -signed_zeros, sparse_negative, one_positive]
+    images += [np.full((in_h, in_w), -0.0)]
+    for k, img in enumerate(images):
+        got = _area_resize(img, out_h, out_w)
+        assert got.tobytes() == _area_resize_dense(img, out_h, out_w).tobytes(), (shape, k)
+
+
+def test_area_band_holds_the_nonzero_weights_in_order():
+    for n_in, n_out in ((260, 24), (346, 32), (7, 3), (24, 12), (399, 8), (5, 5)):
+        idx, wband = _area_band(n_in, n_out)
+        w = _area_weights_loop(n_in, n_out)
+        assert idx.shape == wband.shape and idx.shape[0] == n_out
+        assert not idx.flags.writeable and not wband.flags.writeable
+        assert idx.min() >= 0 and idx.max() < n_in
+        for r in range(n_out):
+            (nonzero,) = np.nonzero(w[r])
+            k = nonzero.size
+            assert np.array_equal(idx[r, :k], nonzero)
+            assert wband[r, :k].tobytes() == w[r, nonzero].tobytes()
+            assert not wband[r, k:].any()
+    assert _area_band(260, 24)[0].shape == (24, 12)
+
+
 def test_area_resize_temporaries_stay_small_at_sensor_size():
-    # A whole (24, 260, 346) float64 product would be 17 MB; one output row
-    # at a time it is under 1 MB.
+    # A whole (24, 260, 346) float64 product would be 17 MB; the banded rows
+    # gather 0.8 MB, and the column product is 2.1 MB.
     img = np.random.default_rng(84).random((260, 346))
     _area_resize(img, 24, 32)  # fills the weight cache outside the measurement
     tracemalloc.start()

@@ -142,6 +142,24 @@ def test_matrix_rejects_dim_mismatch():
         build_distance_matrix(_seq([[1.0, 0.0]]), _seq([[1.0, 0.0, 0.0]]), Metric.SAD)
 
 
+def test_matrix_zero_norm_error_names_family_sample_and_count():
+    good = _seq([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], name="ok")
+    values = [[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]]
+    bad = _seq(values, t_us=[250_000, 1_500_000, 2_000_000, 3_000_000], name="dark")
+    with pytest.raises(
+        DegenerateDescriptorError,
+        match=r"^query external_dark: 2 zero-norm descriptor\(s\), the first at t=1\.5 s,",
+    ):
+        build_distance_matrix(bad, good, Metric.COSINE)
+    with pytest.raises(
+        DegenerateDescriptorError,
+        match=r"^reference external_dark: 2 zero-norm descriptor\(s\), the first at t=1\.5 s,",
+    ):
+        build_distance_matrix(good, bad, Metric.COSINE)
+    # SAD needs no direction, so the same rows are comparable with it.
+    assert build_distance_matrix(bad, good, Metric.SAD).values.shape == (4, 3)
+
+
 def test_matrix_requires_finite_values():
     with pytest.raises(ConfigError):
         DistanceMatrix(

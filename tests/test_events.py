@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -328,6 +329,21 @@ def test_write_matches_row_oracle_across_blocks():
         assert write_event_csv(s) == _write_event_csv_loop(s)
 
 
+def test_write_holds_two_copies_of_the_text():
+    # Many blocks: each block's text is encoded at once, so the peak is the
+    # encoded blocks plus the joined result, and not a third copy besides.
+    s = _random_stream(np.random.default_rng(37), 40_000, SensorGeometry(346, 260), t_max=10**12)
+    with mock.patch.object(events, "_WRITE_BLOCK_ROWS", 1000):
+        size = len(write_event_csv(s))
+        tracemalloc.start()
+        try:
+            write_event_csv(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.5 * size
+
+
 # ---------------------------------------------------------------------------
 # hot pixels
 
@@ -406,6 +422,54 @@ def test_hot_pixels_output_is_subsequence():
     keep = [i for i in range(len(s)) if int(s.pixel_index()[i]) not in removed_pixels]
     assert np.array_equal(out.t, s.t[keep])
     assert np.array_equal(out.p, s.p[keep])
+
+
+def _remove_hot_pixels_rounds(stream, sigma):
+    """The per-round select loop ``remove_hot_pixels`` replaced: its oracle.
+
+    Also returns the number of rounds that flagged a pixel.
+    """
+    flagged = []
+    rounds = 0
+    width = stream.geometry.width
+    current = stream
+    while len(current):
+        counts = np.bincount(current.pixel_index(), minlength=current.geometry.n_pixels)
+        hot = np.flatnonzero(counts > counts.mean() + sigma * counts.std())
+        if hot.size == 0:
+            break
+        rounds += 1
+        flagged.extend((int(i % width), int(i // width)) for i in hot)
+        current = current.select(~np.isin(current.pixel_index(), hot))
+    return current, flagged, rounds
+
+
+def test_hot_pixels_match_per_round_oracle_fuzz():
+    rng = np.random.default_rng(31)
+    max_rounds = 0
+    for trial in range(60):
+        g = SensorGeometry(int(rng.integers(1, 40)), int(rng.integers(1, 30)))
+        n = int(rng.integers(0, 3000))
+        # Zipf-like pixel popularity: a few loud pixels at several levels, so
+        # removing the loudest exposes the next ones in later rounds.
+        weights = rng.pareto(1.0, size=g.n_pixels) + 1e-3
+        pixel = rng.choice(g.n_pixels, size=n, p=weights / weights.sum())
+        s = EventStream(
+            g, np.sort(rng.integers(0, 10**6, size=n)), pixel % g.width, pixel // g.width,
+            rng.integers(0, 2, size=n) * 2 - 1,
+        )
+        sigma = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        out, flagged = remove_hot_pixels(s, sigma)
+        expect, expect_flagged, rounds = _remove_hot_pixels_rounds(s, sigma)
+        max_rounds = max(max_rounds, rounds)
+        assert flagged == expect_flagged, trial
+        assert out.geometry == expect.geometry
+        for k in "txyp":
+            got_a, expect_a = getattr(out, k), getattr(expect, k)
+            assert got_a.dtype == expect_a.dtype and np.array_equal(got_a, expect_a), (trial, k)
+        if not flagged:
+            assert out is s
+    assert max_rounds >= 3  # the fuzz reaches streams that need several rounds
 
 
 def test_hot_pixels_empty_stream():

@@ -282,37 +282,28 @@ def cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 
 def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResult) -> None:
-    for matrix, ev in zip(result.members, result.member_evals):
+    scored = [*zip(result.members, result.member_evals), (result.fused, result.fused_eval)]
+    if result.approximate is not None:
+        scored.append((result.approximate, result.approximate_eval))
+    summaries = []
+    for matrix, ev in scored:
         slug = _slug(matrix.member_label)
         out.write(f"dist_{slug}.csv", write_matrix_csv(matrix))
         out.write(f"eval_{slug}.csv", write_eval_results_csv([ev]))
+        summaries.append(_eval_summary(matrix.member_label, ev))
 
     fused = result.fused
-    fused_slug = _slug(fused.member_label)
-    out.write(f"dist_{fused_slug}.csv", write_matrix_csv(fused))
-    out.write(f"eval_{fused_slug}.csv", write_eval_results_csv([result.fused_eval]))
     fused_dist = (
         votes_as_distances(fused) if cfg.rule.kind is RuleKind.MAJORITY_VOTE else fused
     )
     curve = _pr_curve(fused_dist, result.ground_truth, cfg)
-    out.write(f"pr_{fused_slug}.csv", write_eval_results_csv(curve))
+    out.write(f"pr_{_slug(fused.member_label)}.csv", write_eval_results_csv(curve))
 
-    if result.approximate is not None:
-        slug = _slug(result.approximate.member_label)
-        out.write(f"dist_{slug}.csv", write_matrix_csv(result.approximate))
-        out.write(f"eval_{slug}.csv", write_eval_results_csv([result.approximate_eval]))
-
+    n = len(result.members)
     summary = {
-        "members": [
-            _eval_summary(m.member_label, ev)
-            for m, ev in zip(result.members, result.member_evals)
-        ],
-        "fused": _eval_summary(fused.member_label, result.fused_eval),
-        "approximate": (
-            _eval_summary(result.approximate.member_label, result.approximate_eval)
-            if result.approximate is not None
-            else None
-        ),
+        "members": summaries[:n],
+        "fused": summaries[n],
+        "approximate": summaries[n + 1] if result.approximate is not None else None,
         "dropped_grid_points": result.dropped_grid_points,
         "loc_threshold_us": cfg.loc_threshold_us,
     }

@@ -112,42 +112,37 @@ def accumulate_image(
     stream: EventStream,
     start_idx: int,
     end_idx: int,
-    mode: AccumulationMode = AccumulationMode.SIGNED_SUM,
-    clip: float = DEFAULT_CLIP,
+    params: DescriptorParams = DescriptorParams(),
 ) -> np.ndarray:
     """Rasterize events ``[start_idx, end_idx)`` onto the pixel array.
 
-    Returns a float64 ``(height, width)`` array.  ``SIGNED_SUM`` adds each
-    event's polarity and clips the result to ``[-clip, +clip]``; ``COUNT``
-    counts events per pixel (no clipping); ``BINARY`` marks pixels that
-    fired at least once.  An empty range yields an all-zero image.
+    Returns a float64 ``(height, width)`` array in ``params.mode``:
+    ``SIGNED_SUM`` adds each event's polarity and clips the result to
+    ``[-params.clip, +params.clip]``; ``COUNT`` counts events per pixel (no
+    clipping); ``BINARY`` marks pixels that fired at least once.  An empty
+    range yields an all-zero image.
 
-    ``SIGNED_SUM`` and ``COUNT`` are one ``np.bincount`` over the flat pixel
-    ids.  It adds each pixel's events in stream order from ``+0.0``, as a
-    scatter-add into a zero image does, and the sums are small integers, so
-    they are exact.
+    Every mode is one ``np.bincount`` over the flat pixel ids.  It adds each
+    pixel's events in stream order from ``+0.0``, as a scatter-add into a
+    zero image does, and the sums are small integers, so they are exact.
     """
-    if clip <= 0:
-        raise ConfigError(f"clip must be positive, got {clip}")
     if not (0 <= start_idx <= end_idx <= len(stream)):
         raise ConfigError("window indices fall outside the stream")
     geom = stream.geometry
     sl = slice(start_idx, end_idx)
-    if mode is AccumulationMode.BINARY:
-        img = np.zeros((geom.height, geom.width), dtype=np.float64)
-        img[stream.y[sl], stream.x[sl]] = 1.0
-        return img
     flat = stream.y[sl].astype(np.intp) * geom.width + stream.x[sl]
-    if mode is AccumulationMode.SIGNED_SUM:
+    if params.mode is AccumulationMode.SIGNED_SUM:
         weights = stream.p[sl].astype(np.float64)
         # With no events, bincount returns int64 even when weighted.
         img = np.bincount(flat, weights=weights, minlength=geom.n_pixels)
         img = img.astype(np.float64, copy=False)
-        np.clip(img, -clip, clip, out=img)
-    elif mode is AccumulationMode.COUNT:
+        np.clip(img, -params.clip, params.clip, out=img)
+    elif params.mode is AccumulationMode.COUNT:
         img = np.bincount(flat, minlength=geom.n_pixels).astype(np.float64)
+    elif params.mode is AccumulationMode.BINARY:
+        img = (np.bincount(flat, minlength=geom.n_pixels) > 0).astype(np.float64)
     else:
-        raise ConfigError(f"unknown accumulation mode {mode!r}")
+        raise ConfigError(f"unknown accumulation mode {params.mode!r}")
     return img.reshape(geom.height, geom.width)
 
 
@@ -214,23 +209,17 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def sad_descriptor(
-    image: np.ndarray,
-    down_width: int = DEFAULT_DOWN_WIDTH,
-    down_height: int = DEFAULT_DOWN_HEIGHT,
-    patch: int = DEFAULT_PATCH,
+    image: np.ndarray, params: DescriptorParams = DescriptorParams()
 ) -> np.ndarray:
     """Compute the patch-normalized frame descriptor of a 2-D event image.
 
-    The image is area-averaged down to ``down_height x down_width``, each
-    non-overlapping ``patch x patch`` tile is shifted to zero mean and
-    scaled to unit (population) standard deviation, and the frame is
-    flattened row-major.  Tiles with nearly zero variance come out as
-    zeros.  The vector length is ``down_width * down_height``.
+    The image is area-averaged down to ``params.down_height x
+    params.down_width``, each non-overlapping ``params.patch x params.patch``
+    tile is shifted to zero mean and scaled to unit (population) standard
+    deviation, and the frame is flattened row-major.  Tiles with nearly
+    zero variance come out as zeros.  The vector length is ``params.dim``.
     """
-    if patch < 1:
-        raise ConfigError(f"patch must be >= 1, got {patch}")
-    if down_width % patch or down_height % patch:
-        raise ConfigError(f"patch {patch} must divide {down_width}x{down_height}")
+    down_width, down_height, patch = params.down_width, params.down_height, params.patch
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ConfigError(f"image must be 2-D, got shape {image.shape}")
@@ -277,15 +266,9 @@ def describe_window_set(
         frames = np.empty((windows.size, params.dim), dtype=np.float64)
         for k, w in enumerate(windows):
             image = accumulate_image(
-                stream,
-                int(family.start_idx[w]),
-                int(family.end_idx[w]),
-                params.mode,
-                params.clip,
+                stream, int(family.start_idx[w]), int(family.end_idx[w]), params
             )
-            frames[k] = sad_descriptor(
-                image, params.down_width, params.down_height, params.patch
-            )
+            frames[k] = sad_descriptor(image, params)
         sequences.append(DescriptorSequence(family.label, grid, frames[row_window]))
     return sequences
 

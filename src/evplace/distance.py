@@ -174,6 +174,8 @@ def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:
                 ref_t = [int(f) for f in fields]
             except ValueError:
                 raise ParseError("header must list integer reference times", lineno) from None
+            if any(later <= t for t, later in zip(ref_t, ref_t[1:])):
+                raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
             continue
         if len(fields) != len(ref_t) + 1:
             raise ParseError(
@@ -184,6 +186,8 @@ def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:
             rows.append([float(f) for f in fields[1:]])
         except ValueError:
             raise ParseError(f"non-numeric field in row {line[:40]!r}", lineno) from None
+        if len(query_t) > 1 and query_t[-1] <= query_t[-2]:
+            raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
     if ref_t is None or not rows:
         raise ParseError("matrix CSV needs a header row and at least one data row")
     return DistanceMatrix(

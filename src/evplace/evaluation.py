@@ -258,6 +258,10 @@ def read_ground_truth_csv(source) -> GroundTruth:
             rs.append(_seconds_field_to_us(fields[1]))
         except (ValueError, decimal.InvalidOperation):
             raise ParseError(f"non-numeric field in row {line!r}", lineno) from None
+        if len(qs) > 1 and qs[-1] <= qs[-2]:
+            raise OrderingError(
+                f"line {lineno}: ground-truth query times must be strictly increasing"
+            )
     if not qs:
         raise ParseError("ground-truth CSV is empty")
     return GroundTruth(np.array(qs), np.array(rs))

@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import AccumulationMode, DescriptorParams
-from .distance import Metric
-from .ensemble import EnsembleRule
 from .errors import ConfigError
-from .evaluation import DEFAULT_LOC_THRESHOLD_US, GroundTruth
+from .evaluation import GroundTruth
 from .events import EventStream, SensorGeometry
 from .pipeline import PipelineResult, run_place_recognition
-from .windowing import DEFAULT_APPROX_FRACTION, DEFAULT_GRID_DT_US
 
 # Firing rate painted onto edge pixels, events per second.
 EDGE_RATE = 200.0
@@ -196,34 +193,17 @@ def run_synthetic_experiment(
     world: SyntheticWorld,
     reference: TraverseParams,
     query: TraverseParams,
-    counts=None,
-    spans_us=None,
     descriptor: DescriptorParams = DescriptorParams(mode=AccumulationMode.COUNT),
-    metric: Metric = Metric.COSINE,
-    rule: EnsembleRule = EnsembleRule.mean(),
-    grid_dt_us: int = DEFAULT_GRID_DT_US,
-    loc_threshold_us: int = DEFAULT_LOC_THRESHOLD_US,
-    approximate_fraction: float | None = DEFAULT_APPROX_FRACTION,
+    **options,
 ) -> PipelineResult:
     """Generate both traverses and run the full pipeline.
 
-    The default descriptor accumulation is ``COUNT`` rather than the
-    signed sum: synthetic polarities are random coin flips, so signed
-    images would average to zero and carry no structure.
+    ``options`` go unchanged to :func:`evplace.pipeline.run_place_recognition`.
+    The one default that differs is the descriptor's: ``COUNT`` rather than
+    the signed sum, because synthetic polarities are random coin flips, so
+    signed images would average to zero and carry no structure.
     """
     ref_stream, ref_gt = generate_traverse(world, reference)
     q_stream, q_gt = generate_traverse(world, query)
     anchors = pair_ground_truth(q_gt, ref_gt)
-    return run_place_recognition(
-        q_stream,
-        ref_stream,
-        anchors,
-        counts=counts,
-        spans_us=spans_us,
-        descriptor=descriptor,
-        metric=metric,
-        rule=rule,
-        grid_dt_us=grid_dt_us,
-        loc_threshold_us=loc_threshold_us,
-        approximate_fraction=approximate_fraction,
-    )
+    return run_place_recognition(q_stream, ref_stream, anchors, descriptor=descriptor, **options)

@@ -25,6 +25,7 @@ import numpy as np
 from evplace.cli import main as cli_main
 from evplace.config import load_config
 from evplace.descriptors import (
+    DescriptorParams,
     DescriptorSequence,
     load_descriptors,
     sad_descriptor,
@@ -346,8 +347,9 @@ def test_metric_and_descriptor_properties():
         pixels = rng.random((geometry.height, geometry.width)) * 50.0
         alpha = float(10.0 ** rng.uniform(-2, 2))
         beta = float(rng.uniform(-50.0, 50.0))
-        base = sad_descriptor(pixels, dw, dh, patch)
-        moved = sad_descriptor(alpha * pixels + beta, dw, dh, patch)
+        params = DescriptorParams(down_width=dw, down_height=dh, patch=patch)
+        base = sad_descriptor(pixels, params)
+        moved = sad_descriptor(alpha * pixels + beta, params)
         err = float(np.max(np.abs(base - moved)))
         if err > 1e-9:
             failures.append(f"iter {i}: affine transform moved descriptor by {err:.3e}")

@@ -41,7 +41,7 @@ def _stream(rows, geometry=G):
 
 
 def _accumulate_all(stream, mode):
-    return accumulate_image(stream, 0, len(stream), mode, 3.0)
+    return accumulate_image(stream, 0, len(stream), DescriptorParams(mode=mode, clip=3.0))
 
 
 def test_accumulate_signed_sum():
@@ -92,7 +92,8 @@ def test_accumulate_count_total_fuzz():
         img = _accumulate_all(s, AccumulationMode.COUNT)
         assert img.sum() == n
         lo, hi = sorted(rng.integers(0, n + 1, size=2).tolist())
-        assert accumulate_image(s, lo, hi, AccumulationMode.COUNT).sum() == hi - lo
+        count = DescriptorParams(mode=AccumulationMode.COUNT)
+        assert accumulate_image(s, lo, hi, count).sum() == hi - lo
     with pytest.raises(ConfigError):
         accumulate_image(s, 0, len(s) + 1)
 
@@ -128,7 +129,7 @@ def test_accumulate_matches_add_at_oracle_bit_for_bit():
             for mode in AccumulationMode:
                 for start, end in ((0, n), (lo, hi), (lo, lo)):  # (lo, lo) is empty
                     clip = float(rng.choice([0.5, 2.0, 3.0, 1e9]))
-                    got = accumulate_image(s, start, end, mode, clip)
+                    got = accumulate_image(s, start, end, DescriptorParams(mode=mode, clip=clip))
                     expect = _accumulate_add_at(s, start, end, mode, clip)
                     assert got.dtype == np.float64 and got.shape == expect.shape
                     assert got.tobytes() == expect.tobytes(), (geometry, mode, start, end)
@@ -137,12 +138,14 @@ def test_accumulate_matches_add_at_oracle_bit_for_bit():
 def test_accumulate_cancelling_pixel_and_empty_range_are_positive_zero():
     s = _stream([(0, 1, 2, 1), (1, 1, 2, -1), (2, 3, 0, -1), (3, 3, 0, -1)])
     for mode in AccumulationMode:
-        img = accumulate_image(s, 0, len(s), mode, 3.0)
+        img = accumulate_image(s, 0, len(s), DescriptorParams(mode=mode, clip=3.0))
         assert img.tobytes() == _accumulate_add_at(s, 0, len(s), mode, 3.0).tobytes()
-        empty = accumulate_image(s, 2, 2, mode, 3.0)
+        empty = accumulate_image(s, 2, 2, DescriptorParams(mode=mode, clip=3.0))
         assert empty.dtype == np.float64 and empty.shape == (4, 4)
         assert not np.signbit(empty).any() and not empty.any()
-    img = accumulate_image(s, 0, len(s), AccumulationMode.SIGNED_SUM, 3.0)
+    img = accumulate_image(
+        s, 0, len(s), DescriptorParams(mode=AccumulationMode.SIGNED_SUM, clip=3.0)
+    )
     assert img[2, 1] == 0.0 and not np.signbit(img[2, 1])
     assert img[0, 3] == -2.0
 
@@ -153,30 +156,33 @@ def test_accumulate_cancelling_pixel_and_empty_range_are_positive_zero():
 
 def test_sad_constant_image_is_all_zero():
     img = np.full((4, 4), 7.0)
-    d = sad_descriptor(img, down_width=4, down_height=4, patch=2)
+    d = sad_descriptor(img, DescriptorParams(down_width=4, down_height=4, patch=2))
     assert np.all(d == 0.0)
 
 
 def test_sad_shift_invariance():
     rng = np.random.default_rng(53)
     img = rng.random((8, 8))
-    a = sad_descriptor(img, 8, 8, 4)
-    b = sad_descriptor(img + 11.5, 8, 8, 4)
+    params = DescriptorParams(down_width=8, down_height=8, patch=4)
+    a = sad_descriptor(img, params)
+    b = sad_descriptor(img + 11.5, params)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_sad_positive_scale_invariance():
     rng = np.random.default_rng(59)
     img = rng.random((8, 8))
-    a = sad_descriptor(img, 8, 8, 4)
-    b = sad_descriptor(img * 3.25, 8, 8, 4)
+    params = DescriptorParams(down_width=8, down_height=8, patch=4)
+    a = sad_descriptor(img, params)
+    b = sad_descriptor(img * 3.25, params)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_sad_two_by_two_patch_normalization():
     # column pattern [[0,2],[0,2]]: mean 1, population std 1, so values
     # normalize to exactly (-1, 1, -1, 1) in row-major order
-    d = sad_descriptor([[0.0, 2.0], [0.0, 2.0]], 2, 2, 2)
+    params = DescriptorParams(down_width=2, down_height=2, patch=2)
+    d = sad_descriptor([[0.0, 2.0], [0.0, 2.0]], params)
     assert list(d) == [-1.0, 1.0, -1.0, 1.0]
 
 
@@ -185,7 +191,7 @@ def test_sad_downsample_is_box_average():
     # differs from the rest, and one 2x2 patch normalizes it exactly
     img = np.zeros((4, 4))
     img[:2, :2] = 4.0
-    d = sad_descriptor(img, 2, 2, 2)
+    d = sad_descriptor(img, DescriptorParams(down_width=2, down_height=2, patch=2))
     # downsampled image is [[4,0],[0,0]]; mean 1, std sqrt(3)
     expect = np.array([3.0, -1.0, -1.0, -1.0]) / np.sqrt(3.0)
     np.testing.assert_allclose(d, expect, rtol=1e-12)
@@ -194,7 +200,7 @@ def test_sad_downsample_is_box_average():
 def test_sad_identity_resize_keeps_values():
     rng = np.random.default_rng(61)
     img = rng.random((6, 6))
-    d = sad_descriptor(img, 6, 6, 6)
+    d = sad_descriptor(img, DescriptorParams(down_width=6, down_height=6, patch=6))
     manual = (img - img.mean()) / img.std()
     np.testing.assert_allclose(d, manual.ravel(), rtol=1e-12)
 
@@ -202,11 +208,14 @@ def test_sad_identity_resize_keeps_values():
 def test_sad_dimension_checks():
     img = np.zeros((4, 4))
     with pytest.raises(ConfigError):
-        sad_descriptor(img, 3, 4, 2)  # patch must divide width
+        # patch must divide width
+        sad_descriptor(img, DescriptorParams(down_width=3, down_height=4, patch=2))
     with pytest.raises(ConfigError):
-        sad_descriptor(img, 8, 4, 2)  # cannot upsample
+        # cannot upsample
+        sad_descriptor(img, DescriptorParams(down_width=8, down_height=4, patch=2))
     with pytest.raises(ConfigError):
-        sad_descriptor(img.ravel(), 4, 4, 2)  # needs a 2-D image
+        # needs a 2-D image
+        sad_descriptor(img.ravel(), DescriptorParams(down_width=4, down_height=4, patch=2))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -258,7 +267,7 @@ def test_area_resize_matches_oracle_weights_at_sensor_size():
     )
     wr, wc = _area_weights_loop(260, 24), _area_weights_loop(346, 32)
     for mode in (AccumulationMode.SIGNED_SUM, AccumulationMode.COUNT):
-        img = accumulate_image(s, 0, n, mode, 3.0)
+        img = accumulate_image(s, 0, n, DescriptorParams(mode=mode, clip=3.0))
         tmp = (wr[:, :, None] * img[None, :, :]).sum(axis=1)
         expect = (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
         assert _area_resize(img, 24, 32).tobytes() == expect.tobytes(), mode
@@ -372,9 +381,9 @@ def test_describe_window_set_shapes_and_grid():
         for j, t_star in enumerate(grid.tolist()):
             (w,) = align_to_time(family, s, [t_star])
             image = accumulate_image(
-                s, int(family.start_idx[w]), int(family.end_idx[w]), params.mode, params.clip
+                s, int(family.start_idx[w]), int(family.end_idx[w]), params
             )
-            assert np.array_equal(q.values[j], sad_descriptor(image, 4, 4, 2))
+            assert np.array_equal(q.values[j], sad_descriptor(image, params))
 
 
 def test_describe_empty_grid_rejected():

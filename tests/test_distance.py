@@ -16,7 +16,7 @@ from evplace.distance import (
     sad_distance,
     write_matrix_csv,
 )
-from evplace.errors import ConfigError, DegenerateDescriptorError, ParseError
+from evplace.errors import ConfigError, DegenerateDescriptorError, OrderingError, ParseError
 
 
 def _seq(values, t_us=None, name="s"):
@@ -213,3 +213,19 @@ def test_matrix_csv_layout():
 def test_matrix_csv_rejects_ragged_rows():
     with pytest.raises(ParseError, match="line 3"):
         read_matrix_csv("3,9\n7,0.5,1.0\n8,0.25\n")
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_matrix_csv_names_the_line_of_a_time_regression(k):
+    good = "".join(f"{10 * i},0.5,1.0\n" for i in range(k))
+    # header on line 1, good rows on lines 2..k+1
+    with pytest.raises(OrderingError, match=f"^line {k + 2}: "):
+        read_matrix_csv(f"3,9\n{good}{10 * (k - 1)},0.25,0.5\n")
+    with pytest.raises(OrderingError, match=f"^line {k + 2}: "):
+        read_matrix_csv(f"3,9\n{good}-1,0.25,0.5\n")
+
+
+def test_matrix_csv_names_the_header_line_of_a_time_regression():
+    for header in ("3,9,9,12", "3,9,12,4"):
+        with pytest.raises(OrderingError, match="^line 1: "):
+            read_matrix_csv(f"{header}\n7,0.5,1.0,0.5,0.5\n")

@@ -331,6 +331,14 @@ def test_ground_truth_csv_bad_rows():
         read_ground_truth_csv(io.BytesIO(b"\n\n"))
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_ground_truth_csv_names_the_line_of_a_time_regression(k):
+    good = b"".join(b"%d.5,%d.0\n" % (i, i) for i in range(k))
+    for bad in (b"%d.5,9.0\n" % (k - 1), b"0.25,9.0\n"):
+        with pytest.raises(OrderingError, match=f"^line {k + 1}: "):
+            read_ground_truth_csv(good + bad)
+
+
 def test_eval_csv_exact_bytes():
     res = EvalResult(
         precision=0.5, recall=1.0, tp=1, fp=1, retrieved=2,

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from evplace.descriptors import AccumulationMode, DescriptorParams
+from evplace.distance import Metric
+from evplace.ensemble import EnsembleRule
 from evplace.errors import ConfigError
 from evplace.events import SensorGeometry
+from evplace.pipeline import run_place_recognition
 from evplace.synthetic import (
     EDGE_RATE,
     SyntheticWorld,
@@ -234,3 +237,40 @@ def test_noisy_recovery_beats_chance():
     qry = TraverseParams(seed=43, rate_scale=0.8, noise_rate=8.0, dropout=0.2)
     result = run_synthetic_experiment(w, ref, qry, **kw)
     assert result.fused_eval.precision > 1.0 / 6  # chance = 1/n_places
+
+
+def test_experiment_forwards_options_bit_for_bit():
+    # The descriptor is left at its default: COUNT at the default frame
+    # size, which needs a sensor of at least 32x24.
+    w = generate_world(29, 4, SensorGeometry(32, 24))
+    ref = TraverseParams(seed=31, noise_rate=3.0)
+    qry = TraverseParams(seed=37, noise_rate=4.0, dropout=0.1)
+    options = dict(
+        counts=[0.3, 0.6],
+        spans_us=[400_000],
+        metric=Metric.SAD,
+        rule=EnsembleRule.median(),
+        grid_dt_us=300_000,
+        loc_threshold_us=700_000,
+        approximate_fraction=None,
+    )
+    got = run_synthetic_experiment(w, ref, qry, **options)
+    r_stream, r_gt = generate_traverse(w, ref)
+    q_stream, q_gt = generate_traverse(w, qry)
+    expect = run_place_recognition(
+        q_stream,
+        r_stream,
+        pair_ground_truth(q_gt, r_gt),
+        descriptor=DescriptorParams(mode=AccumulationMode.COUNT),
+        **options,
+    )
+    assert got.approximate is None and expect.approximate is None
+    assert len(got.members) == len(expect.members) == 3
+    for a, b in zip([*got.members, got.fused], [*expect.members, expect.fused]):
+        assert a.member_label == b.member_label
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.query_t_us.tobytes() == b.query_t_us.tobytes()
+        assert a.ref_t_us.tobytes() == b.ref_t_us.tobytes()
+    assert got.fused_eval == expect.fused_eval
+    with pytest.raises(TypeError):
+        run_synthetic_experiment(w, ref, qry, grid_dt=300_000)

@@ -128,9 +128,16 @@ class _Outputs:
         self.names.append(name)
 
 
-def _apply_filters(stream, cfg: PipelineConfig):
-    """Run the enabled denoising filters, returning the stream and a report."""
-    report = {}
+def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
+    """Read, parse and filter one event CSV, returning the stream and a report.
+
+    Each stage's result replaces ``stream``, so the file's text is freed when
+    the parse returns and the parsed stream when the first filter returns;
+    no caller holds an unfiltered stream while a filter runs.
+    """
+    with _stage("read-events"):
+        stream = parse_event_csv(out.read(role, path), cfg.geometry)
+    report = {"events_in": len(stream)}
     if cfg.hot_pixels_enabled:
         with _stage("hot-pixels"):
             n_before = len(stream)
@@ -149,6 +156,7 @@ def _apply_filters(stream, cfg: PipelineConfig):
                 "fraction": cfg.burst_fraction,
                 "events_removed": n_before - len(stream),
             }
+    report["events_out"] = len(stream)
     return stream, report
 
 
@@ -167,13 +175,9 @@ def _eval_summary(label: str, result: EvalResult) -> dict:
 
 
 def cmd_filter(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    with _stage("read-events"):
-        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
-    n_in = len(stream)
-    stream, report = _apply_filters(stream, cfg)
+    stream, report = _read_events(out, "events", args.events, cfg)
     with _stage("write"):
         out.write("filtered.csv", write_event_csv(stream))
-        report = {"events_in": n_in, "events_out": len(stream), **report}
         out.write("filter_report.json", _json_bytes(report))
 
 
@@ -324,11 +328,8 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         anchors = read_ground_truth_csv(out.read("ground_truth", args.gt))
 
     if event_mode:
-        with _stage("read-events"):
-            q_stream = parse_event_csv(out.read("query", args.query), cfg.geometry)
-            r_stream = parse_event_csv(out.read("reference", args.reference), cfg.geometry)
-        q_stream, _ = _apply_filters(q_stream, cfg)
-        r_stream, _ = _apply_filters(r_stream, cfg)
+        q_stream, _ = _read_events(out, "query", args.query, cfg)
+        r_stream, _ = _read_events(out, "reference", args.reference, cfg)
         with _stage("pipeline"):
             result = run_place_recognition(
                 q_stream,

@@ -7,12 +7,14 @@ parallel numpy arrays sorted by time, which keeps windowing and
 accumulation vectorized.
 
 Event CSV files are read by :func:`parse_event_csv` in one of two ways.  A
-file in the strict form :func:`write_event_csv` produces is parsed in one
-vectorized pass (``np.fromstring`` over the whole text); any other file,
-and any file whose values that pass finds invalid, is parsed again row by
-row, which accepts the lenient forms (CRLF, blank lines, ``+5``) and names
-the offending line in its error.  The choice follows from the text alone;
-no setting selects between the two.
+file in the strict form :func:`write_event_csv` produces is parsed block by
+block (``np.fromstring`` over about 1 MiB of whole rows at a time, checked
+and written into preallocated narrowed arrays), so the parse holds little
+more than the text and the stream it returns.  Any other file, and any
+file whose values that pass finds invalid, is parsed again row by row,
+which accepts the lenient forms (CRLF, blank lines, ``+5``) and names the
+offending line in its error.  The choice follows from the text alone; no
+setting selects between the two.
 
 Two denoising filters operate on whole streams: :func:`remove_hot_pixels`
 drops pixels that fire far more often than the sensor average, and
@@ -32,8 +34,8 @@ import numpy as np
 from .errors import BoundsError, ConfigError, OrderingError, ParseError
 
 EVENT_CSV_HEADER = "t,x,y,p"
-# Each strict row is three commas, then a newline.
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+# Each strict row is three commas, then a newline: one native uint32.
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]
 # A field of at most 18 characters cannot overflow int64.
 _MAX_FIELD_CHARS = 18
 _CHECK_BLOCK_BYTES = 1 << 20
@@ -66,9 +68,10 @@ class SensorGeometry:
 class EventStream:
     """A time-sorted event stream as a structure of arrays.
 
-    The four arrays share one length.  Instances are immutable: arrays are
-    copied on construction and marked read-only, so filters and windowing
-    can hand out views without defensive copies.
+    The four arrays share one length.  Instances are immutable: the
+    constructor checks and copies the arrays it is given, and every array
+    is marked read-only, so filters and windowing can hand out views
+    without defensive copies.
     """
 
     geometry: SensorGeometry
@@ -104,6 +107,22 @@ class EventStream:
             object.__setattr__(self, name, arr)
 
     @classmethod
+    def _adopt(
+        cls, geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray
+    ) -> "EventStream":
+        """Wrap arrays this module has just built and checked, without a copy.
+
+        The arrays must already be valid int64/int32/int32/int8 columns that
+        nothing else references; they are marked read-only here.
+        """
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "geometry", geometry)
+        for name, arr in (("t", t), ("x", x), ("y", y), ("p", p)):
+            arr.flags.writeable = False
+            object.__setattr__(stream, name, arr)
+        return stream
+
+    @classmethod
     def from_events(
         cls, geometry: SensorGeometry, events: Iterable[tuple[int, int, int, int]]
     ) -> "EventStream":
@@ -122,18 +141,21 @@ class EventStream:
         return int(self.t.size)
 
     def select(self, mask_or_index: np.ndarray) -> "EventStream":
-        """New stream keeping the selected events (order preserved)."""
-        return EventStream(
-            self.geometry,
-            self.t[mask_or_index],
-            self.x[mask_or_index],
-            self.y[mask_or_index],
-            self.p[mask_or_index],
-        )
+        """New stream keeping the selected events (order preserved).
+
+        ``mask_or_index`` is a boolean mask or an increasing index array.
+        Either picks a subsequence, and a subsequence of a valid stream is
+        valid, so the selected copies are adopted without a second check.
+        """
+        m = mask_or_index
+        return EventStream._adopt(self.geometry, self.t[m], self.x[m], self.y[m], self.p[m])
 
     def pixel_index(self) -> np.ndarray:
         """Flat ``y * width + x`` index per event (row-major pixel id)."""
-        return self.y.astype(np.int64) * self.geometry.width + self.x.astype(np.int64)
+        index = self.y.astype(np.int64)
+        index *= self.geometry.width
+        index += self.x
+        return index
 
 
 def numbered_lines(source) -> Iterator[tuple[int, str]]:
@@ -155,11 +177,12 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
 
     A file in the exact form :func:`write_event_csv` produces (an optional
     ``t,x,y,p`` header, then rows of four integer fields of at most 18
-    characters each, LF endings) is parsed in one vectorized pass.  Anything
-    else, and any file that pass finds invalid, is parsed again row by row,
-    which accepts every form described below and reports the exact error.
-    Both paths give the same stream or the same error; no setting selects
-    between them.
+    characters each, LF endings) is parsed block by block straight into
+    the stream's narrowed arrays, holding little more than the text and
+    the stream.  Anything else, and any file that pass finds invalid, is
+    parsed again row by row, which accepts every form described below and
+    reports the exact error.  Both paths give the same stream or the same
+    error; no setting selects between them.
 
     Parameters
     ----------
@@ -186,10 +209,7 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
         source = source.read()
     data = source.encode("ascii") if isinstance(source, str) and source.isascii() else source
     if isinstance(data, bytes):
-        try:
-            stream = _parse_strict(data, geometry)
-        except (BoundsError, ConfigError, OrderingError):
-            stream = None
+        stream = _parse_strict(data, geometry)
         if stream is not None:
             return stream
     return _parse_rows(source, geometry)
@@ -200,57 +220,116 @@ def _parse_strict(data: bytes, geometry: SensorGeometry) -> EventStream | None:
 
     Accepts exactly: an optional ``t,x,y,p`` header, then rows of four
     fields matching ``-?[0-9]+`` of at most 18 characters (so no value can
-    overflow int64), ending in LF (optional after the last row).  Values
-    are checked by :class:`EventStream`, whose errors carry no line number;
-    the caller re-parses row by row on a refusal or any such error.
+    overflow int64), ending in LF (optional after the last row).  The text
+    is cut into blocks of whole rows of about ``_CHECK_BLOCK_BYTES``, and
+    nothing the size of the whole text is built besides the stream:
+
+    1. each block's form is checked and its fields counted, which sizes
+       the preallocated int64 ``t``, int32 ``x``/``y`` and int8 ``p``;
+    2. each block is parsed to int64, its values are checked as
+       :class:`EventStream` would check them (``t`` non-negative and not
+       below the previous block's last ``t``, sorted, coordinates in
+       bounds, polarity in ``{-1, 0, 1}``), and written into those arrays.
+
+    A refusal carries no line number; the caller re-parses row by row.
+    """
+    blocks = _strict_blocks(data)
+    if blocks is None:
+        return None
+    n = sum(n_fields for _, _, n_fields in blocks) // 4
+    t = np.empty(n, np.int64)
+    x = np.empty(n, np.int32)
+    y = np.empty(n, np.int32)
+    p = np.empty(n, np.int8)
+    row = 0
+    last_t = 0
+    for start, end, n_fields in blocks:
+        values = _block_values(data, start, end, n_fields)
+        if values is None:
+            return None
+        bt, bx, by, bp = values.T
+        if (
+            bt[0] < last_t
+            or np.any(bt[1:] < bt[:-1])
+            or bx.min() < 0
+            or bx.max() >= geometry.width
+            or by.min() < 0
+            or by.max() >= geometry.height
+            or bp.min() < -1
+            or bp.max() > 1
+        ):
+            return None
+        rows = slice(row, row + bt.size)
+        t[rows] = bt
+        x[rows] = bx
+        y[rows] = by
+        p[rows] = np.where(bp == 0, -1, bp)
+        row += bt.size
+        last_t = bt[-1]
+        # free this block's values before the next block's are parsed
+        del values, bt, bx, by, bp
+    return EventStream._adopt(geometry, t, x, y, p)
+
+
+def _strict_blocks(data: bytes) -> list[tuple[int, int, int]] | None:
+    """``(start, end, field count)`` of each block of strict rows, or ``None``.
+
+    Skips an optional header; each block ends at the first LF at least
+    ``_CHECK_BLOCK_BYTES`` past its start, so it holds whole rows.
     """
     header = EVENT_CSV_HEADER.encode() + b"\n"
-    body = data[len(header):] if data.startswith(header) else data
-    if not body:
-        return EventStream.empty(geometry)
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if body.translate(None, b"0123456789,-\n"):
-        return None
-    # Check whole rows a block at a time, so the checks' index arrays stay
-    # small next to the values.
-    n_values = 0
-    start = 0
-    while start < len(body):
-        end = body.find(b"\n", start + _CHECK_BLOCK_BYTES) + 1 or len(body)
-        n_fields = _strict_field_count(np.frombuffer(body, np.uint8, end - start, start))
+    start = len(header) if data.startswith(header) else 0
+    blocks = []
+    while start < len(data):
+        end = data.find(b"\n", start + _CHECK_BLOCK_BYTES) + 1 or len(data)
+        block = _rows_block(data, start, end)
+        if block.translate(None, b"0123456789,-\n"):
+            return None
+        n_fields = _strict_field_count(np.frombuffer(block, np.uint8))
         if n_fields is None:
             return None
-        n_values += n_fields
+        blocks.append((start, end, n_fields))
         start = end
-    flat = body.replace(b"\n", b",")
-    del body
+    return blocks
+
+
+def _block_values(data: bytes, start: int, end: int, n_fields: int) -> np.ndarray | None:
+    """The checked rows ``data[start:end]`` as an int64 (rows, 4) array.
+
+    ``None`` when ``np.fromstring`` refuses them.
+    """
+    flat = _rows_block(data, start, end).replace(b"\n", b",")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.fromstring(flat, dtype=np.int64, count=n_values, sep=",")
+            values = np.fromstring(flat, dtype=np.int64, count=n_fields, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    del flat
-    if values.size != n_values:
-        return None
-    rows = values.reshape(-1, 4)
-    p = np.where(rows[:, 3] == 0, -1, rows[:, 3])
-    return EventStream(geometry, rows[:, 0], rows[:, 1], rows[:, 2], p)
+    return values.reshape(-1, 4) if values.size == n_fields else None
+
+
+def _rows_block(data: bytes, start: int, end: int) -> bytes:
+    """``data[start:end]``, whole rows, with the last row's LF supplied."""
+    block = data[start:end]
+    return block if block.endswith(b"\n") else block + b"\n"
 
 
 def _strict_field_count(a: np.ndarray) -> int | None:
-    """Field count of whole strict rows (bytes ending in LF), or ``None``."""
-    sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
-    if sep.size % 4 or np.any(a[sep].reshape(-1, 4) != _ROW_SEPARATORS):
+    """Field count of whole strict rows, or ``None``.
+
+    ``a`` holds bytes of the strict alphabet (digits, ``,``, ``-``, LF) and
+    ends in LF; in that alphabet the separators are the bytes below ``-``.
+    """
+    # A sign opens its field and is followed by a digit.  A sign at offset 0
+    # opens the block's first field, and the final LF is no sign.
+    sign = a == ord("-")
+    if np.any(sign[1:] & (a[:-1] > ord(","))) or np.any(sign[:-1] & (a[1:] < ord("0"))):
         return None
-    gap = np.diff(sep, prepend=-1)  # field length + 1
-    if gap.min() < 2 or gap.max() > _MAX_FIELD_CHARS + 1:
+    sep = np.flatnonzero(a < ord("-"))
+    if sep.size % 4 or np.any(a[sep].view(np.uint32) != _ROW_SEPARATORS):
         return None
-    # A sign opens its field and is followed by a digit; the byte before
-    # a sign at offset 0 is the block's final newline.
-    sign = np.flatnonzero(a == ord("-"))
-    if np.any(a[sign - 1] > ord(",")) or np.any(a[sign + 1] < ord("0")):
+    gap = np.diff(sep)  # field length + 1, for every field but the first
+    if not 1 <= sep[0] <= _MAX_FIELD_CHARS or gap.min() < 2 or gap.max() > _MAX_FIELD_CHARS + 1:
         return None
     return sep.size
 
@@ -366,7 +445,9 @@ def remove_hot_pixels(
         counts[hot] = 0
     if not flagged:
         return stream, flagged
-    return stream.select(~hot_mask[pixel]), flagged
+    keep = (~hot_mask)[pixel]
+    del pixel
+    return stream.select(keep), flagged
 
 
 def filter_bursts(
@@ -401,16 +482,27 @@ def filter_bursts(
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if not len(stream):
         return stream
-    n_pix = stream.geometry.n_pixels
-    bin_idx = stream.t // bin_us
-    # Distinct pixels per bin: sort the (bin, pixel) keys and count each key
+    g = stream.geometry
+    n = len(stream)
+    key = stream.t // bin_us
+    changed = np.empty(n, dtype=bool)
+    changed[0] = True
+    np.not_equal(key[1:], key[:-1], out=changed[1:])
+    bin_start = np.flatnonzero(changed)
+    # Distinct pixels per bin: turn the bin index into the (bin, pixel) key
+    # (bin * n_pixels + y * width + x) in place, sort it and count each key
     # that differs from its predecessor.  t is sorted, so the sort only
-    # reorders within a bin and bin_idx stays the bin of every sorted key.
-    pair = np.sort(bin_idx * n_pix + stream.pixel_index())
-    new_pixel = np.r_[True, pair[1:] != pair[:-1]]
-    bin_start = np.flatnonzero(np.r_[True, bin_idx[1:] != bin_idx[:-1]])
-    distinct = np.add.reduceat(new_pixel, bin_start, dtype=np.int64)
-    burst = distinct > fraction * n_pix
+    # reorders within a bin and bin_start still marks every bin.
+    key *= g.height
+    key += stream.y
+    key *= g.width
+    key += stream.x
+    key.sort()
+    np.not_equal(key[1:], key[:-1], out=changed[1:])
+    del key
+    distinct = np.add.reduceat(changed, bin_start, dtype=np.int64)
+    del changed
+    burst = distinct > fraction * g.n_pixels
     if not burst.any():
         return stream
-    return stream.select(~np.repeat(burst, np.diff(bin_start, append=pair.size)))
+    return stream.select(~np.repeat(burst, np.diff(bin_start, append=n)))

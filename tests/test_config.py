@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from evplace.descriptors import AccumulationMode
 from evplace.distance import Metric
 from evplace.ensemble import RuleKind
 from evplace.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_defaults_alone_are_valid():
@@ -189,6 +192,23 @@ def test_load_config_reads_file_and_applies_overrides(tmp_path):
     cfg = load_config(str(path), overrides=["grid_dt_us=200"])
     assert cfg.metric is Metric.SAD
     assert cfg.grid_dt_us == 200
+
+
+def test_full_sensor_config_loads():
+    # The full-sensor traverse: DAVIS geometry with the sensor workload's run
+    # settings (both filters on, 32x24 count descriptors).
+    cfg = load_config(str(CONFIGS / "synthetic-sensor.json"))
+    assert (cfg.geometry.width, cfg.geometry.height) == (346, 260)
+    assert cfg.hot_pixels_enabled and cfg.hot_pixels_sigma == 5.0
+    assert cfg.bursts_enabled and (cfg.burst_bin_us, cfg.burst_fraction) == (500, 0.25)
+    assert cfg.descriptor.mode is AccumulationMode.COUNT
+    d = cfg.descriptor
+    assert (d.down_width, d.down_height, d.patch) == (32, 24, 8)
+    assert (cfg.grid_dt_us, cfg.loc_threshold_us) == (250_000, 900_000)
+    s = cfg.synthetic
+    assert (s.world_seed, s.n_places, s.reference.seed, s.query.seed) == (1, 30, 2, 3)
+    assert (s.reference.noise_rate, s.reference.rate_scale) == (3.0, 1.0)
+    assert (s.query.rate_scale, s.query.noise_rate, s.query.dropout) == (0.7, 10.0, 0.4)
 
 
 def test_load_config_rejects_invalid_json(tmp_path):

@@ -87,6 +87,37 @@ def test_stream_arrays_are_read_only():
         s.t[0] = 5
 
 
+def test_parsed_and_selected_arrays_are_read_only():
+    rows = (b"%d,%d,%d,%d\n" % (i, i % 4, i // 4 % 4, i % 2) for i in range(40))
+    text = b"t,x,y,p\n" + b"".join(rows)
+    parsed = parse_event_csv(text, G4)
+    mask = np.arange(len(parsed)) % 3 != 0
+    picked = parsed.select(mask)
+    before = [getattr(picked, k).copy() for k in "txyp"]
+    mask[:] = False
+    for s in (parsed, picked):
+        for k in "txyp":
+            assert not getattr(s, k).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(s, k)[0] = 1
+    assert all(np.array_equal(getattr(picked, k), b) for k, b in zip("txyp", before))
+    assert [getattr(picked, k).dtype for k in "txyp"] == [np.int64, np.int32, np.int32, np.int8]
+
+
+def test_constructor_copies_the_callers_arrays():
+    t = np.arange(5, dtype=np.int64)
+    x = np.zeros(5, dtype=np.int32)
+    y = np.ones(5, dtype=np.int32)
+    p = np.ones(5, dtype=np.int8)
+    s = EventStream(G4, t, x, y, p)
+    for k, arr in zip("txyp", (t, x, y, p)):
+        assert arr.flags.writeable
+        assert not np.shares_memory(getattr(s, k), arr)
+        arr[:] = 3
+    assert s.t.tolist() == [0, 1, 2, 3, 4]
+    assert s.x.tolist() == [0] * 5 and s.y.tolist() == [1] * 5 and s.p.tolist() == [1] * 5
+
+
 def test_geometry_must_be_positive():
     with pytest.raises(ConfigError):
         SensorGeometry(0, 5)
@@ -300,6 +331,81 @@ def test_parse_errors_keep_line_and_class_past_the_strict_pass():
         _assert_parses_like_rows(text)
 
 
+# Rows of one width (11 bytes: t has 6 digits, x and y 1, p is 0 or 1), so
+# every mutation below keeps the blocks of the valid file.
+_EDGE_ROWS = [[str(100_000 + 7 * i), str(i % 4), str(i // 4 % 4), str(i % 2)] for i in range(40)]
+_EDGE_BLOCK_BYTES = 64
+
+
+def _edge_blocks(text: str) -> list[int]:
+    """1-based line of the first row of each check block of ``text``.
+
+    ``text`` must pass the strict form checks, so only a value can refuse it.
+    """
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
+        blocks = events._strict_blocks(text.encode())
+    assert blocks is not None
+    rows = [n_fields // 4 for _, _, n_fields in blocks]
+    return np.cumsum([2] + rows[:-1]).tolist()  # line 1 is the header
+
+
+def test_parse_many_blocks_matches_row_oracle_with_narrow_dtypes():
+    text = _render(True, _EDGE_ROWS, True)
+    assert len(_edge_blocks(text)) >= 5
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
+        s = _parse_strict(text.encode(), G4)
+        _assert_parses_like_rows(text)
+    assert [s.t.dtype, s.x.dtype, s.y.dtype, s.p.dtype] == [np.int64, np.int32, np.int32, np.int8]
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("regression_opens_block", OrderingError),
+        ("x_at_width_closes_block", BoundsError),
+        ("polarity_2_opens_block", ParseError),
+        ("negative_t_opens_block_2", ParseError),
+        ("negative_t_inside_block_2", ParseError),
+    ],
+)
+def test_block_value_checks_refuse_with_the_row_loops_error(case, error):
+    starts = _edge_blocks(_render(True, _EDGE_ROWS, True))
+    rows = [list(r) for r in _EDGE_ROWS]
+    if case == "regression_opens_block":
+        line = starts[2]
+        rows[line - 2][0] = str(int(rows[line - 3][0]) - 1)
+    elif case == "x_at_width_closes_block":
+        line = starts[2] - 1
+        rows[line - 2][1] = "4"
+    elif case == "polarity_2_opens_block":
+        line = starts[3]
+        rows[line - 2][3] = "2"
+    elif case == "negative_t_opens_block_2":
+        line = starts[1]
+        rows[line - 2][0] = "-99999"
+    else:
+        line = starts[1] + 1
+        rows[line - 2][0] = "-99999"
+    text = _render(True, rows, True)
+    assert _edge_blocks(text) == starts
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
+        assert _parse_strict(text.encode(), G4) is None
+        with pytest.raises(error, match=f"line {line}\\b") as exc:
+            parse_event_csv(text.encode(), G4)
+        assert _outcome(parse_event_csv, text.encode(), G4) == _outcome(_parse_rows, text, G4)
+    if isinstance(exc.value, ParseError):
+        assert exc.value.line == line
+
+
+def test_parse_refuses_an_overflowing_field_that_opens_a_block():
+    # np.fromstring saturates a field beyond int64 instead of failing, so
+    # the 18-character limit must hold for a block's first field as well.
+    for field in ("12345678901234567890", "9999999999999999999"):
+        _assert_parses_like_rows(f"{field},0,0,1\n")
+        with mock.patch.object(events, "_CHECK_BLOCK_BYTES", 1):  # a block per row
+            _assert_parses_like_rows(f"t,x,y,p\n5,0,0,1\n{field},0,0,1\n")
+
+
 @st.composite
 def _streams(draw):
     g = SensorGeometry(draw(st.integers(1, 400)), draw(st.integers(1, 300)))
@@ -342,6 +448,21 @@ def test_write_holds_two_copies_of_the_text():
         finally:
             tracemalloc.stop()
     assert peak < 2.5 * size
+
+
+def test_parse_holds_the_stream_and_a_few_blocks():
+    # Block by block into the narrowed arrays: beyond the text, the peak is
+    # the 17-byte-per-event stream plus one block's text and values.  A
+    # whole-text parse holds the text twice more and four int64 columns.
+    s = _random_stream(np.random.default_rng(41), 200_000, SensorGeometry(346, 260), t_max=10**9)
+    data = write_event_csv(s)
+    tracemalloc.start()
+    try:
+        parse_event_csv(data, s.geometry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * len(s) + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +697,32 @@ def test_burst_matches_unique_oracle_fuzz():
             for k in "txyp":
                 assert np.array_equal(getattr(out, k), getattr(expected, k))
     assert at_threshold > 100
+
+
+def test_burst_holds_one_key_and_the_output():
+    # 200 k scattered events on 32x24, plus every 40th bin firing all 768
+    # pixels: the key is one int64 per event, and the kept events are
+    # selected once, without a second validating copy.
+    rng = np.random.default_rng(43)
+    g = SensorGeometry(32, 24)
+    t = rng.integers(0, 2 * 10**6, size=200_000)
+    x = rng.integers(0, 32, size=t.size)
+    y = rng.integers(0, 24, size=t.size)
+    burst_t = np.repeat(np.arange(0, 2 * 10**6, 40 * 500), g.n_pixels)
+    t = np.r_[t, burst_t]
+    x = np.r_[x, np.tile(np.arange(g.n_pixels) % 32, burst_t.size // g.n_pixels)]
+    y = np.r_[y, np.tile(np.arange(g.n_pixels) // 32, burst_t.size // g.n_pixels)]
+    order = np.argsort(t, kind="stable")
+    s = EventStream(g, t[order], x[order], y[order], np.ones(t.size, dtype=np.int8))
+    del t, x, y, order
+    tracemalloc.start()
+    try:
+        out = filter_bursts(s, bin_us=500, fraction=0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) - len(out) >= burst_t.size
+    assert peak < 8 * len(s) + sum(getattr(out, k).nbytes for k in "txyp")
 
 
 def test_burst_rejects_bad_params():

@@ -9,6 +9,12 @@ writes a ``manifest.json`` recording the resolved config, SHA-256 digests of all
 inputs and the output list.  The ``--output`` directory is made at the
 first write, so a command that fails before writing leaves none behind.
 Every failure prints ``evplace <cmd>: error [<stage>] ...`` and exits 1.
+Inputs are hashed and event CSVs parsed and written a block at a time, so
+no command holds an event file's whole text.
+
+``evplace --profile PATH <cmd> ...`` also writes each stage's wall time and
+the process's peak RSS at its end to the JSON file ``PATH``, which must lie
+outside the output directory.
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
@@ -23,9 +29,12 @@ import json
 import logging
 import os
 import re
+import resource
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -48,12 +57,22 @@ from .evaluation import (
     write_eval_results_csv,
     write_ground_truth_csv,
 )
-from .events import filter_bursts, parse_event_csv, remove_hot_pixels, write_event_csv
+from .events import (
+    event_csv_blocks,
+    filter_bursts,
+    parse_event_csv,
+    remove_hot_pixels,
+    write_event_csv,  # noqa: F401  (the name perfbench/tracing.py hooks)
+)
 from .pipeline import PipelineResult, run_from_sequences, run_place_recognition
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
 from .windowing import build_window_set, sample_grid
 
 logger = logging.getLogger(__name__)
+
+_HASH_BLOCK_BYTES = 1 << 17
+# The stage records of a run with --profile, else None.
+_PROFILE: list[dict] | None = None
 
 
 class StageError(EvPlaceError):
@@ -67,12 +86,23 @@ class StageError(EvPlaceError):
 @contextmanager
 def _stage(name: str):
     logger.info("stage %s", name)
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except (EvPlaceError, OSError, ValueError) as e:
         raise StageError(name, e) from e
+    finally:
+        if _PROFILE is not None:
+            peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            _PROFILE.append(
+                {
+                    "stage": name,
+                    "wall_s": time.perf_counter() - start,
+                    "peak_rss_mb": peak_kib / 1024.0,
+                }
+            )
 
 
 def _configure_logging() -> None:
@@ -108,10 +138,21 @@ class _Outputs:
         self.inputs: dict = {}
         self.names: list[str] = []
 
-    def read(self, role: str, path: str) -> bytes:
-        """Read an input file, recording its digest for the manifest."""
-        data = Path(path).read_bytes()
-        entry = {"file": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()}
+    def read(self, role: str, path: str, reader, *args):
+        """``reader(file, *args)`` on an input opened for binary reading.
+
+        The file is hashed a block at a time for the manifest, rewound,
+        handed to ``reader`` and closed when it returns, so no input's
+        whole text is held here.
+        """
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256()
+            buf = bytearray(_HASH_BLOCK_BYTES)
+            while n := fh.readinto(buf):
+                digest.update(memoryview(buf)[:n])
+            fh.seek(0)
+            result = reader(fh, *args)
+        entry = {"file": Path(path).name, "sha256": digest.hexdigest()}
         if role in self.inputs:
             # repeated roles (descriptor file lists) become numbered entries
             suffix = 2
@@ -119,24 +160,26 @@ class _Outputs:
                 suffix += 1
             role = f"{role}_{suffix}"
         self.inputs[role] = entry
-        return data
+        return result
 
-    def write(self, name: str, data: bytes) -> None:
+    def write(self, name: str, data: bytes | Iterable[bytes]) -> None:
+        """Write one output file from its bytes or from its blocks in order."""
         if not self.names:
             self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / name).write_bytes(data)
+        with open(self.dir / name, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
         self.names.append(name)
 
 
 def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
     """Read, parse and filter one event CSV, returning the stream and a report.
 
-    Each stage's result replaces ``stream``, so the file's text is freed when
-    the parse returns and the parsed stream when the first filter returns;
+    The file is parsed a block at a time, and each stage's result replaces
+    ``stream``, so the parsed stream is freed when the first filter returns;
     no caller holds an unfiltered stream while a filter runs.
     """
     with _stage("read-events"):
-        stream = parse_event_csv(out.read(role, path), cfg.geometry)
+        stream = out.read(role, path, parse_event_csv, cfg.geometry)
     report = {"events_in": len(stream)}
     if cfg.hot_pixels_enabled:
         with _stage("hot-pixels"):
@@ -177,7 +220,7 @@ def _eval_summary(label: str, result: EvalResult) -> dict:
 def cmd_filter(args, cfg: PipelineConfig, out: _Outputs) -> None:
     stream, report = _read_events(out, "events", args.events, cfg)
     with _stage("write"):
-        out.write("filtered.csv", write_event_csv(stream))
+        out.write("filtered.csv", event_csv_blocks(stream))
         out.write("filter_report.json", _json_bytes(report))
 
 
@@ -192,8 +235,8 @@ def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         q_stream, q_gt = generate_traverse(world, s.query)
         anchors = pair_ground_truth(q_gt, ref_gt)
     with _stage("write"):
-        out.write("reference_events.csv", write_event_csv(ref_stream))
-        out.write("query_events.csv", write_event_csv(q_stream))
+        out.write("reference_events.csv", event_csv_blocks(ref_stream))
+        out.write("query_events.csv", event_csv_blocks(q_stream))
         out.write("ground_truth.csv", write_ground_truth_csv(anchors))
     return {
         "places": s.n_places,
@@ -204,7 +247,7 @@ def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
     with _stage("read-events"):
-        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
+        stream = out.read("events", args.events, parse_event_csv, cfg.geometry)
     with _stage("windowing"):
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
@@ -218,7 +261,7 @@ def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
     with _stage("read-events"):
-        stream = parse_event_csv(out.read("events", args.events), cfg.geometry)
+        stream = out.read("events", args.events, parse_event_csv, cfg.geometry)
     with _stage("describe"):
         grid = sample_grid(stream, cfg.grid_dt_us)
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
@@ -230,8 +273,8 @@ def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 def cmd_distance(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-descriptors"):
-        q_seq = load_descriptors(out.read("query", args.query), _stem(args.query))
-        r_seq = load_descriptors(out.read("reference", args.reference), _stem(args.reference))
+        q_seq = out.read("query", args.query, load_descriptors, _stem(args.query))
+        r_seq = out.read("reference", args.reference, load_descriptors, _stem(args.reference))
     with _stage("distance"):
         matrix = build_distance_matrix(q_seq, r_seq, cfg.metric)
     with _stage("write"):
@@ -241,7 +284,7 @@ def cmd_distance(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 def cmd_ensemble(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-matrices"):
-        members = [read_matrix_csv(out.read("member", path), _stem(path)) for path in args.members]
+        members = [out.read("member", path, read_matrix_csv, _stem(path)) for path in args.members]
     with _stage("combine"):
         fused = combine(members, cfg.rule)
     with _stage("write"):
@@ -273,8 +316,8 @@ def _pr_curve(matrix: DistanceMatrix, gt, cfg: PipelineConfig) -> list[EvalResul
 
 def cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("read-inputs"):
-        matrix = read_matrix_csv(out.read("matrix", args.matrix), _stem(args.matrix))
-        anchors = read_ground_truth_csv(out.read("ground_truth", args.gt))
+        matrix = out.read("matrix", args.matrix, read_matrix_csv, _stem(args.matrix))
+        anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
     with _stage("evaluate"):
         matrix, gt, dropped = _restrict_to_ground_truth(matrix, anchors)
         full = precision_at_full_recall(matrix, gt, cfg.loc_threshold_us)
@@ -325,7 +368,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         if event_mode == desc_mode:
             raise ConfigError("pass either event CSVs or descriptor CSVs, not both")
     with _stage("read-ground-truth"):
-        anchors = read_ground_truth_csv(out.read("ground_truth", args.gt))
+        anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
 
     if event_mode:
         q_stream, _ = _read_events(out, "query", args.query, cfg)
@@ -347,11 +390,11 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     else:
         with _stage("read-descriptors"):
             q_seqs = [
-                load_descriptors(out.read("query_descriptors", p), _stem(p))
+                out.read("query_descriptors", p, load_descriptors, _stem(p))
                 for p in args.query_descriptors
             ]
             r_seqs = [
-                load_descriptors(out.read("reference_descriptors", p), _stem(p))
+                out.read("reference_descriptors", p, load_descriptors, _stem(p))
                 for p in args.reference_descriptors
             ]
         if cfg.approximate_fraction is not None:
@@ -394,6 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ensemble place recognition for event cameras.",
     )
     parser.add_argument("--version", action="version", version=f"evplace {__version__}")
+    parser.add_argument(
+        "--profile",
+        metavar="PATH",
+        help="write each stage's wall time and peak RSS to this JSON file "
+        "(outside the output directory)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filter", help="denoise an event CSV (hot pixels, bursts)")
@@ -447,11 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _PROFILE
     _configure_logging()
     args = build_parser().parse_args(argv)
+    _PROFILE = [] if args.profile else None
     try:
         with _stage("config"):
             cfg = load_config(args.config, args.set)
+            if args.profile and Path(args.output).resolve() in Path(args.profile).resolve().parents:
+                raise ConfigError("--profile must be outside the output directory")
         out = _Outputs(args.output)
         notes = args.func(args, cfg, out)
         with _stage("write"):
@@ -465,9 +518,17 @@ def main(argv=None) -> int:
             if notes:
                 manifest["notes"] = notes
             out.write("manifest.json", _json_bytes(manifest))
+        if args.profile:
+            stages, _PROFILE = _PROFILE, None
+            with _stage("profile"):
+                Path(args.profile).write_bytes(
+                    _json_bytes({"command": args.command, "stages": stages})
+                )
     except StageError as e:
         print(f"evplace {args.command}: error {e}", file=sys.stderr)
         return 1
+    finally:
+        _PROFILE = None
     return 0
 
 

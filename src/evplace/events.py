@@ -6,15 +6,19 @@ coordinates, and a polarity in ``{-1, +1}``.  Streams are stored as
 parallel numpy arrays sorted by time, which keeps windowing and
 accumulation vectorized.
 
-Event CSV files are read by :func:`parse_event_csv` in one of two ways.  A
-file in the strict form :func:`write_event_csv` produces is parsed block by
-block (``np.fromstring`` over about 1 MiB of whole rows at a time, checked
-and written into preallocated narrowed arrays), so the parse holds little
-more than the text and the stream it returns.  Any other file, and any
-file whose values that pass finds invalid, is parsed again row by row,
-which accepts the lenient forms (CRLF, blank lines, ``+5``) and names the
-offending line in its error.  The choice follows from the text alone; no
-setting selects between the two.
+Event CSV files are read by :func:`parse_event_csv` as binary files, one
+block at a time, in one of two ways.  A file in the strict form
+:func:`write_event_csv` produces is parsed in two passes: one counts its
+rows, which sizes preallocated narrowed arrays, and the next reads
+``_CHECK_BLOCK_BYTES`` plus the rest of the last row at a time, checks the
+block and parses it with ``np.fromstring`` into those arrays.  The parse
+holds the stream it returns and one block of text, never the whole text.
+Any other file, and any file whose values that pass finds invalid, is
+rewound and parsed again row by row, which accepts the lenient forms
+(CRLF, blank lines, ``+5``) and names the offending line in its error.
+The choice follows from the text alone; no setting selects between the
+two.  :func:`event_csv_blocks` encodes a stream ``_WRITE_BLOCK_ROWS`` rows
+at a time, so a file can be written without its whole text.
 
 Two denoising filters operate on whole streams: :func:`remove_hot_pixels`
 drops pixels that fire far more often than the sensor average, and
@@ -38,8 +42,10 @@ EVENT_CSV_HEADER = "t,x,y,p"
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]
 # A field of at most 18 characters cannot overflow int64.
 _MAX_FIELD_CHARS = 18
-_CHECK_BLOCK_BYTES = 1 << 20
-_WRITE_BLOCK_ROWS = 1 << 16
+# Block sizes of the parser (bytes, plus the rest of the last row) and of
+# the writer (rows); small enough that a block's temporaries stay in cache.
+_CHECK_BLOCK_BYTES = 1 << 17
+_WRITE_BLOCK_ROWS = 8192
 
 DEFAULT_HOT_PIXEL_SIGMA = 5.0
 DEFAULT_BURST_BIN_US = 500
@@ -175,20 +181,25 @@ def numbered_lines(source) -> Iterator[tuple[int, str]]:
 def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     """Parse ``t,x,y,p`` rows into an :class:`EventStream`.
 
-    A file in the exact form :func:`write_event_csv` produces (an optional
+    The source is read as a binary file, one block at a time.  A file in
+    the exact form :func:`write_event_csv` produces (an optional
     ``t,x,y,p`` header, then rows of four integer fields of at most 18
     characters each, LF endings) is parsed block by block straight into
-    the stream's narrowed arrays, holding little more than the text and
-    the stream.  Anything else, and any file that pass finds invalid, is
-    parsed again row by row, which accepts every form described below and
-    reports the exact error.  Both paths give the same stream or the same
-    error; no setting selects between them.
+    the stream's narrowed arrays, so the parse holds the stream and one
+    block of text, never the whole text.  Anything else, and any file
+    that pass finds invalid, is rewound and parsed again row by row, which
+    accepts every form described below and reports the exact error.  Both
+    paths give the same stream or the same error; no setting selects
+    between them.
 
     Parameters
     ----------
     source : str, bytes, or file-like
-        CSV text.  An optional leading ``t,x,y,p`` header row is skipped.
-        Both LF and CRLF line endings are accepted.
+        CSV text, or a file opened at the first byte to parse.  A binary
+        file is read in blocks (the caller closes it); ``bytes`` and ASCII
+        text go through the same loop, other text straight to the row
+        loop.  An optional leading ``t,x,y,p`` header row is skipped.  Both
+        LF and CRLF line endings are accepted.
     geometry : SensorGeometry
         Sensor dimensions used for coordinate validation.
 
@@ -205,47 +216,65 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     BoundsError, OrderingError
         Out-of-range coordinates or a timestamp regression.
     """
-    if hasattr(source, "read"):
+    if hasattr(source, "read") and isinstance(source.read(0), str):
         source = source.read()
-    data = source.encode("ascii") if isinstance(source, str) and source.isascii() else source
-    if isinstance(data, bytes):
-        stream = _parse_strict(data, geometry)
-        if stream is not None:
-            return stream
-    return _parse_rows(source, geometry)
+    if isinstance(source, str):
+        if not source.isascii():
+            return _parse_rows(source, geometry)
+        source = source.encode("ascii")
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())  # a pipe: both passes need to rewind
+    start = fh.tell()
+    stream = _parse_strict(fh, geometry)
+    if stream is not None:
+        return stream
+    fh.seek(start)
+    return _parse_rows(fh, geometry)
 
 
-def _parse_strict(data: bytes, geometry: SensorGeometry) -> EventStream | None:
-    """The stream of a strictly formatted file, or ``None`` to refuse it.
+def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:
+    """The stream of a strictly formatted binary file, or ``None`` to refuse it.
 
     Accepts exactly: an optional ``t,x,y,p`` header, then rows of four
     fields matching ``-?[0-9]+`` of at most 18 characters (so no value can
-    overflow int64), ending in LF (optional after the last row).  The text
-    is cut into blocks of whole rows of about ``_CHECK_BLOCK_BYTES``, and
-    nothing the size of the whole text is built besides the stream:
+    overflow int64), ending in LF (optional after the last row).  The file
+    is read twice from its current position, one block at a time:
 
-    1. each block's form is checked and its fields counted, which sizes
-       the preallocated int64 ``t``, int32 ``x``/``y`` and int8 ``p``;
-    2. each block is parsed to int64, its values are checked as
+    1. the LF bytes are counted, which sizes the preallocated int64 ``t``,
+       int32 ``x``/``y`` and int8 ``p``;
+    2. each block of ``_CHECK_BLOCK_BYTES`` plus the rest of its last row
+       is checked for form, parsed to int64, its values are checked as
        :class:`EventStream` would check them (``t`` non-negative and not
        below the previous block's last ``t``, sorted, coordinates in
        bounds, polarity in ``{-1, 0, 1}``), and written into those arrays.
 
-    A refusal carries no line number; the caller re-parses row by row.
+    The rows parsed must be the rows counted.  A refusal carries no line
+    number and leaves the file at an arbitrary position; the caller
+    rewinds it and re-parses row by row.
     """
-    blocks = _strict_blocks(data)
-    if blocks is None:
-        return None
-    n = sum(n_fields for _, _, n_fields in blocks) // 4
-    t = np.empty(n, np.int64)
-    x = np.empty(n, np.int32)
-    y = np.empty(n, np.int32)
-    p = np.empty(n, np.int8)
+    start = fh.tell()
+    n_lines = 0
+    tail = b"\n"
+    while chunk := fh.read(_CHECK_BLOCK_BYTES):
+        n_lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        tail = chunk[-1:]
+    n_lines += tail != b"\n"  # an unterminated last row
+    fh.seek(start)
+    header = EVENT_CSV_HEADER.encode() + b"\n"
+    if fh.read(len(header)) == header:
+        n_lines -= 1
+    else:
+        fh.seek(start)
+    t = np.empty(n_lines, np.int64)
+    x = np.empty(n_lines, np.int32)
+    y = np.empty(n_lines, np.int32)
+    p = np.empty(n_lines, np.int8)
     row = 0
     last_t = 0
-    for start, end, n_fields in blocks:
-        values = _block_values(data, start, end, n_fields)
-        if values is None:
+    while block := fh.read(_CHECK_BLOCK_BYTES) + fh.readline():
+        values = _block_values(block)
+        if values is None or row + len(values) > n_lines:
             return None
         bt, bx, by, bp = values.T
         if (
@@ -266,52 +295,35 @@ def _parse_strict(data: bytes, geometry: SensorGeometry) -> EventStream | None:
         p[rows] = np.where(bp == 0, -1, bp)
         row += bt.size
         last_t = bt[-1]
-        # free this block's values before the next block's are parsed
+        # free this block's values before the next block is read
         del values, bt, bx, by, bp
+    if row != n_lines:
+        return None
     return EventStream._adopt(geometry, t, x, y, p)
 
 
-def _strict_blocks(data: bytes) -> list[tuple[int, int, int]] | None:
-    """``(start, end, field count)`` of each block of strict rows, or ``None``.
+def _block_values(block: bytes) -> np.ndarray | None:
+    """The whole strict rows of ``block`` as an int64 (rows, 4) array.
 
-    Skips an optional header; each block ends at the first LF at least
-    ``_CHECK_BLOCK_BYTES`` past its start, so it holds whole rows.
+    The last row's LF may be missing (the end of the file).  ``None`` when
+    the form checks or ``np.fromstring`` refuse the rows.
     """
-    header = EVENT_CSV_HEADER.encode() + b"\n"
-    start = len(header) if data.startswith(header) else 0
-    blocks = []
-    while start < len(data):
-        end = data.find(b"\n", start + _CHECK_BLOCK_BYTES) + 1 or len(data)
-        block = _rows_block(data, start, end)
-        if block.translate(None, b"0123456789,-\n"):
-            return None
-        n_fields = _strict_field_count(np.frombuffer(block, np.uint8))
-        if n_fields is None:
-            return None
-        blocks.append((start, end, n_fields))
-        start = end
-    return blocks
-
-
-def _block_values(data: bytes, start: int, end: int, n_fields: int) -> np.ndarray | None:
-    """The checked rows ``data[start:end]`` as an int64 (rows, 4) array.
-
-    ``None`` when ``np.fromstring`` refuses them.
-    """
-    flat = _rows_block(data, start, end).replace(b"\n", b",")
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    if block.translate(None, b"0123456789,-\n"):
+        return None
+    n_fields = _strict_field_count(np.frombuffer(block, np.uint8))
+    if n_fields is None:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.fromstring(flat, dtype=np.int64, count=n_fields, sep=",")
+            values = np.fromstring(
+                block.replace(b"\n", b","), dtype=np.int64, count=n_fields, sep=","
+            )
     except (ValueError, DeprecationWarning):
         return None
     return values.reshape(-1, 4) if values.size == n_fields else None
-
-
-def _rows_block(data: bytes, start: int, end: int) -> bytes:
-    """``data[start:end]``, whole rows, with the last row's LF supplied."""
-    block = data[start:end]
-    return block if block.endswith(b"\n") else block + b"\n"
 
 
 def _strict_field_count(a: np.ndarray) -> int | None:
@@ -388,17 +400,29 @@ def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
     )
 
 
-def write_event_csv(stream: EventStream) -> bytes:
-    """Serialize a stream as ``t,x,y,p`` CSV (header row, LF endings)."""
-    parts = [(EVENT_CSV_HEADER + "\n").encode("ascii")]
-    # One %-format per block of rows; blocks bound the Python ints alive at
-    # once, and encoding each block keeps two copies of the text, not three.
+def event_csv_blocks(stream: EventStream) -> Iterator[bytes]:
+    """The ``t,x,y,p`` CSV of a stream (header row, LF endings) in blocks.
+
+    One %-format per ``_WRITE_BLOCK_ROWS`` rows, encoded at once: a block
+    bounds the Python ints alive at a time, and writing each block as it
+    comes holds one block of text, not the whole file.
+    """
+    yield (EVENT_CSV_HEADER + "\n").encode("ascii")
     for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
         block = slice(start, start + _WRITE_BLOCK_ROWS)
         rows = np.column_stack([stream.t[block], stream.x[block], stream.y[block], stream.p[block]])
         text = "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
-        parts.append(text.encode("ascii"))
-    return b"".join(parts)
+        yield text.encode("ascii")
+
+
+def write_event_csv(stream: EventStream) -> bytes:
+    """Serialize a stream as ``t,x,y,p`` CSV (header row, LF endings).
+
+    The whole text as one ``bytes``: the blocks of :func:`event_csv_blocks`
+    joined, so the peak is the encoded blocks plus the result.  To write a
+    file, write those blocks one at a time instead.
+    """
+    return b"".join(event_csv_blocks(stream))
 
 
 def remove_hot_pixels(

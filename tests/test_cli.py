@@ -5,14 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from evplace import cli, events
 from evplace.cli import main
 from evplace.descriptors import load_descriptors
 from evplace.distance import read_matrix_csv
-from evplace.events import EventStream, SensorGeometry, write_event_csv
+from evplace.events import EventStream, SensorGeometry, remove_hot_pixels, write_event_csv
 
 CONFIG = {
     "geometry": {"width": 16, "height": 12},
@@ -216,6 +218,68 @@ def test_filter_reports_planted_hot_pixel(workspace, tmp_path):
     assert report["events_out"] == 191
 
 
+def _filter_args(workspace, events_path: Path, out: Path) -> list[str]:
+    return [
+        "filter",
+        "--config", str(workspace["cfg"]),
+        "--set", "filters.hot_pixels.enabled=true",
+        "--set", "filters.bursts.enabled=true",
+        "--events", str(events_path),
+        "-o", str(out),
+    ]
+
+
+def test_filter_writes_the_event_csv_block_by_block(workspace, tmp_path):
+    # filtered.csv is written a block of rows at a time; its bytes are those
+    # write_event_csv joins, whatever the block size.
+    geom = SensorGeometry(16, 12)
+    rng = np.random.default_rng(5)
+    n = 1000
+    t = np.sort(rng.integers(0, 10**7, size=n))
+    x = np.where(np.arange(n) % 3 == 0, 5, rng.integers(0, 16, size=n))  # one hot pixel
+    y = np.where(np.arange(n) % 3 == 0, 7, rng.integers(0, 12, size=n))
+    stream = EventStream(geom, t, x, y, rng.integers(0, 2, size=n) * 2 - 1)
+    expected, flagged = remove_hot_pixels(stream)
+    assert flagged == [(5, 7)]
+    events_path = tmp_path / "in.csv"
+    events_path.write_bytes(write_event_csv(stream))
+    out = tmp_path / "out"
+    with mock.patch.object(events, "_WRITE_BLOCK_ROWS", 7):
+        assert main(_filter_args(workspace, events_path, out)) == 0
+    assert (out / "filtered.csv").read_bytes() == write_event_csv(expected)
+
+
+def test_profile_records_each_stage_outside_the_output(workspace, tmp_path):
+    events_path = workspace["data"] / "query_events.csv"
+    profile = tmp_path / "profile.json"
+    assert main(["--profile", str(profile), *_filter_args(workspace, events_path, tmp_path / "a")]) == 0
+    assert main(_filter_args(workspace, events_path, tmp_path / "b")) == 0
+    record = json.loads(profile.read_text())
+    assert record["command"] == "filter"
+    stages = record["stages"]
+    assert [s["stage"] for s in stages] == [
+        "config", "read-events", "hot-pixels", "bursts", "write", "write"
+    ]
+    assert all(s["wall_s"] >= 0 for s in stages)
+    peaks = [s["peak_rss_mb"] for s in stages]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    # the flag leaves the output directory as it is without it
+    for name in ("filtered.csv", "filter_report.json", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
+        p.name for p in (tmp_path / "b").iterdir()
+    )
+
+
+def test_profile_inside_the_output_fails_with_config_tag(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _filter_args(workspace, workspace["data"] / "query_events.csv", out)
+    assert main(["--profile", str(out / "profile.json"), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace filter: error [config]") and "--profile" in err
+    assert not out.exists()
+
+
 def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):
     rc = main(["filter", "--events", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")])
     assert rc == 1
@@ -319,6 +383,24 @@ def test_run_manifest_digests_inputs(workspace):
     listed = set(manifest["outputs"])
     on_disk = {p.name for p in workspace["run"].iterdir()} - {"manifest.json"}
     assert listed == on_disk
+
+
+def _digest_entry(path: Path) -> dict:
+    return {"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_run_and_filter_manifests_digest_event_inputs(workspace, tmp_path):
+    # Inputs are hashed a block at a time; the digest is the whole file's.
+    data = workspace["data"]
+    manifest = json.loads((workspace["run"] / "manifest.json").read_text())
+    assert manifest["inputs"]["query"] == _digest_entry(data / "query_events.csv")
+    assert manifest["inputs"]["reference"] == _digest_entry(data / "reference_events.csv")
+    out = tmp_path / "out"
+    events_path = data / "reference_events.csv"
+    with mock.patch.object(cli, "_HASH_BLOCK_BYTES", 1000):
+        assert main(_filter_args(workspace, events_path, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"events": _digest_entry(events_path)}
 
 
 def test_ensemble_command_reproduces_run_fusion(workspace, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -269,7 +270,7 @@ def test_parse_matches_row_oracle_on_valid_files(case, block_bytes):
     lf_text = _render(header, rows, final_newline or not rows)
     with mock.patch.object(events, "_CHECK_BLOCK_BYTES", block_bytes):
         _assert_parses_like_rows(text)
-        assert _parse_strict(lf_text.encode(), G4) is not None
+        assert _parse_strict(io.BytesIO(lf_text.encode()), G4) is not None
 
 
 @settings(max_examples=400, deadline=None)
@@ -331,6 +332,76 @@ def test_parse_errors_keep_line_and_class_past_the_strict_pass():
         _assert_parses_like_rows(text)
 
 
+def _file_outcomes(data: bytes, prefix: bytes) -> list:
+    """``parse_event_csv`` on a ``BytesIO`` and on a real file, each opened
+    just past ``prefix``, so a refused file must rewind to that offset."""
+    with tempfile.TemporaryFile() as real:
+        real.write(prefix + data)
+        outcomes = []
+        for fh in (io.BytesIO(prefix + data), real):
+            fh.seek(len(prefix))
+            outcomes.append(_outcome(parse_event_csv, fh, G4))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _csv_files(),
+    _CHECK_BLOCKS,
+    st.sampled_from([None, "regression", "huge_x", "polarity", "plus", "crlf", "field_count"]),
+    st.binary(max_size=12),
+)
+def test_parse_from_a_file_matches_row_oracle(case, block_bytes, late, prefix):
+    # ``late`` spoils the last row, which sits in the last block when blocks
+    # are small: the strict pass refuses there, after filling earlier rows.
+    header, rows, final_newline = case
+    rows = [list(r) for r in rows]
+    if late and rows:
+        last = rows[-1]
+        if late == "regression":
+            last[0] = str(int(rows[-2][0]) - 1) if len(rows) > 1 else "-1"
+        elif late == "huge_x":
+            last[1] = str(2**32 + 1)
+        elif late == "polarity":
+            last[3] = "2"
+        elif late == "plus":
+            last[2] = "+" + last[2]
+        elif late == "crlf":
+            last[3] += "\r"
+        else:
+            last.append("1")
+    text = _render(header, rows, final_newline)
+    expected = _outcome(_parse_rows, text, G4)
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", block_bytes):
+        assert _file_outcomes(text.encode(), prefix) == [expected, expected], text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t,x,y,p", "t,x,y,p\n", "t,x,y", "t,x,y,\n", "t,x,y,p\n5,0,0,1", "t,x,y,p5,0,0,1\n",
+     "t,x,y,p\nt,x,y,p\n", "5,0,0,1\nt,x,y,p\n", "", "\n"],
+)
+def test_parse_from_a_file_reads_a_header_cut_by_the_first_read(text):
+    expected = _outcome(_parse_rows, text, G4)
+    for block_bytes in range(1, 10):
+        with mock.patch.object(events, "_CHECK_BLOCK_BYTES", block_bytes):
+            assert _file_outcomes(text.encode(), b"") == [expected, expected]
+            _assert_parses_like_rows(text)
+
+
+def test_parse_refusal_in_a_late_block_rewinds_to_the_row_loops_error():
+    good = "t,x,y,p\n" + "".join(f"{i},1,2,1\n" for i in range(500))
+    for bad, error in (("9,0,0,1", OrderingError), ("600,0,0,2", ParseError)):
+        data = (good + bad + "\n" + "601,0,0,1").encode()
+        expected = _outcome(_parse_rows, data, G4)
+        assert expected[0] is error and expected[1].startswith("line 502")
+        spy = mock.Mock(wraps=events._block_values)
+        with mock.patch.object(events, "_CHECK_BLOCK_BYTES", 64), \
+                mock.patch.object(events, "_block_values", spy):
+            assert _file_outcomes(data, b"x,y\n") == [expected, expected]
+        assert spy.call_count > 2 * 50  # two files, each refused after 50 blocks
+
+
 # Rows of one width (11 bytes: t has 6 digits, x and y 1, p is 0 or 1), so
 # every mutation below keeps the blocks of the valid file.
 _EDGE_ROWS = [[str(100_000 + 7 * i), str(i % 4), str(i // 4 % 4), str(i % 2)] for i in range(40)]
@@ -341,11 +412,22 @@ def _edge_blocks(text: str) -> list[int]:
     """1-based line of the first row of each check block of ``text``.
 
     ``text`` must pass the strict form checks, so only a value can refuse it.
+    The blocks are those the strict pass reads: ``_block_values`` is wrapped
+    to record each block's rows after the real form checks and to return
+    zeros, so no value check ends the loop early.
     """
-    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
-        blocks = events._strict_blocks(text.encode())
-    assert blocks is not None
-    rows = [n_fields // 4 for _, _, n_fields in blocks]
+    rows = []
+
+    def record(block):
+        values = block_values(block)
+        assert values is not None
+        rows.append(len(values))
+        return np.zeros_like(values)
+
+    block_values = events._block_values
+    with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES), \
+            mock.patch.object(events, "_block_values", record):
+        assert _parse_strict(io.BytesIO(text.encode()), G4) is not None
     return np.cumsum([2] + rows[:-1]).tolist()  # line 1 is the header
 
 
@@ -353,7 +435,7 @@ def test_parse_many_blocks_matches_row_oracle_with_narrow_dtypes():
     text = _render(True, _EDGE_ROWS, True)
     assert len(_edge_blocks(text)) >= 5
     with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
-        s = _parse_strict(text.encode(), G4)
+        s = _parse_strict(io.BytesIO(text.encode()), G4)
         _assert_parses_like_rows(text)
     assert [s.t.dtype, s.x.dtype, s.y.dtype, s.p.dtype] == [np.int64, np.int32, np.int32, np.int8]
 
@@ -389,7 +471,7 @@ def test_block_value_checks_refuse_with_the_row_loops_error(case, error):
     text = _render(True, rows, True)
     assert _edge_blocks(text) == starts
     with mock.patch.object(events, "_CHECK_BLOCK_BYTES", _EDGE_BLOCK_BYTES):
-        assert _parse_strict(text.encode(), G4) is None
+        assert _parse_strict(io.BytesIO(text.encode()), G4) is None
         with pytest.raises(error, match=f"line {line}\\b") as exc:
             parse_event_csv(text.encode(), G4)
         assert _outcome(parse_event_csv, text.encode(), G4) == _outcome(_parse_rows, text, G4)
@@ -463,6 +545,23 @@ def test_parse_holds_the_stream_and_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 24 * len(s) + 4 * 2**20
+
+
+def test_parse_from_an_open_file_holds_the_stream_and_one_block(tmp_path):
+    # Read a block at a time, the text is never whole: beyond the
+    # 17-byte-per-event stream, the peak is one block's text and values.
+    s = _random_stream(np.random.default_rng(41), 200_000, SensorGeometry(346, 260), t_max=10**9)
+    path = tmp_path / "events.csv"
+    path.write_bytes(write_event_csv(s))
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            back = parse_event_csv(fh, s.geometry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert all(np.array_equal(getattr(back, k), getattr(s, k)) for k in "txyp")
+    assert peak < 17 * len(s) + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ inputs and the output list.  The ``--output`` directory is made at the
 first write, so a command that fails before writing leaves none behind.
 Every failure prints ``evplace <cmd>: error [<stage>] ...`` and exits 1.
 Inputs are hashed and event CSVs parsed and written a block at a time, so
-no command holds an event file's whole text.
+no command holds an event file's whole text, and each parsed stream is
+filtered in place.
 
 ``evplace --profile PATH <cmd> ...`` also writes each stage's wall time and
 the process's peak RSS at its end to the JSON file ``PATH``, which must lie
-outside the output directory.
+outside the output directory, with the events in and out of the
+read-events, hot-pixels and bursts stages and the pixels hot-pixels flagged.
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
@@ -58,11 +60,14 @@ from .evaluation import (
     write_ground_truth_csv,
 )
 from .events import (
+    burst_mask,
+    compact_in_place,
     event_csv_blocks,
-    filter_bursts,
+    filter_bursts,  # noqa: F401  (a name perfbench/tracing.py hooks)
+    hot_pixel_mask,
     parse_event_csv,
-    remove_hot_pixels,
-    write_event_csv,  # noqa: F401  (the name perfbench/tracing.py hooks)
+    remove_hot_pixels,  # noqa: F401  (a name perfbench/tracing.py hooks)
+    write_event_csv,  # noqa: F401  (a name perfbench/tracing.py hooks)
 )
 from .pipeline import PipelineResult, run_from_sequences, run_place_recognition
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
@@ -85,10 +90,16 @@ class StageError(EvPlaceError):
 
 @contextmanager
 def _stage(name: str):
+    """Tag errors with the stage ``name``; with --profile, record the stage.
+
+    Yields a dict: data counters the stage puts there (events in and out,
+    pixels flagged) join its profile record.
+    """
     logger.info("stage %s", name)
+    counters: dict = {}
     start = time.perf_counter()
     try:
-        yield
+        yield counters
     except StageError:
         raise
     except (EvPlaceError, OSError, ValueError) as e:
@@ -101,6 +112,7 @@ def _stage(name: str):
                     "stage": name,
                     "wall_s": time.perf_counter() - start,
                     "peak_rss_mb": peak_kib / 1024.0,
+                    **counters,
                 }
             )
 
@@ -174,26 +186,35 @@ class _Outputs:
 def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
     """Read, parse and filter one event CSV, returning the stream and a report.
 
-    The file is parsed a block at a time, and each stage's result replaces
-    ``stream``, so the parsed stream is freed when the first filter returns;
-    no caller holds an unfiltered stream while a filter runs.
+    The file is parsed a block at a time.  Each filter computes its keep
+    mask a chunk of events at a time and compacts the stream's own arrays
+    in place (:func:`~evplace.events.compact_in_place`), so filtering holds
+    the stream and a one-byte-per-event mask, never a filtered copy beside
+    it.  The stream, flagged pixels and report equal those of
+    ``remove_hot_pixels`` then ``filter_bursts`` on the parsed stream.
     """
-    with _stage("read-events"):
+    with _stage("read-events") as counters:
         stream = out.read(role, path, parse_event_csv, cfg.geometry)
+        counters.update(events_in=len(stream), events_out=len(stream))
     report = {"events_in": len(stream)}
     if cfg.hot_pixels_enabled:
-        with _stage("hot-pixels"):
+        with _stage("hot-pixels") as counters:
             n_before = len(stream)
-            stream, flagged = remove_hot_pixels(stream, cfg.hot_pixels_sigma)
+            keep, flagged = hot_pixel_mask(stream, cfg.hot_pixels_sigma)
+            stream = compact_in_place(stream, keep)
+            del keep
+            counters.update(events_in=n_before, events_out=len(stream), flagged=len(flagged))
             report["hot_pixels"] = {
                 "sigma": cfg.hot_pixels_sigma,
                 "flagged": [[int(x), int(y)] for x, y in flagged],
                 "events_removed": n_before - len(stream),
             }
     if cfg.bursts_enabled:
-        with _stage("bursts"):
+        with _stage("bursts") as counters:
             n_before = len(stream)
-            stream = filter_bursts(stream, cfg.burst_bin_us, cfg.burst_fraction)
+            keep = burst_mask(stream, cfg.burst_bin_us, cfg.burst_fraction)
+            stream = compact_in_place(stream, keep)
+            counters.update(events_in=n_before, events_out=len(stream))
             report["bursts"] = {
                 "bin_us": cfg.burst_bin_us,
                 "fraction": cfg.burst_fraction,

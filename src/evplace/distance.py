@@ -151,12 +151,18 @@ def best_match_per_query(matrix: DistanceMatrix) -> list[tuple[int, float]]:
 
 
 def write_matrix_csv(matrix: DistanceMatrix) -> bytes:
-    """Serialize a matrix: header of reference times, then ``t_q,d1,...``."""
-    lines = [",".join(str(int(t)) for t in matrix.ref_t_us)]
-    for i in range(matrix.n_queries):
-        row = ",".join(repr(float(d)) for d in matrix.values[i])
-        lines.append(f"{int(matrix.query_t_us[i])},{row}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Serialize a matrix: header of reference times, then ``t_q,d1,...``.
+
+    Each row is one ``%d,%r,...`` format of its Python values: ``%r`` of a
+    float is its shortest round-tripping ``repr``.
+    """
+    row_format = "%d" + ",%r" * matrix.ref_t_us.size + "\n"
+    lines = [",".join(map(str, matrix.ref_t_us.tolist())) + "\n"]
+    lines += [
+        row_format % (t, *row)
+        for t, row in zip(matrix.query_t_us.tolist(), matrix.values.tolist())
+    ]
+    return "".join(lines).encode("utf-8")
 
 
 def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:

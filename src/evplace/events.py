@@ -23,7 +23,13 @@ at a time, so a file can be written without its whole text.
 Two denoising filters operate on whole streams: :func:`remove_hot_pixels`
 drops pixels that fire far more often than the sensor average, and
 :func:`filter_bursts` drops short time slices in which an implausible
-fraction of the array fired at once.
+fraction of the array fired at once.  Each computes its keep mask
+(:func:`hot_pixel_mask`, :func:`burst_mask`) ``_FILTER_CHUNK_EVENTS``
+events at a time, so a filter's temporaries do not grow with the stream
+beyond the one-byte-per-event mask.  The public filters select the kept
+events into a new stream; :func:`compact_in_place` instead moves them
+forward within the arrays of a stream nothing else holds and shrinks them,
+which is how the command line filters a stream it has just parsed.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ _MAX_FIELD_CHARS = 18
 # the writer (rows); small enough that a block's temporaries stay in cache.
 _CHECK_BLOCK_BYTES = 1 << 17
 _WRITE_BLOCK_ROWS = 8192
+# Events per chunk of the filters' mask passes and of the in-place
+# compaction: each pass holds one chunk's temporaries besides the stream.
+_FILTER_CHUNK_EVENTS = 1 << 16
 
 DEFAULT_HOT_PIXEL_SIGMA = 5.0
 DEFAULT_BURST_BIN_US = 500
@@ -77,7 +86,9 @@ class EventStream:
     The four arrays share one length.  Instances are immutable: the
     constructor checks and copies the arrays it is given, and every array
     is marked read-only, so filters and windowing can hand out views
-    without defensive copies.
+    without defensive copies.  The one exception is
+    :func:`compact_in_place`, which takes the arrays of a stream that
+    nothing else references.
     """
 
     geometry: SensorGeometry
@@ -156,11 +167,11 @@ class EventStream:
         m = mask_or_index
         return EventStream._adopt(self.geometry, self.t[m], self.x[m], self.y[m], self.p[m])
 
-    def pixel_index(self) -> np.ndarray:
-        """Flat ``y * width + x`` index per event (row-major pixel id)."""
-        index = self.y.astype(np.int64)
+    def pixel_index(self, rows: slice = slice(None)) -> np.ndarray:
+        """Flat ``y * width + x`` index (row-major pixel id) of the events in ``rows``."""
+        index = self.y[rows].astype(np.int64)
         index *= self.geometry.width
-        index += self.x
+        index += self.x[rows]
         return index
 
 
@@ -403,16 +414,26 @@ def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
 def event_csv_blocks(stream: EventStream) -> Iterator[bytes]:
     """The ``t,x,y,p`` CSV of a stream (header row, LF endings) in blocks.
 
-    One %-format per ``_WRITE_BLOCK_ROWS`` rows, encoded at once: a block
-    bounds the Python ints alive at a time, and writing each block as it
-    comes holds one block of text, not the whole file.
+    One ``bytes`` %-format per ``_WRITE_BLOCK_ROWS`` rows: ``t`` as a Python
+    int, ``x``, ``y`` and ``p`` as the encoded digits looked up in tables of
+    ``width``, ``height`` and 3 entries.  A block bounds the Python objects
+    alive at a time, and writing each block as it comes holds one block of
+    text, not the whole file.
     """
     yield (EVENT_CSV_HEADER + "\n").encode("ascii")
+    g = stream.geometry
+    x_text = np.array([b"%d" % i for i in range(g.width)], dtype=object)
+    y_text = np.array([b"%d" % i for i in range(g.height)], dtype=object)
+    p_text = np.array([b"0", b"1", b"-1"], dtype=object)  # indexed by p itself
     for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
         block = slice(start, start + _WRITE_BLOCK_ROWS)
-        rows = np.column_stack([stream.t[block], stream.x[block], stream.y[block], stream.p[block]])
-        text = "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
-        yield text.encode("ascii")
+        n = stream.t[block].size
+        rows = np.empty((n, 4), dtype=object)
+        rows[:, 0] = stream.t[block].tolist()
+        rows[:, 1] = x_text[stream.x[block]]
+        rows[:, 2] = y_text[stream.y[block]]
+        rows[:, 3] = p_text[stream.p[block]]
+        yield b"%d,%s,%s,%s\n" * n % tuple(rows.ravel().tolist())
 
 
 def write_event_csv(stream: EventStream) -> bytes:
@@ -425,6 +446,141 @@ def write_event_csv(stream: EventStream) -> bytes:
     return b"".join(event_csv_blocks(stream))
 
 
+def _chunks(n_events: int) -> Iterator[slice]:
+    """Consecutive slices of ``_FILTER_CHUNK_EVENTS`` events covering ``n_events``."""
+    for start in range(0, n_events, _FILTER_CHUNK_EVENTS):
+        yield slice(start, start + _FILTER_CHUNK_EVENTS)
+
+
+def hot_pixel_mask(
+    stream: EventStream, sigma: float = DEFAULT_HOT_PIXEL_SIGMA
+) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+    """The keep mask of :func:`remove_hot_pixels` and the pixels it flags.
+
+    The per-pixel counts are summed one ``np.bincount`` per chunk of pixel
+    ids.  The rounds then run on the count vector alone: removing a pixel's
+    events changes no other pixel's count, so each round zeroes the flagged
+    counts.  The mask is filled a chunk at a time, so beyond its one byte
+    per event the pass holds one chunk's pixel ids and two count vectors.
+
+    Returns
+    -------
+    (ndarray of bool or None, list of (x, y))
+        The events to keep, ``None`` when nothing is flagged, and the
+        flagged pixels in the order found (row-major scan within each round).
+    """
+    if sigma <= 0:
+        raise ConfigError(f"sigma must be positive, got {sigma}")
+    n_pixels = stream.geometry.n_pixels
+    counts = np.zeros(n_pixels, dtype=np.int64)
+    for rows in _chunks(len(stream)):
+        counts += np.bincount(stream.pixel_index(rows), minlength=n_pixels)
+    flagged: list[tuple[int, int]] = []
+    width = stream.geometry.width
+    hot_mask = np.zeros(n_pixels, dtype=bool)
+    while True:
+        threshold = counts.mean() + sigma * counts.std()
+        hot = np.flatnonzero(counts > threshold)
+        if hot.size == 0:
+            break
+        flagged.extend((int(i % width), int(i // width)) for i in hot)
+        hot_mask[hot] = True
+        counts[hot] = 0
+    if not flagged:
+        return None, flagged
+    cold_mask = ~hot_mask
+    keep = np.empty(len(stream), dtype=bool)
+    for rows in _chunks(len(stream)):
+        np.take(cold_mask, stream.pixel_index(rows), out=keep[rows])
+    return keep, flagged
+
+
+def burst_mask(
+    stream: EventStream,
+    bin_us: int = DEFAULT_BURST_BIN_US,
+    fraction: float = DEFAULT_BURST_FRACTION,
+) -> np.ndarray | None:
+    """The keep mask of :func:`filter_bursts`, ``None`` when no bin is a burst.
+
+    Computed a chunk of whole bins at a time: a chunk of
+    ``_FILTER_CHUNK_EVENTS`` events is extended to the end of its last
+    bin, so beyond the mask's one byte per event the pass holds one chunk,
+    or one bin when a bin holds more events than that.
+    """
+    if bin_us <= 0:
+        raise ConfigError(f"bin_us must be positive, got {bin_us}")
+    if not (0.0 < fraction <= 1.0):
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    g = stream.geometry
+    t = stream.t
+    n = len(stream)
+    keep = np.empty(n, dtype=bool)
+    start = 0
+    while start < n:
+        stop = min(start + _FILTER_CHUNK_EVENTS, n)
+        next_bin_t = (int(t[stop - 1]) // bin_us + 1) * bin_us  # a Python int cannot wrap
+        stop = int(np.searchsorted(t, next_bin_t)) if next_bin_t <= int(t[-1]) else n
+        rows = slice(start, stop)
+        key = t[rows] // bin_us
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        bin_start = np.flatnonzero(new)
+        # Distinct pixels per bin: key each event by its bin's rank in the
+        # chunk and its pixel, (rank * height + y) * width + x, which stays
+        # below (chunk events + 1) * n_pixels whatever t is.  Sort the keys
+        # and count each that differs from its predecessor; the ranks rise
+        # with t, so the sort only reorders within a bin.
+        np.cumsum(new, out=key)
+        key *= g.height
+        key += stream.y[rows]
+        key *= g.width
+        key += stream.x[rows]
+        key.sort()
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        distinct = np.add.reduceat(new, bin_start, dtype=np.int64)
+        burst = distinct > fraction * g.n_pixels
+        keep[rows] = np.repeat(~burst, np.diff(bin_start, append=stop - start))
+        start = stop
+    return None if keep.all() else keep
+
+
+def compact_in_place(stream: EventStream, keep: np.ndarray | None) -> EventStream:
+    """``stream.select(keep)``, written over the arrays of ``stream``.
+
+    For a stream that nothing else references, such as one just parsed.
+    Each array is taken from ``stream``, which is left without it; its kept
+    events are moved forward a chunk at a time, it is shrunk in place, and
+    the returned stream adopts it.  The peak is the stream and one chunk of
+    one array, not a second stream.  ``ndarray.resize`` refuses, with a
+    ``ValueError``, an array that a view or another name still references.
+    With ``keep`` ``None`` the stream is returned as it is.
+    """
+    if keep is None:
+        return stream
+    columns = []
+    for name in ("t", "x", "y", "p"):
+        columns.append(getattr(stream, name))
+        object.__setattr__(stream, name, None)
+        columns[-1].flags.writeable = True
+    n_kept = 0
+    for rows in _chunks(keep.size):
+        # an index gathers several times faster than a scattered boolean mask
+        kept = np.flatnonzero(keep[rows])
+        for column in columns:
+            column[n_kept : n_kept + kept.size] = column[rows][kept]
+        n_kept += kept.size
+    # Shrink each column while only this frame references it, so that the
+    # reference check of resize refuses a column held anywhere else.
+    shrunk = []
+    while columns:
+        column = columns.pop(0)
+        column.resize(n_kept)
+        shrunk.append(column)
+    return EventStream._adopt(stream.geometry, *shrunk)
+
+
 def remove_hot_pixels(
     stream: EventStream, sigma: float = DEFAULT_HOT_PIXEL_SIGMA
 ) -> tuple[EventStream, list[tuple[int, int]]]:
@@ -434,10 +590,8 @@ def remove_hot_pixels(
     of the per-pixel count distribution taken over the whole array
     (including silent pixels).  Flagging and removal repeat until the
     distribution is stable, so applying the filter twice changes nothing.
-
-    The rounds run on the count vector alone: removing a pixel's events
-    changes no other pixel's count, so each round zeroes the flagged
-    counts, and the events are selected once at the end.
+    The events to keep are :func:`hot_pixel_mask`'s, selected into a new
+    stream; the input is not modified.
 
     Parameters
     ----------
@@ -452,26 +606,8 @@ def remove_hot_pixels(
         (row-major scan within each round).  With nothing flagged the
         stream is the input itself.
     """
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    flagged: list[tuple[int, int]] = []
-    width = stream.geometry.width
-    pixel = stream.pixel_index()
-    counts = np.bincount(pixel, minlength=stream.geometry.n_pixels)
-    hot_mask = np.zeros(counts.size, dtype=bool)
-    while True:
-        threshold = counts.mean() + sigma * counts.std()
-        hot = np.flatnonzero(counts > threshold)
-        if hot.size == 0:
-            break
-        flagged.extend((int(i % width), int(i // width)) for i in hot)
-        hot_mask[hot] = True
-        counts[hot] = 0
-    if not flagged:
-        return stream, flagged
-    keep = (~hot_mask)[pixel]
-    del pixel
-    return stream.select(keep), flagged
+    keep, flagged = hot_pixel_mask(stream, sigma)
+    return (stream if keep is None else stream.select(keep)), flagged
 
 
 def filter_bursts(
@@ -485,6 +621,8 @@ def filter_bursts(
     bin boundaries sit on multiples of ``bin_us`` so that re-filtering an
     already filtered stream is a no-op.  Every event of a bin is dropped
     when the bin touches strictly more than ``fraction`` of all pixels.
+    The events to keep are :func:`burst_mask`'s, selected into a new
+    stream; the input is not modified.
 
     Parameters
     ----------
@@ -498,35 +636,8 @@ def filter_bursts(
     Returns
     -------
     EventStream
-        The surviving events, a subsequence of the input.
+        The surviving events, a subsequence of the input; the input itself
+        when no bin is a burst.
     """
-    if bin_us <= 0:
-        raise ConfigError(f"bin_us must be positive, got {bin_us}")
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    if not len(stream):
-        return stream
-    g = stream.geometry
-    n = len(stream)
-    key = stream.t // bin_us
-    changed = np.empty(n, dtype=bool)
-    changed[0] = True
-    np.not_equal(key[1:], key[:-1], out=changed[1:])
-    bin_start = np.flatnonzero(changed)
-    # Distinct pixels per bin: turn the bin index into the (bin, pixel) key
-    # (bin * n_pixels + y * width + x) in place, sort it and count each key
-    # that differs from its predecessor.  t is sorted, so the sort only
-    # reorders within a bin and bin_start still marks every bin.
-    key *= g.height
-    key += stream.y
-    key *= g.width
-    key += stream.x
-    key.sort()
-    np.not_equal(key[1:], key[:-1], out=changed[1:])
-    del key
-    distinct = np.add.reduceat(changed, bin_start, dtype=np.int64)
-    del changed
-    burst = distinct > fraction * g.n_pixels
-    if not burst.any():
-        return stream
-    return stream.select(~np.repeat(burst, np.diff(bin_start, append=n)))
+    keep = burst_mask(stream, bin_us, fraction)
+    return stream if keep is None else stream.select(keep)

@@ -4,17 +4,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evplace import cli, events
 from evplace.cli import main
+from evplace.config import PipelineConfig
 from evplace.descriptors import load_descriptors
 from evplace.distance import read_matrix_csv
-from evplace.events import EventStream, SensorGeometry, remove_hot_pixels, write_event_csv
+from evplace.events import (
+    EventStream,
+    SensorGeometry,
+    filter_bursts,
+    parse_event_csv,
+    remove_hot_pixels,
+    write_event_csv,
+)
 
 CONFIG = {
     "geometry": {"width": 16, "height": 12},
@@ -278,6 +290,179 @@ def test_profile_inside_the_output_fails_with_config_tag(workspace, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("evplace filter: error [config]") and "--profile" in err
     assert not out.exists()
+
+
+def _noisy_stream(geom: SensorGeometry, n: int, seed: int) -> EventStream:
+    """``n`` events: a fiftieth of them on each of 4 hot pixels, one 500 us
+    bin in which every pixel fires once, and the rest scattered."""
+    rng = np.random.default_rng(seed)
+    pix = rng.integers(0, geom.n_pixels, size=n - geom.n_pixels)
+    hot = rng.choice(geom.n_pixels, size=4, replace=False)
+    pix[: 4 * (n // 50)] = np.repeat(hot, n // 50)
+    t = rng.integers(0, 10**7, size=pix.size)
+    pix = np.r_[pix, np.arange(geom.n_pixels)]
+    t = np.r_[t, np.full(geom.n_pixels, 5 * 10**6)]
+    order = np.argsort(t, kind="stable")
+    pix = pix[order]
+    return EventStream(
+        geom, t[order], pix % geom.width, pix // geom.width, rng.choice([-1, 1], size=n)
+    )
+
+
+def test_profile_counts_the_events_of_each_filter(workspace, tmp_path):
+    events_path = tmp_path / "noisy.csv"
+    events_path.write_bytes(write_event_csv(_noisy_stream(SensorGeometry(16, 12), 6000, 3)))
+    profile = tmp_path / "profile.json"
+    assert main(["--profile", str(profile), *_filter_args(workspace, events_path, tmp_path / "a")]) == 0
+    assert main(_filter_args(workspace, events_path, tmp_path / "b")) == 0
+    report = json.loads((tmp_path / "a" / "filter_report.json").read_text())
+    stages = json.loads(profile.read_text())["stages"]
+    counted = {s["stage"]: s for s in stages if "events_in" in s}
+    assert list(counted) == ["read-events", "hot-pixels", "bursts"]
+    read, hot, bursts = counted.values()
+    assert read["events_in"] == read["events_out"] == report["events_in"] == 6000
+    assert hot["events_in"] == report["events_in"]
+    assert hot["events_out"] == report["events_in"] - report["hot_pixels"]["events_removed"]
+    assert hot["flagged"] == len(report["hot_pixels"]["flagged"]) == 4
+    assert bursts["events_in"] == hot["events_out"]
+    assert bursts["events_out"] == hot["events_out"] - report["bursts"]["events_removed"]
+    assert bursts["events_out"] == report["events_out"]
+    assert report["bursts"]["events_removed"] > 0
+    assert all(set(s) == {"stage", "wall_s", "peak_rss_mb"} for s in stages if s not in counted.values())
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
+        p.name for p in (tmp_path / "b").iterdir()
+    )
+    for name in ("filtered.csv", "filter_report.json", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _filter_config(geom: SensorGeometry, hot: bool, sigma: float, bursts: bool,
+                   bin_us: int, fraction: float) -> PipelineConfig:
+    return PipelineConfig.from_dict({
+        "geometry": {"width": geom.width, "height": geom.height},
+        "descriptor": {"down_width": 1, "down_height": 1, "patch": 1},
+        "filters": {
+            "hot_pixels": {"enabled": hot, "sigma": sigma},
+            "bursts": {"enabled": bursts, "bin_us": bin_us, "fraction": fraction},
+        },
+    })
+
+
+def _public_filters(text: bytes, cfg: PipelineConfig):
+    """parse_event_csv, remove_hot_pixels, filter_bursts: the oracle of _read_events."""
+    stream = parse_event_csv(text, cfg.geometry)
+    report = {"events_in": len(stream)}
+    if cfg.hot_pixels_enabled:
+        kept, flagged = remove_hot_pixels(stream, cfg.hot_pixels_sigma)
+        report["hot_pixels"] = {
+            "sigma": cfg.hot_pixels_sigma,
+            "flagged": [list(f) for f in flagged],
+            "events_removed": len(stream) - len(kept),
+        }
+        stream = kept
+    if cfg.bursts_enabled:
+        kept = filter_bursts(stream, cfg.burst_bin_us, cfg.burst_fraction)
+        report["bursts"] = {
+            "bin_us": cfg.burst_bin_us,
+            "fraction": cfg.burst_fraction,
+            "events_removed": len(stream) - len(kept),
+        }
+        stream = kept
+    report["events_out"] = len(stream)
+    return stream, report
+
+
+def _assert_read_events_matches_public_filters(stream: EventStream, cfg: PipelineConfig,
+                                               chunk: int) -> dict:
+    # The public filters run with the default chunk (one chunk for these
+    # streams); the in-place path with `chunk`, so bins straddle its edges.
+    text = write_event_csv(stream)
+    expected, expected_report = _public_filters(text, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(text)
+        with mock.patch.object(events, "_FILTER_CHUNK_EVENTS", chunk):
+            got, report = cli._read_events(cli._Outputs(tmp), "events", str(path), cfg)
+    assert cli._json_bytes(report) == cli._json_bytes(expected_report)
+    assert got.geometry == expected.geometry
+    for k in "txyp":
+        got_a, expected_a = getattr(got, k), getattr(expected, k)
+        assert got_a.dtype == expected_a.dtype and np.array_equal(got_a, expected_a), k
+        assert not got_a.flags.writeable
+    return report
+
+
+@st.composite
+def _filter_cases(draw):
+    g = SensorGeometry(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    n = draw(st.integers(0, 80))
+    loud = draw(st.integers(0, g.n_pixels - 1))
+    pixel = st.one_of(st.just(loud), st.integers(0, g.n_pixels - 1))
+    pix = np.array(draw(st.lists(pixel, min_size=n, max_size=n)), dtype=np.int64)
+    t = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    p = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)), dtype=np.int64)
+    cfg = _filter_config(
+        g,
+        draw(st.booleans()),
+        draw(st.sampled_from([0.5, 1.0, 2.0])),
+        draw(st.booleans()),
+        draw(st.sampled_from([1, 2, 5, 10])),
+        draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+    )
+    stream = EventStream(g, t, pix % g.width, pix // g.width, p)
+    return stream, cfg, draw(st.sampled_from([1, 2, 3, 7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_cases())
+def test_read_events_filters_in_place_like_the_public_filters(case):
+    _assert_read_events_matches_public_filters(*case)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, events._FILTER_CHUNK_EVENTS])
+def test_read_events_in_place_empty_clean_and_all_removed(chunk):
+    g = SensorGeometry(4, 3)
+    cfg = _filter_config(g, True, 1.0, True, 10, 0.25)
+    report = _assert_read_events_matches_public_filters(EventStream.empty(g), cfg, chunk)
+    assert report["events_in"] == 0
+    # one event per pixel, one bin each: nothing flagged, no burst
+    pix = np.arange(g.n_pixels)
+    clean = EventStream(g, pix * 10, pix % 4, pix // 4, np.ones(pix.size))
+    report = _assert_read_events_matches_public_filters(clean, cfg, chunk)
+    assert report["hot_pixels"]["flagged"] == [] and report["events_out"] == g.n_pixels
+    # every pixel twice in one bin: all of it is one burst
+    pix = np.repeat(pix, 2)
+    burst = EventStream(g, np.arange(pix.size) // 5, pix % 4, pix // 4, np.ones(pix.size))
+    report = _assert_read_events_matches_public_filters(burst, cfg, chunk)
+    assert report["events_in"] == 24 and report["events_out"] == 0
+
+
+def test_read_events_filters_in_the_stream_and_a_mask(tmp_path):
+    # 200 k events on 346x260 with 4 hot pixels and a burst.  Past the
+    # parse, filtering holds the 17-byte-per-event stream, a one-byte mask
+    # and about 2 MiB that do not grow with the stream (two int64 counts
+    # per pixel and one chunk of pixel ids).  Filtering into copies holds
+    # an int64 pixel index and the filtered copy besides.
+    g = SensorGeometry(346, 260)
+    stream = _noisy_stream(g, 200_000, 7)
+    path = tmp_path / "events.csv"
+    path.write_bytes(write_event_csv(stream))
+    cfg = _filter_config(g, True, 5.0, True, 500, 0.25)
+
+    def parse_then_reset_peak(*args):
+        parsed = parse_event_csv(*args)
+        tracemalloc.reset_peak()
+        return parsed
+
+    with mock.patch.object(cli, "parse_event_csv", parse_then_reset_peak):
+        tracemalloc.start()
+        try:
+            _, report = cli._read_events(cli._Outputs(str(tmp_path)), "events", str(path), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(report["hot_pixels"]["flagged"]) >= 4 and report["bursts"]["events_removed"] > 0
+    assert peak < 18 * len(stream) + 2.75 * 2**20
 
 
 def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):

@@ -210,6 +210,37 @@ def test_matrix_csv_layout():
     assert write_matrix_csv(m) == b"3,9\n7,0.5,1.0\n"
 
 
+def _write_matrix_csv_per_value(matrix):
+    """The per-value writer ``write_matrix_csv`` replaced: its byte oracle."""
+    lines = [",".join(str(int(t)) for t in matrix.ref_t_us)]
+    for i in range(matrix.n_queries):
+        row = ",".join(repr(float(d)) for d in matrix.values[i])
+        lines.append(f"{int(matrix.query_t_us[i])},{row}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_matrix_csv_matches_the_per_value_writer():
+    tiny = np.nextafter(0.0, 1.0)
+    odd = [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1 / 3,
+           1e16, 1.7976931348623157e308, -1.7976931348623157e308, 2.0, 123456789.0]
+    big = np.iinfo(np.int64)
+    cases = [
+        DistanceMatrix(np.array([odd]), [big.min], [big.min, *range(-5, 5), big.max], "odd"),
+        DistanceMatrix(np.array(odd).reshape(-1, 1), np.arange(12) * 10**17, [big.max], "col"),
+    ]
+    rng = np.random.default_rng(109)
+    for _ in range(10):
+        nq, nr = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        values = rng.standard_normal((nq, nr)) * 10.0 ** rng.integers(-300, 300, size=(nq, nr))
+        cases.append(DistanceMatrix(values, np.cumsum(rng.integers(1, 10**9, size=nq)),
+                                    np.cumsum(rng.integers(1, 10**9, size=nr)) - 10**9, "fuzz"))
+    for m in cases:
+        data = write_matrix_csv(m)
+        assert data == _write_matrix_csv_per_value(m)
+        back = read_matrix_csv(data, m.member_label)
+        assert back.values.tobytes() == m.values.tobytes()
+
+
 def test_matrix_csv_rejects_ragged_rows():
     with pytest.raises(ParseError, match="line 3"):
         read_matrix_csv("3,9\n7,0.5,1.0\n8,0.25\n")

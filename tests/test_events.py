@@ -20,7 +20,11 @@ from evplace.events import (
     SensorGeometry,
     _parse_rows,
     _parse_strict,
+    burst_mask,
+    compact_in_place,
+    event_csv_blocks,
     filter_bursts,
+    hot_pixel_mask,
     parse_event_csv,
     remove_hot_pixels,
     write_event_csv,
@@ -517,6 +521,32 @@ def test_write_matches_row_oracle_across_blocks():
         assert write_event_csv(s) == _write_event_csv_loop(s)
 
 
+def _event_csv_blocks_formula(stream):
+    """The ``%d`` block format ``event_csv_blocks`` replaced: its byte oracle."""
+    yield (EVENT_CSV_HEADER + "\n").encode("ascii")
+    for start in range(0, len(stream), events._WRITE_BLOCK_ROWS):
+        block = slice(start, start + events._WRITE_BLOCK_ROWS)
+        rows = np.column_stack([stream.t[block], stream.x[block], stream.y[block], stream.p[block]])
+        yield ("%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
+
+
+@pytest.mark.parametrize("geometry", [SensorGeometry(1, 1), SensorGeometry(346, 260),
+                                      SensorGeometry(5000, 3)])
+def test_write_blocks_match_the_int_format_at_the_extremes(geometry):
+    rng = np.random.default_rng(47)
+    n = 60
+    t = np.sort(np.r_[0, 0, 10**18 - 1, rng.integers(0, 2**63 - 1, size=n - 5), 2**63 - 1, 2**63 - 1])
+    x = rng.integers(0, geometry.width, size=n)
+    y = rng.integers(0, geometry.height, size=n)
+    p = rng.choice([-1, 1], size=n)
+    x[:4], y[:4], p[:4] = [0, geometry.width - 1] * 2, [0, geometry.height - 1] * 2, [-1, 1, 1, -1]
+    x[-2:], y[-2:], p[-2:] = [geometry.width - 1, 0], [geometry.height - 1, 0], [1, -1]
+    stream = EventStream(geometry, t, x, y, p)
+    with mock.patch.object(events, "_WRITE_BLOCK_ROWS", 7):
+        assert list(event_csv_blocks(stream)) == list(_event_csv_blocks_formula(stream))
+    assert list(event_csv_blocks(stream)) == list(_event_csv_blocks_formula(stream))
+
+
 def test_write_holds_two_copies_of_the_text():
     # Many blocks: each block's text is encoded at once, so the peak is the
     # encoded blocks plus the joined result, and not a third copy besides.
@@ -822,6 +852,86 @@ def test_burst_holds_one_key_and_the_output():
         tracemalloc.stop()
     assert len(s) - len(out) >= burst_t.size
     assert peak < 8 * len(s) + sum(getattr(out, k).nbytes for k in "txyp")
+
+
+@pytest.mark.parametrize("chunk", [1000, events._FILTER_CHUNK_EVENTS])
+def test_burst_keys_do_not_wrap_near_the_int64_limit(chunk):
+    # At bin_us 1 on 346x260, a key of (t * height + y) * width + x wraps
+    # int64 past t = 2**63 / 89960.  The sort then no longer groups a bin,
+    # and such a key kept the burst below and dropped the one-pixel bin.
+    g = SensorGeometry(346, 260)
+    n_burst = int(0.4 * g.n_pixels)
+    pix = np.r_[np.arange(100) * 7, np.arange(n_burst), np.full(30_000, 5)]
+
+    def stream_at(t0):
+        t = np.r_[t0 - 1000 + np.arange(100), np.full(n_burst, t0), np.full(30_000, t0 + 20)]
+        return EventStream(g, t, pix % g.width, pix // g.width, np.ones(t.size, dtype=np.int8))
+
+    late_t0 = 2**63 // g.n_pixels - 10
+    with mock.patch.object(events, "_FILTER_CHUNK_EVENTS", chunk):
+        late = filter_bursts(stream_at(late_t0), bin_us=1)
+        early = filter_bursts(stream_at(10**6), bin_us=1)
+    assert len(late) == len(early) == 30_100
+    assert np.array_equal(late.t - (late_t0 - 10**6), early.t)
+    for k in "xyp":
+        assert np.array_equal(getattr(late, k), getattr(early, k))
+
+
+def _noisy_small_stream(seed):
+    """A 8x6 stream with two loud pixels and one bin in which every pixel fires."""
+    rng = np.random.default_rng(seed)
+    g = SensorGeometry(8, 6)
+    pix = np.r_[rng.integers(0, g.n_pixels, size=300), np.full(80, 9), np.full(60, 30),
+                np.arange(g.n_pixels)]
+    t = np.r_[rng.integers(0, 10**5, size=440), np.full(g.n_pixels, 5 * 10**4)]
+    order = np.argsort(t, kind="stable")
+    return EventStream(g, t[order], pix[order] % 8, pix[order] // 8, rng.choice([-1, 1], size=t.size))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, events._FILTER_CHUNK_EVENTS])
+def test_public_filters_never_modify_their_input(chunk):
+    s = _noisy_small_stream(59)
+    arrays = {k: getattr(s, k) for k in "txyp"}
+    before = {k: a.copy() for k, a in arrays.items()}
+    with mock.patch.object(events, "_FILTER_CHUNK_EVENTS", chunk):
+        cleaned, flagged = remove_hot_pixels(s, 2.0)
+        cleaned_before = {k: getattr(cleaned, k).copy() for k in "txyp"}
+        both = filter_bursts(cleaned, 100, 0.25)
+        bursts = filter_bursts(s, 100, 0.25)
+        hot_pixel_mask(s, 2.0)
+        burst_mask(s, 100, 0.25)
+    assert flagged and len(both) < len(cleaned) < len(s) and len(bursts) < len(s)
+    for k, a in arrays.items():
+        assert getattr(s, k) is a and not a.flags.writeable and np.array_equal(a, before[k])
+        assert np.array_equal(getattr(cleaned, k), cleaned_before[k])
+        for out in (cleaned, both, bursts):
+            assert not np.shares_memory(getattr(out, k), a)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, events._FILTER_CHUNK_EVENTS])
+def test_compact_in_place_matches_select(chunk):
+    s = _noisy_small_stream(61)
+    rng = np.random.default_rng(chunk)
+    for keep in (rng.random(len(s)) < 0.6, np.zeros(len(s), bool), np.ones(len(s), bool)):
+        expected = s.select(keep)
+        taken = EventStream(s.geometry, s.t, s.x, s.y, s.p)
+        with mock.patch.object(events, "_FILTER_CHUNK_EVENTS", chunk):
+            got = compact_in_place(taken, keep)
+        assert taken.t is None  # the arrays moved to the result
+        for k in "txyp":
+            a = getattr(got, k)
+            assert a.dtype == getattr(expected, k).dtype and np.array_equal(a, getattr(expected, k))
+            assert a.flags.owndata and not a.flags.writeable
+    assert compact_in_place(s, None) is s
+
+
+def test_compact_in_place_refuses_an_array_held_elsewhere():
+    s = _noisy_small_stream(67)
+    held = EventStream(s.geometry, s.t, s.x, s.y, s.p)
+    view = held.y[:3]  # keeps y referenced during the call
+    with pytest.raises(ValueError, match="resize"):
+        compact_in_place(held, np.arange(len(s)) % 2 == 0)
+    del view
 
 
 def test_burst_rejects_bad_params():

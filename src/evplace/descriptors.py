@@ -122,15 +122,16 @@ def accumulate_image(
     clipping); ``BINARY`` marks pixels that fired at least once.  An empty
     range yields an all-zero image.
 
-    Every mode is one ``np.bincount`` over the flat pixel ids.  It adds each
-    pixel's events in stream order from ``+0.0``, as a scatter-add into a
-    zero image does, and the sums are small integers, so they are exact.
+    Every mode is one ``np.bincount`` over the stream's row-major pixel ids
+    (``stream.pixel``).  It adds each pixel's events in stream order from
+    ``+0.0``, as a scatter-add into a zero image does, and the sums are
+    small integers, so they are exact.
     """
     if not (0 <= start_idx <= end_idx <= len(stream)):
         raise ConfigError("window indices fall outside the stream")
     geom = stream.geometry
     sl = slice(start_idx, end_idx)
-    flat = stream.y[sl].astype(np.intp) * geom.width + stream.x[sl]
+    flat = stream.pixel[sl]
     if params.mode is AccumulationMode.SIGNED_SUM:
         weights = stream.p[sl].astype(np.float64)
         # With no events, bincount returns int64 even when weighted.

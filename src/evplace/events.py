@@ -2,9 +2,13 @@
 
 An event camera reports a sparse stream of per-pixel brightness changes.
 Each event is a tuple ``(t, x, y, p)``: a microsecond timestamp, pixel
-coordinates, and a polarity in ``{-1, +1}``.  Streams are stored as
-parallel numpy arrays sorted by time, which keeps windowing and
-accumulation vectorized.
+coordinates, and a polarity in ``{-1, +1}``.  Streams are stored as three
+parallel numpy arrays sorted by time: ``t`` int64, ``pixel`` int32 (the
+row-major pixel id ``y * width + x``) and ``p`` int8, 13 bytes per event.
+Every consumer reads the pixel id, so this module is the one place that
+converts between it and ``(x, y)``: the parser checks ``x`` and ``y``
+separately and stores their id, and the writer splits the ids again a
+block at a time.
 
 Event CSV files are read by :func:`parse_event_csv` as binary files, one
 block at a time, in one of two ways.  A file in the strict form
@@ -56,6 +60,9 @@ _WRITE_BLOCK_ROWS = 8192
 # compaction: each pass holds one chunk's temporaries besides the stream.
 _FILTER_CHUNK_EVENTS = 1 << 16
 
+# Pixel ids are int32, so a sensor has at most this many pixels.
+_MAX_PIXELS = 2**31 - 1
+
 DEFAULT_HOT_PIXEL_SIGMA = 5.0
 DEFAULT_BURST_BIN_US = 500
 DEFAULT_BURST_FRACTION = 0.25
@@ -73,17 +80,25 @@ class SensorGeometry:
             raise ConfigError(
                 f"sensor geometry must be positive, got {self.width}x{self.height}"
             )
+        if self.width * self.height > _MAX_PIXELS:
+            raise ConfigError(
+                f"sensor geometry {self.width}x{self.height} has "
+                f"{self.width * self.height} pixels; int32 pixel ids allow at most {_MAX_PIXELS}"
+            )
 
     @property
     def n_pixels(self) -> int:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EventStream:
     """A time-sorted event stream as a structure of arrays.
 
-    The four arrays share one length.  Instances are immutable: the
+    Three arrays of one length are stored: ``t`` int64, ``pixel`` int32
+    (``y * width + x``) and ``p`` int8.  The constructor takes ``x`` and
+    ``y`` and checks them separately; :attr:`x` and :attr:`y` are derived
+    from ``pixel`` on each access.  Instances are immutable: the
     constructor checks and copies the arrays it is given, and every array
     is marked read-only, so filters and windowing can hand out views
     without defensive copies.  The one exception is
@@ -93,14 +108,13 @@ class EventStream:
 
     geometry: SensorGeometry
     t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    pixel: np.ndarray
     p: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, geometry: SensorGeometry, t, x, y, p):
         # Validate the values as given, then narrow: a cast first would wrap
         # an out-of-range value (x = 2**32 + 1 becomes 1) and hide it.
-        t, x, y, p = (np.asarray(a) for a in (self.t, self.x, self.y, self.p))
+        t, x, y, p = (np.asarray(a) for a in (t, x, y, p))
         if not (t.ndim == x.ndim == y.ndim == p.ndim == 1):
             raise ConfigError("event arrays must be one-dimensional")
         if not (t.size == x.size == y.size == p.size):
@@ -110,33 +124,35 @@ class EventStream:
                 raise OrderingError("timestamps must be non-negative")
             if np.any(t[1:] < t[:-1]):
                 raise OrderingError("timestamps must be sorted non-decreasing")
-            if np.any((x < 0) | (x >= self.geometry.width)):
-                raise BoundsError(f"x coordinate outside [0, {self.geometry.width})")
-            if np.any((y < 0) | (y >= self.geometry.height)):
-                raise BoundsError(f"y coordinate outside [0, {self.geometry.height})")
+            if np.any((x < 0) | (x >= geometry.width)):
+                raise BoundsError(f"x coordinate outside [0, {geometry.width})")
+            if np.any((y < 0) | (y >= geometry.height)):
+                raise BoundsError(f"y coordinate outside [0, {geometry.height})")
             if np.any((p != 1) & (p != -1)):
                 raise ConfigError("polarity must be -1 or +1")
-        for name, arr, dtype in (
-            ("t", t, np.int64), ("x", x, np.int32), ("y", y, np.int32), ("p", p, np.int8)
-        ):
-            arr = np.array(arr, dtype=dtype)
+        # In bounds, y * width + x < n_pixels, which the geometry keeps in int32.
+        pixel = np.array(y, dtype=np.int32)
+        pixel *= geometry.width
+        pixel += np.asarray(x, dtype=np.int32)
+        self._set(geometry, np.array(t, dtype=np.int64), pixel, np.array(p, dtype=np.int8))
+
+    def _set(self, geometry: SensorGeometry, t: np.ndarray, pixel: np.ndarray, p: np.ndarray):
+        object.__setattr__(self, "geometry", geometry)
+        for name, arr in (("t", t), ("pixel", pixel), ("p", p)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @classmethod
     def _adopt(
-        cls, geometry: SensorGeometry, t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray
+        cls, geometry: SensorGeometry, t: np.ndarray, pixel: np.ndarray, p: np.ndarray
     ) -> "EventStream":
         """Wrap arrays this module has just built and checked, without a copy.
 
-        The arrays must already be valid int64/int32/int32/int8 columns that
+        The arrays must already be valid int64/int32/int8 columns that
         nothing else references; they are marked read-only here.
         """
         stream = object.__new__(cls)
-        object.__setattr__(stream, "geometry", geometry)
-        for name, arr in (("t", t), ("x", x), ("y", y), ("p", p)):
-            arr.flags.writeable = False
-            object.__setattr__(stream, name, arr)
+        stream._set(geometry, t, pixel, p)
         return stream
 
     @classmethod
@@ -152,10 +168,20 @@ class EventStream:
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
         z = np.array([], dtype=np.int64)
-        return cls(geometry, z, z.copy(), z.copy(), z.copy())
+        return cls(geometry, z, z, z, z)
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Column of each event, a new read-only int32 array."""
+        return _read_only(self.pixel % self.geometry.width)
+
+    @property
+    def y(self) -> np.ndarray:
+        """Row of each event, a new read-only int32 array."""
+        return _read_only(self.pixel // self.geometry.width)
 
     def select(self, mask_or_index: np.ndarray) -> "EventStream":
         """New stream keeping the selected events (order preserved).
@@ -163,16 +189,18 @@ class EventStream:
         ``mask_or_index`` is a boolean mask or an increasing index array.
         Either picks a subsequence, and a subsequence of a valid stream is
         valid, so the selected copies are adopted without a second check.
+        A mask is turned into an index once: gathering by index is several
+        times faster than by a scattered mask.
         """
-        m = mask_or_index
-        return EventStream._adopt(self.geometry, self.t[m], self.x[m], self.y[m], self.p[m])
+        index = np.asarray(mask_or_index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        return EventStream._adopt(self.geometry, self.t[index], self.pixel[index], self.p[index])
 
-    def pixel_index(self, rows: slice = slice(None)) -> np.ndarray:
-        """Flat ``y * width + x`` index (row-major pixel id) of the events in ``rows``."""
-        index = self.y[rows].astype(np.int64)
-        index *= self.geometry.width
-        index += self.x[rows]
-        return index
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def numbered_lines(source) -> Iterator[tuple[int, str]]:
@@ -253,12 +281,13 @@ def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:
     is read twice from its current position, one block at a time:
 
     1. the LF bytes are counted, which sizes the preallocated int64 ``t``,
-       int32 ``x``/``y`` and int8 ``p``;
+       int32 ``pixel`` and int8 ``p``;
     2. each block of ``_CHECK_BLOCK_BYTES`` plus the rest of its last row
        is checked for form, parsed to int64, its values are checked as
        :class:`EventStream` would check them (``t`` non-negative and not
        below the previous block's last ``t``, sorted, coordinates in
-       bounds, polarity in ``{-1, 0, 1}``), and written into those arrays.
+       bounds, polarity in ``{-1, 0, 1}``), and written into those arrays,
+       ``x`` and ``y`` as their pixel id.
 
     The rows parsed must be the rows counted.  A refusal carries no line
     number and leaves the file at an arbitrary position; the caller
@@ -278,8 +307,7 @@ def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:
     else:
         fh.seek(start)
     t = np.empty(n_lines, np.int64)
-    x = np.empty(n_lines, np.int32)
-    y = np.empty(n_lines, np.int32)
+    pixel = np.empty(n_lines, np.int32)
     p = np.empty(n_lines, np.int8)
     row = 0
     last_t = 0
@@ -301,8 +329,7 @@ def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:
             return None
         rows = slice(row, row + bt.size)
         t[rows] = bt
-        x[rows] = bx
-        y[rows] = by
+        pixel[rows] = by * geometry.width + bx
         p[rows] = np.where(bp == 0, -1, bp)
         row += bt.size
         last_t = bt[-1]
@@ -310,7 +337,7 @@ def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:
         del values, bt, bx, by, bp
     if row != n_lines:
         return None
-    return EventStream._adopt(geometry, t, x, y, p)
+    return EventStream._adopt(geometry, t, pixel, p)
 
 
 def _block_values(block: bytes) -> np.ndarray | None:
@@ -416,9 +443,10 @@ def event_csv_blocks(stream: EventStream) -> Iterator[bytes]:
 
     One ``bytes`` %-format per ``_WRITE_BLOCK_ROWS`` rows: ``t`` as a Python
     int, ``x``, ``y`` and ``p`` as the encoded digits looked up in tables of
-    ``width``, ``height`` and 3 entries.  A block bounds the Python objects
-    alive at a time, and writing each block as it comes holds one block of
-    text, not the whole file.
+    ``width``, ``height`` and 3 entries, ``x`` and ``y`` split from the
+    block's pixel ids.  A block bounds the Python objects alive at a time,
+    and writing each block as it comes holds one block of text, not the
+    whole file.
     """
     yield (EVENT_CSV_HEADER + "\n").encode("ascii")
     g = stream.geometry
@@ -428,10 +456,11 @@ def event_csv_blocks(stream: EventStream) -> Iterator[bytes]:
     for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
         block = slice(start, start + _WRITE_BLOCK_ROWS)
         n = stream.t[block].size
+        y, x = np.divmod(stream.pixel[block], g.width)
         rows = np.empty((n, 4), dtype=object)
         rows[:, 0] = stream.t[block].tolist()
-        rows[:, 1] = x_text[stream.x[block]]
-        rows[:, 2] = y_text[stream.y[block]]
+        rows[:, 1] = x_text[x]
+        rows[:, 2] = y_text[y]
         rows[:, 3] = p_text[stream.p[block]]
         yield b"%d,%s,%s,%s\n" * n % tuple(rows.ravel().tolist())
 
@@ -457,11 +486,12 @@ def hot_pixel_mask(
 ) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
     """The keep mask of :func:`remove_hot_pixels` and the pixels it flags.
 
-    The per-pixel counts are summed one ``np.bincount`` per chunk of pixel
-    ids.  The rounds then run on the count vector alone: removing a pixel's
-    events changes no other pixel's count, so each round zeroes the flagged
-    counts.  The mask is filled a chunk at a time, so beyond its one byte
-    per event the pass holds one chunk's pixel ids and two count vectors.
+    The per-pixel counts are summed one ``np.bincount`` of ``stream.pixel``
+    per chunk of events.  The rounds then run on the count vector alone:
+    removing a pixel's events changes no other pixel's count, so each round
+    zeroes the flagged counts.  The mask is filled a chunk at a time, so
+    beyond its one byte per event the pass holds two count vectors and
+    the index copy numpy makes of one chunk.
 
     Returns
     -------
@@ -474,7 +504,7 @@ def hot_pixel_mask(
     n_pixels = stream.geometry.n_pixels
     counts = np.zeros(n_pixels, dtype=np.int64)
     for rows in _chunks(len(stream)):
-        counts += np.bincount(stream.pixel_index(rows), minlength=n_pixels)
+        counts += np.bincount(stream.pixel[rows], minlength=n_pixels)
     flagged: list[tuple[int, int]] = []
     width = stream.geometry.width
     hot_mask = np.zeros(n_pixels, dtype=bool)
@@ -491,7 +521,7 @@ def hot_pixel_mask(
     cold_mask = ~hot_mask
     keep = np.empty(len(stream), dtype=bool)
     for rows in _chunks(len(stream)):
-        np.take(cold_mask, stream.pixel_index(rows), out=keep[rows])
+        np.take(cold_mask, stream.pixel[rows], out=keep[rows])
     return keep, flagged
 
 
@@ -527,15 +557,13 @@ def burst_mask(
         np.not_equal(key[1:], key[:-1], out=new[1:])
         bin_start = np.flatnonzero(new)
         # Distinct pixels per bin: key each event by its bin's rank in the
-        # chunk and its pixel, (rank * height + y) * width + x, which stays
-        # below (chunk events + 1) * n_pixels whatever t is.  Sort the keys
-        # and count each that differs from its predecessor; the ranks rise
-        # with t, so the sort only reorders within a bin.
+        # chunk and its pixel, rank * n_pixels + pixel, which stays below
+        # (chunk events + 1) * n_pixels whatever t is.  Sort the keys and
+        # count each that differs from its predecessor; the ranks rise with
+        # t, so the sort only reorders within a bin.
         np.cumsum(new, out=key)
-        key *= g.height
-        key += stream.y[rows]
-        key *= g.width
-        key += stream.x[rows]
+        key *= g.n_pixels
+        key += stream.pixel[rows]
         key.sort()
         np.not_equal(key[1:], key[:-1], out=new[1:])
         del key
@@ -560,7 +588,7 @@ def compact_in_place(stream: EventStream, keep: np.ndarray | None) -> EventStrea
     if keep is None:
         return stream
     columns = []
-    for name in ("t", "x", "y", "p"):
+    for name in ("t", "pixel", "p"):
         columns.append(getattr(stream, name))
         object.__setattr__(stream, name, None)
         columns[-1].flags.writeable = True

@@ -144,6 +144,23 @@ def test_infinite_override_fails_with_config_tag(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_geometry_beyond_int32_pixel_ids_fails_with_config_tag(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "windows",
+            "--config", str(workspace["cfg"]),
+            "--set", "geometry.width=2147483648",
+            "--events", str(workspace["data"] / "query_events.csv"),
+            "-o", str(out),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace windows: error [config]") and "2147483647" in err, err
+    assert not out.exists()
+
+
 def test_set_override_lands_in_manifest(workspace, tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -385,7 +402,7 @@ def _assert_read_events_matches_public_filters(stream: EventStream, cfg: Pipelin
             got, report = cli._read_events(cli._Outputs(tmp), "events", str(path), cfg)
     assert cli._json_bytes(report) == cli._json_bytes(expected_report)
     assert got.geometry == expected.geometry
-    for k in "txyp":
+    for k in ("t", "pixel", "p", "x", "y"):
         got_a, expected_a = getattr(got, k), getattr(expected, k)
         assert got_a.dtype == expected_a.dtype and np.array_equal(got_a, expected_a), k
         assert not got_a.flags.writeable
@@ -439,10 +456,10 @@ def test_read_events_in_place_empty_clean_and_all_removed(chunk):
 
 def test_read_events_filters_in_the_stream_and_a_mask(tmp_path):
     # 200 k events on 346x260 with 4 hot pixels and a burst.  Past the
-    # parse, filtering holds the 17-byte-per-event stream, a one-byte mask
+    # parse, filtering holds the 13-byte-per-event stream, a one-byte mask
     # and about 2 MiB that do not grow with the stream (two int64 counts
-    # per pixel and one chunk of pixel ids).  Filtering into copies holds
-    # an int64 pixel index and the filtered copy besides.
+    # per pixel and one chunk's int64 keys).  Filtering into copies holds
+    # the filtered copy besides.
     g = SensorGeometry(346, 260)
     stream = _noisy_stream(g, 200_000, 7)
     path = tmp_path / "events.csv"
@@ -462,7 +479,7 @@ def test_read_events_filters_in_the_stream_and_a_mask(tmp_path):
         finally:
             tracemalloc.stop()
     assert len(report["hot_pixels"]["flagged"]) >= 4 and report["bursts"]["events_removed"] > 0
-    assert peak < 18 * len(stream) + 2.75 * 2**20
+    assert peak < 14 * len(stream) + 2.5 * 2**20
 
 
 def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):

@@ -8,7 +8,7 @@ toward reference 3.  Robust rules shrug the outlier off.
 import numpy as np
 
 from evplace.distance import DistanceMatrix
-from evplace.ensemble import EnsembleRule, RuleKind, combine, votes_as_distances
+from evplace.ensemble import EnsembleRule, combine
 
 QT = np.array([0], dtype=np.int64)
 RT = np.arange(4, dtype=np.int64) * 1_000_000
@@ -42,20 +42,11 @@ def main():
     for rule in rules:
         fused = combine(members, rule)
         row = fused.values[0]
-        # Vote rows score agreement, so retrieval takes the maximum there.
-        if rule.kind is RuleKind.MAJORITY_VOTE:
-            pick = int(np.argmax(row))
-        else:
-            pick = int(np.argmin(row))
+        pick = int(np.argmin(row))
         cells = " ".join(
             f"{v:.3f}{'*' if j == pick else ' '}" for j, v in enumerate(row)
         )
         print(f"  {fused.member_label:>22}: {cells}")
-
-    # Vote matrices hold agreement scores; flip them to reuse the
-    # distance-based evaluation unchanged.
-    votes = combine(members, EnsembleRule.majority_vote())
-    print(f"\nvotes as distances: {votes_as_distances(votes).values[0]}")
 
     # Unit weights reduce the weighted rule to the plain mean, bit for bit.
     unit = combine(members, EnsembleRule.weighted((1.0, 1.0, 1.0)))

@@ -38,8 +38,6 @@ from .ensemble import (
     cross_window_combine,
     cross_window_members,
     enumerate_weight_grid,
-    majority_vote,
-    votes_as_distances,
     weight_grid_search,
 )
 from .errors import (
@@ -134,7 +132,6 @@ __all__ = [
     "generate_world",
     "interpolate_ground_truth",
     "load_descriptors",
-    "majority_vote",
     "normalized_count",
     "pair_ground_truth",
     "parse_event_csv",
@@ -152,7 +149,6 @@ __all__ = [
     "sample_grid",
     "split_fixed_count",
     "split_fixed_time",
-    "votes_as_distances",
     "weight_grid_search",
     "write_descriptors",
     "write_event_csv",

@@ -47,7 +47,7 @@ from .distance import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .ensemble import RuleKind, combine, votes_as_distances
+from .ensemble import combine
 from .errors import ConfigError, EvPlaceError
 from .evaluation import (
     EvalResult,
@@ -267,8 +267,7 @@ def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 
 def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    with _stage("read-events"):
-        stream = out.read("events", args.events, parse_event_csv, cfg.geometry)
+    stream, _ = _read_events(out, "events", args.events, cfg)
     with _stage("windowing"):
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
@@ -281,8 +280,7 @@ def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    with _stage("read-events"):
-        stream = out.read("events", args.events, parse_event_csv, cfg.geometry)
+    stream, _ = _read_events(out, "events", args.events, cfg)
     with _stage("describe"):
         grid = sample_grid(stream, cfg.grid_dt_us)
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
@@ -310,9 +308,6 @@ def cmd_ensemble(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         fused = combine(members, cfg.rule)
     with _stage("write"):
         out.write("ensemble.csv", write_matrix_csv(fused))
-        if cfg.rule.kind is RuleKind.MAJORITY_VOTE:
-            # votes count agreement; also emit the distance-like flip
-            out.write("ensemble_distances.csv", write_matrix_csv(votes_as_distances(fused)))
     return {"label": fused.member_label}
 
 
@@ -360,12 +355,8 @@ def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResul
         out.write(f"eval_{slug}.csv", write_eval_results_csv([ev]))
         summaries.append(_eval_summary(matrix.member_label, ev))
 
-    fused = result.fused
-    fused_dist = (
-        votes_as_distances(fused) if cfg.rule.kind is RuleKind.MAJORITY_VOTE else fused
-    )
-    curve = _pr_curve(fused_dist, result.ground_truth, cfg)
-    out.write(f"pr_{_slug(fused.member_label)}.csv", write_eval_results_csv(curve))
+    curve = _pr_curve(result.fused, result.ground_truth, cfg)
+    out.write(f"pr_{_slug(result.fused.member_label)}.csv", write_eval_results_csv(curve))
 
     n = len(result.members)
     summary = {

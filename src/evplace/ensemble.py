@@ -1,10 +1,10 @@
 """Combination rules that fuse per-member distance matrices.
 
 Each window family contributes one distance matrix over the same query
-and reference sample grids.  The rules here collapse that stack into a
-single matrix (or, for majority voting, into a vote matrix).  The mean
-rule is the workhorse; the others exist to quantify how much the choice
-of rule matters.
+and reference sample grids.  Every rule here collapses that stack into a
+single distance matrix, which is retrieved and scored like any member.
+The mean rule is the workhorse; the others exist to quantify how much the
+choice of rule matters.
 
 Two further ensembles avoid computing every query-side family:
 :func:`approximate_combine` compares one query family against all
@@ -149,15 +149,18 @@ def _labelled_mean(
 def combine(
     members: list[DistanceMatrix] | tuple[DistanceMatrix, ...], rule: EnsembleRule
 ) -> DistanceMatrix:
-    """Fuse member matrices elementwise according to ``rule``.
+    """Fuse member matrices according to ``rule`` into one distance matrix.
 
     Members must share shape and sample grids.  The weighted rule computes
     ``mean_k(weights[k] * D_k)``, so all-ones weights reproduce the mean
     rule exactly.  The trimmed mean requires ``2 * trim`` fewer members
     than the stack holds.
+
+    Majority vote needs at least two members.  Every member votes for its
+    argmin column in each query row (ties to the smallest index), and the
+    modal column wins (ties again to the smallest index).  The fused row
+    holds 0.0 at that column and 1.0 elsewhere, so its argmin is the vote.
     """
-    if rule.kind is RuleKind.MAJORITY_VOTE:
-        return majority_vote(members)
     stack = _stack(members)
     k = stack.shape[0]
     if rule.kind is RuleKind.MEAN:
@@ -181,50 +184,21 @@ def combine(
             raise ConfigError(f"{len(rule.weights)} weights for {k} members")
         w = np.array(rule.weights, dtype=np.float64)
         fused = _tree_mean(w[:, None, None] * stack)
+    elif rule.kind is RuleKind.MAJORITY_VOTE:
+        if k < 2:
+            raise ConfigError("majority vote needs at least two members")
+        _, n_q, n_r = stack.shape
+        # Count every (row, voted column) pair at once; argmax keeps the
+        # smallest column among tied counts.
+        rows = np.arange(n_q)
+        votes = rows * n_r + np.argmin(stack, axis=2)
+        counts = np.bincount(votes.ravel(), minlength=n_q * n_r).reshape(n_q, n_r)
+        fused = np.ones((n_q, n_r), dtype=np.float64)
+        fused[rows, counts.argmax(axis=1)] = 0.0
     else:
         raise ConfigError(f"unknown rule {rule.kind!r}")
     return DistanceMatrix(
         fused, members[0].query_t_us, members[0].ref_t_us, f"{rule.kind.value}_of_{k}"
-    )
-
-
-def majority_vote(
-    members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]
-) -> DistanceMatrix:
-    """Vote matrix: 1 at each query's modal best-match column, 0 elsewhere.
-
-    Every member casts one vote per query row (its argmin column, ties to
-    the smallest index); the modal column wins, again with ties going to
-    the smallest index.  Retrieval reads the single 1 per row, so treating
-    the votes ``v`` as distances ``1 - v`` recovers ordinary evaluation.
-    """
-    if len(members) < 2:
-        raise ConfigError("majority vote needs at least two members")
-    stack = _stack(members)
-    k, n_q, n_r = stack.shape
-    votes = np.argmin(stack, axis=2)
-    # Count every (row, voted column) pair at once; argmax keeps the
-    # smallest column among tied counts.
-    rows = np.arange(n_q)
-    counts = np.bincount((rows * n_r + votes).ravel(), minlength=n_q * n_r)
-    out = np.zeros((n_q, n_r), dtype=np.float64)
-    out[rows, counts.reshape(n_q, n_r).argmax(axis=1)] = 1.0
-    return DistanceMatrix(
-        out, members[0].query_t_us, members[0].ref_t_us, f"majority_vote_of_{k}"
-    )
-
-
-def votes_as_distances(votes: DistanceMatrix) -> DistanceMatrix:
-    """Turn a vote matrix into a distance matrix (``1 - v``).
-
-    The modal column of each row becomes that row's unique argmin, so the
-    standard evaluators retrieve exactly the voted match.
-    """
-    return DistanceMatrix(
-        1.0 - votes.values,
-        votes.query_t_us,
-        votes.ref_t_us,
-        f"{votes.member_label}_as_distance",
     )
 
 

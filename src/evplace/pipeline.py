@@ -19,13 +19,7 @@ import numpy as np
 
 from .descriptors import DescriptorParams, DescriptorSequence, describe_window_set
 from .distance import DistanceMatrix, Metric, build_distance_matrix
-from .ensemble import (
-    EnsembleRule,
-    RuleKind,
-    approximate_combine,
-    combine,
-    votes_as_distances,
-)
+from .ensemble import EnsembleRule, approximate_combine, combine
 from .errors import ConfigError
 from .evaluation import (
     DEFAULT_LOC_THRESHOLD_US,
@@ -106,11 +100,7 @@ def run_from_sequences(
         for q, r in zip(query_seqs, reference_seqs)
     )
     fused = combine(members, rule)
-    # A vote matrix counts agreements, so flip it before treating it as distances.
-    fused_for_eval = (
-        votes_as_distances(fused) if rule.kind is RuleKind.MAJORITY_VOTE else fused
-    )
-    fused_eval = precision_at_full_recall(fused_for_eval, gt, loc_threshold_us)
+    fused_eval = precision_at_full_recall(fused, gt, loc_threshold_us)
     member_evals = tuple(
         precision_at_full_recall(m, gt, loc_threshold_us) for m in members
     )

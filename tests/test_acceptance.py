@@ -94,7 +94,9 @@ def _brute_fuse(stack, rule, weights=None, trim=1):
             for j in range(1, nr):
                 if tallies[j] > tallies[modal]:
                     modal = j
-            out[i][modal] = 1.0
+            # distance 1 - vote: 0.0 at the modal column, 1.0 elsewhere
+            out[i] = [1.0] * nr
+            out[i][modal] = 0.0
             continue
         for j in range(nr):
             vals = [stack[m][i][j] for m in range(k)]

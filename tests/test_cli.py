@@ -19,6 +19,7 @@ from evplace.cli import main
 from evplace.config import PipelineConfig
 from evplace.descriptors import load_descriptors
 from evplace.distance import read_matrix_csv
+from evplace.ensemble import RuleKind
 from evplace.events import (
     EventStream,
     SensorGeometry,
@@ -71,6 +72,42 @@ def workspace(tmp_path_factory):
     )
     assert rc == 0
     return {"root": root, "cfg": cfg_path, "data": data, "run": run}
+
+
+# ``--set`` overrides beyond ``rule.kind`` that a rule needs on four members.
+RULE_EXTRA_SETS = {"weighted": ["--set", "rule.weights=[1.5, 1.0, 0.5, 1.25]"]}
+
+
+@pytest.fixture(scope="module")
+def rule_runs(workspace):
+    """``rule_runs(kind)``: the run directory of ``run`` under that rule.
+
+    Each run is made on first use and shared by the module; the workspace
+    run is the mean rule's.
+    """
+    runs = {"mean": workspace["run"]}
+
+    def get(kind: str) -> Path:
+        if kind not in runs:
+            data = workspace["data"]
+            out = workspace["root"] / f"run_{kind}"
+            rc = main(
+                [
+                    "run",
+                    "--config", str(workspace["cfg"]),
+                    "--set", f"rule.kind={kind}",
+                    *RULE_EXTRA_SETS.get(kind, []),
+                    "--query", str(data / "query_events.csv"),
+                    "--reference", str(data / "reference_events.csv"),
+                    "--gt", str(data / "ground_truth.csv"),
+                    "-o", str(out),
+                ]
+            )
+            assert rc == 0
+            runs[kind] = out
+        return runs[kind]
+
+    return get
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +589,34 @@ def test_describe_writes_one_sequence_per_family(workspace, tmp_path):
     assert len(lengths) == 1  # every family describes the same sample grid
 
 
+def test_windows_and_describe_apply_the_configured_filters(workspace, tmp_path):
+    # The query stream plus 3000 events on pixel (3, 4): with both filters
+    # on, windows and describe must see what filter would write.
+    query = parse_event_csv((workspace["data"] / "query_events.csv").read_bytes(),
+                            SensorGeometry(16, 12))
+    extra_t = np.linspace(query.t[0], query.t[-1], 3000).astype(np.int64)
+    t = np.concatenate([query.t, extra_t])
+    order = np.argsort(t, kind="stable")
+    x = np.concatenate([query.x, np.full(3000, 3)])[order]
+    y = np.concatenate([query.y, np.full(3000, 4)])[order]
+    p = np.concatenate([query.p, np.ones(3000, dtype=np.int8)])[order]
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(write_event_csv(EventStream(query.geometry, t[order], x, y, p)))
+    filtered = tmp_path / "filtered"
+    assert main(_filter_args(workspace, raw, filtered)) == 0
+    report = json.loads((filtered / "filter_report.json").read_text())
+    assert [3, 4] in report["hot_pixels"]["flagged"]
+    assert report["events_out"] < report["events_in"]
+    for command in ("windows", "describe"):
+        outs = []
+        for events_path in (raw, filtered / "filtered.csv"):
+            out = tmp_path / f"{command}_{len(outs)}"
+            assert main([command, *_filter_args(workspace, events_path, out)[1:]]) == 0
+            outs.append({q.name: q.read_bytes() for q in out.iterdir()
+                         if q.name != "manifest.json"})
+        assert outs[0] and outs[0] == outs[1], command
+
+
 # ---------------------------------------------------------------------------
 # distance / ensemble / evaluate agree with run
 
@@ -616,8 +681,8 @@ def test_ensemble_command_reproduces_run_fusion(workspace, tmp_path):
     assert (out / "ensemble.csv").read_bytes() == (run / "dist_mean_of_4.csv").read_bytes()
 
 
-def test_ensemble_vote_rule_writes_both_matrices(workspace, tmp_path):
-    run = workspace["run"]
+def test_ensemble_vote_rule_writes_run_distances(workspace, rule_runs, tmp_path):
+    run = rule_runs("majority_vote")
     out = tmp_path / "out"
     members = [str(run / f"dist_{slug}.csv") for slug in FAMILY_SLUGS]
     rc = main(
@@ -630,27 +695,32 @@ def test_ensemble_vote_rule_writes_both_matrices(workspace, tmp_path):
         ]
     )
     assert rc == 0
-    votes = read_matrix_csv((out / "ensemble.csv").read_bytes(), "votes")
-    dist = read_matrix_csv((out / "ensemble_distances.csv").read_bytes(), "dist")
-    np.testing.assert_array_equal(dist.values, 1.0 - votes.values)
-    assert np.all(votes.values.sum(axis=1) == 1.0)
+    fused = (out / "ensemble.csv").read_bytes()
+    assert fused == (run / "dist_majority_vote_of_4.csv").read_bytes()
+    assert sorted(q.name for q in out.iterdir()) == ["ensemble.csv", "manifest.json"]
+    dist = read_matrix_csv(fused, "dist")
+    assert np.all((dist.values == 0.0).sum(axis=1) == 1)
+    assert np.all((dist.values == 0.0) | (dist.values == 1.0))
 
 
-def test_evaluate_command_matches_run_outputs(workspace, tmp_path):
-    run = workspace["run"]
+@pytest.mark.parametrize("kind", [k.value for k in RuleKind])
+def test_evaluate_command_matches_run_outputs(workspace, rule_runs, kind, tmp_path):
+    run = rule_runs(kind)
+    fused = cli._slug(json.loads((run / "summary.json").read_text())["fused"]["label"])
+    assert fused.startswith(f"{kind}_of_")
     out = tmp_path / "out"
     rc = main(
         [
             "evaluate",
             "--config", str(workspace["cfg"]),
-            "--matrix", str(run / "dist_mean_of_4.csv"),
+            "--matrix", str(run / f"dist_{fused}.csv"),
             "--gt", str(workspace["data"] / "ground_truth.csv"),
             "-o", str(out),
         ]
     )
     assert rc == 0
-    assert (out / "eval.csv").read_bytes() == (run / "eval_mean_of_4.csv").read_bytes()
-    assert (out / "pr.csv").read_bytes() == (run / "pr_mean_of_4.csv").read_bytes()
+    assert (out / "eval.csv").read_bytes() == (run / f"eval_{fused}.csv").read_bytes()
+    assert (out / "pr.csv").read_bytes() == (run / f"pr_{fused}.csv").read_bytes()
 
 
 def test_distance_command_runs(workspace, tmp_path):

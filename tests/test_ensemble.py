@@ -18,8 +18,6 @@ from evplace.ensemble import (
     cross_window_combine,
     cross_window_members,
     enumerate_weight_grid,
-    majority_vote,
-    votes_as_distances,
     weight_grid_search,
 )
 from evplace.errors import ConfigError
@@ -163,15 +161,19 @@ def test_single_member_mean_is_identity():
 # majority vote
 
 
+def _vote(members):
+    return combine(members, EnsembleRule.majority_vote())
+
+
 def test_majority_vote_modal_column():
     members = [
         _matrix([[0.9, 0.1, 0.5]]),  # argmin 1
         _matrix([[0.8, 0.2, 0.9]]),  # argmin 1
         _matrix([[0.9, 0.8, 0.1]]),  # argmin 2
     ]
-    votes = majority_vote(members)
-    np.testing.assert_array_equal(votes.values, [[0.0, 1.0, 0.0]])
-    assert votes.member_label == "majority_vote_of_3"
+    fused = _vote(members)
+    np.testing.assert_array_equal(fused.values, [[1.0, 0.0, 1.0]])
+    assert fused.member_label == "majority_vote_of_3"
 
 
 def test_majority_vote_tie_takes_smallest_column():
@@ -179,33 +181,36 @@ def test_majority_vote_tie_takes_smallest_column():
         _matrix([[0.1, 0.9]]),  # argmin 0
         _matrix([[0.9, 0.1]]),  # argmin 1
     ]
-    votes = majority_vote(members)
-    np.testing.assert_array_equal(votes.values, [[1.0, 0.0]])
+    fused = _vote(members)
+    np.testing.assert_array_equal(fused.values, [[0.0, 1.0]])
 
 
 def test_majority_vote_matches_best_match_when_members_identical():
     rng = np.random.default_rng(151)
     m = _matrix(rng.random((6, 5)))
-    votes = majority_vote([m, m, m])
-    for row, (best_idx, _) in zip(votes.values, best_match_per_query(m)):
-        assert row[best_idx] == 1.0
+    fused = _vote([m, m, m])
+    for row, (best_idx, _) in zip(fused.values, best_match_per_query(m)):
+        assert row[best_idx] == 0.0
 
 
 def test_majority_vote_rows_have_exactly_one_vote():
     rng = np.random.default_rng(157)
-    votes = majority_vote(_random_members(rng, 5))
-    assert np.all(votes.values.sum(axis=1) == 1.0)
-    assert np.all((votes.values == 0.0) | (votes.values == 1.0))
+    fused = _vote(_random_members(rng, 5))
+    assert np.all((fused.values == 0.0).sum(axis=1) == 1)
+    assert np.all((fused.values == 0.0) | (fused.values == 1.0))
 
 
 def _majority_vote_loop(stack):
-    """Oracle: one ``bincount`` per query row, ties to the smallest column."""
+    """Oracle: one ``bincount`` per query row, ties to the smallest column.
+
+    The modal column gets distance 0.0, every other column 1.0.
+    """
     k, n_q, n_r = stack.shape
     votes = np.argmin(stack, axis=2)
-    out = np.zeros((n_q, n_r), dtype=np.float64)
+    out = np.ones((n_q, n_r), dtype=np.float64)
     for i in range(n_q):
         counts = np.bincount(votes[:, i], minlength=n_r)
-        out[i, int(np.argmax(counts))] = 1.0
+        out[i, int(np.argmax(counts))] = 0.0
     return out
 
 
@@ -231,22 +236,29 @@ def test_majority_vote_matches_loop_oracle_fuzz():
         )
         tied_rows += int(np.sum((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1))
         members = [_matrix(m) for m in stack]
-        np.testing.assert_array_equal(majority_vote(members).values, _majority_vote_loop(stack))
+        np.testing.assert_array_equal(_vote(members).values, _majority_vote_loop(stack))
     assert tied_rows > 100
 
 
 def test_majority_vote_requires_two_members():
     rng = np.random.default_rng(163)
-    with pytest.raises(ConfigError):
-        majority_vote(_random_members(rng, 1))
+    with pytest.raises(ConfigError, match="at least two members"):
+        _vote(_random_members(rng, 1))
 
 
-def test_votes_as_distances_flips_values():
-    members = [_matrix([[0.1, 0.9]]), _matrix([[0.2, 0.8]])]
-    votes = majority_vote(members)
-    d = votes_as_distances(votes)
-    np.testing.assert_array_equal(d.values, [[0.0, 1.0]])
-    assert d.member_label.endswith("_as_distance")
+def test_majority_vote_best_match_is_the_modal_column():
+    # Columns 1 and 2 each get two votes; the tie goes to column 1, and
+    # retrieval (argmin of the fused row) returns exactly that column.
+    members = [
+        _matrix([[0.5, 0.1, 0.9, 0.7]]),
+        _matrix([[0.5, 0.2, 0.9, 0.7]]),
+        _matrix([[0.5, 0.9, 0.1, 0.7]]),
+        _matrix([[0.5, 0.9, 0.2, 0.7]]),
+        _matrix([[0.1, 0.9, 0.9, 0.7]]),
+    ]
+    fused = _vote(members)
+    np.testing.assert_array_equal(fused.values, [[1.0, 0.0, 1.0, 1.0]])
+    assert [idx for idx, _ in best_match_per_query(fused)] == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evplace.distance import DistanceMatrix
-from evplace.ensemble import majority_vote, votes_as_distances
+from evplace.ensemble import EnsembleRule, combine
 from evplace.errors import (
     ConfigError,
     MissingGroundTruthError,
@@ -172,20 +172,22 @@ def test_monotone_transform_leaves_precision_unchanged():
         assert res.precision == base.precision
 
 
-def test_vote_matrix_reads_same_either_way():
+def test_majority_vote_scores_the_voted_column():
     rng = np.random.default_rng(229)
     t = np.arange(6) * S
     members = [_matrix(rng.random((6, 6)), t, t, label=f"m{i}") for i in range(3)]
-    votes = majority_vote(members)
+    fused = combine(members, EnsembleRule.majority_vote())
     gt = _identity_gt(t)
-    # argmin of 1-v picks the voted column; argmin of v would not
-    direct = precision_at_full_recall(votes_as_distances(votes), gt, 1 * S)
-    argmax_rows = np.argmax(votes.values, axis=1)
+    # Retrieval takes each row's argmin, which must be the modal member vote.
+    member_votes = np.argmin(np.stack([m.values for m in members]), axis=2)
+    modal = [int(np.argmax(np.bincount(col, minlength=6))) for col in member_votes.T]
     manual_tp = sum(
-        is_true_positive(votes.ref_t_us[c], q, 1 * S)
-        for c, q in zip(argmax_rows, t.astype(np.float64))
+        is_true_positive(fused.ref_t_us[c], q, 1 * S)
+        for c, q in zip(modal, t.astype(np.float64))
     )
-    assert direct.tp == manual_tp
+    result = precision_at_full_recall(fused, gt, 1 * S)
+    assert result.tp == manual_tp
+    assert result.tp + result.fp == result.total_queries == 6
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from evplace.descriptors import (
 )
 from evplace.ensemble import EnsembleRule
 from evplace.errors import ConfigError
-from evplace.evaluation import GroundTruth
+from evplace.evaluation import GroundTruth, precision_at_full_recall
 from evplace.events import SensorGeometry
 from evplace.pipeline import run_from_sequences, run_place_recognition
 from evplace.synthetic import TraverseParams, generate_traverse, generate_world
@@ -92,10 +92,12 @@ def test_majority_vote_rule_runs_end_to_end():
         descriptor=DESCRIPTOR, grid_dt_us=500_000, loc_threshold_us=900_000,
         rule=EnsembleRule.majority_vote(),
     )
-    # the fused matrix is votes; evaluation flipped it internally
+    # distances: 0.0 at each row's voted column, 1.0 elsewhere
     assert set(np.unique(result.fused.values).tolist()) <= {0.0, 1.0}
-    assert np.all(result.fused.values.sum(axis=1) == 1.0)
-    assert 0.0 <= result.fused_eval.precision <= 1.0
+    assert np.all((result.fused.values == 0.0).sum(axis=1) == 1)
+    assert result.fused_eval == precision_at_full_recall(
+        result.fused, result.ground_truth, 900_000
+    )
 
 
 def test_geometry_mismatch_rejected():

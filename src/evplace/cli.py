@@ -302,6 +302,8 @@ def cmd_distance(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 
 def cmd_ensemble(args, cfg: PipelineConfig, out: _Outputs) -> dict:
+    with _stage("config"):
+        cfg.rule.check_members(len(args.members))
     with _stage("read-matrices"):
         members = [out.read("member", path, read_matrix_csv, _stem(path)) for path in args.members]
     with _stage("combine"):
@@ -379,6 +381,13 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             raise ConfigError("--query-descriptors and --reference-descriptors go together")
         if event_mode == desc_mode:
             raise ConfigError("pass either event CSVs or descriptor CSVs, not both")
+        if event_mode:
+            k = len(cfg.counts) + len(cfg.spans_us)
+        else:
+            k, n_ref = len(args.query_descriptors), len(args.reference_descriptors)
+            if k != n_ref:
+                raise ConfigError(f"{k} query but {n_ref} reference descriptor files")
+        cfg.rule.check_members(k)
     with _stage("read-ground-truth"):
         anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -223,8 +224,6 @@ class PipelineConfig:
         except ValueError:
             raise ConfigError(f"unknown ensemble rule {r['kind']!r}") from None
         weights = r.get("weights")
-        # Weight count is checked against the member count at combine time,
-        # since member matrices may come from files rather than the window set.
         rule = EnsembleRule(
             kind,
             weights=tuple(float(w) for w in weights) if weights else None,
@@ -252,6 +251,8 @@ class PipelineConfig:
         sweep_values = None
         if sw["values"] is not None:
             sweep_values = tuple(float(v) for v in sw["values"])
+            if not sweep_values or not all(map(math.isfinite, sweep_values)):
+                raise ConfigError("sweep.values must be a non-empty list of finite numbers")
             if any(b < a for a, b in zip(sweep_values, sweep_values[1:])):
                 raise ConfigError("sweep.values must be ascending")
 

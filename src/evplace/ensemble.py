@@ -6,6 +6,10 @@ single distance matrix, which is retrieved and scored like any member.
 The mean rule is the workhorse; the others exist to quantify how much the
 choice of rule matters.
 
+A rule is built one way, ``EnsembleRule(RuleKind.X, ...)``.  Whether it can
+fuse ``k`` members is one check, :meth:`EnsembleRule.check_members`, which
+the command line makes with its config, before any input is read.
+
 Two further ensembles avoid computing every query-side family:
 :func:`approximate_combine` compares one query family against all
 reference families, and :func:`cross_window_combine` compares every query
@@ -47,6 +51,7 @@ class EnsembleRule:
 
     ``weights`` applies only to the weighted rule (one positive factor per
     member); ``trim`` only to the trimmed mean (members cut per side).
+    The checks that need the member count are in :meth:`check_members`.
     """
 
     kind: RuleKind
@@ -65,37 +70,18 @@ class EnsembleRule:
         if self.trim < 1:
             raise ConfigError(f"trim must be >= 1, got {self.trim}")
 
-    @classmethod
-    def mean(cls) -> "EnsembleRule":
-        return cls(RuleKind.MEAN)
-
-    @classmethod
-    def product(cls) -> "EnsembleRule":
-        return cls(RuleKind.PRODUCT)
-
-    @classmethod
-    def median(cls) -> "EnsembleRule":
-        return cls(RuleKind.MEDIAN)
-
-    @classmethod
-    def minimum(cls) -> "EnsembleRule":
-        return cls(RuleKind.MIN)
-
-    @classmethod
-    def maximum(cls) -> "EnsembleRule":
-        return cls(RuleKind.MAX)
-
-    @classmethod
-    def trimmed_mean(cls, trim: int = DEFAULT_TRIM) -> "EnsembleRule":
-        return cls(RuleKind.TRIMMED_MEAN, trim=trim)
-
-    @classmethod
-    def weighted(cls, weights) -> "EnsembleRule":
-        return cls(RuleKind.WEIGHTED, weights=tuple(weights))
-
-    @classmethod
-    def majority_vote(cls) -> "EnsembleRule":
-        return cls(RuleKind.MAJORITY_VOTE)
+    def check_members(self, k: int) -> None:
+        """Raise :class:`ConfigError` unless this rule can fuse ``k`` members."""
+        if k < 1:
+            raise ConfigError("ensemble needs at least one member")
+        if self.kind is RuleKind.TRIMMED_MEAN and 2 * self.trim >= k:
+            raise ConfigError(
+                f"trimmed mean with trim={self.trim} needs more than {2 * self.trim} members"
+            )
+        if self.kind is RuleKind.WEIGHTED and len(self.weights) != k:
+            raise ConfigError(f"{len(self.weights)} weights for {k} members")
+        if self.kind is RuleKind.MAJORITY_VOTE and k < 2:
+            raise ConfigError("majority vote needs at least two members")
 
 
 def _tree_mean(stack: np.ndarray) -> np.ndarray:
@@ -117,8 +103,6 @@ def _tree_mean(stack: np.ndarray) -> np.ndarray:
 
 
 def _stack(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> np.ndarray:
-    if len(members) < 1:
-        raise ConfigError("ensemble needs at least one member")
     first = members[0]
     for m in members[1:]:
         if m.values.shape != first.values.shape:
@@ -151,18 +135,20 @@ def combine(
 ) -> DistanceMatrix:
     """Fuse member matrices according to ``rule`` into one distance matrix.
 
-    Members must share shape and sample grids.  The weighted rule computes
-    ``mean_k(weights[k] * D_k)``, so all-ones weights reproduce the mean
-    rule exactly.  The trimmed mean requires ``2 * trim`` fewer members
-    than the stack holds.
+    ``rule.check_members(len(members))`` comes first, so every branch below
+    is a pure reduction.  Members must share shape and sample grids.  The
+    weighted rule computes ``mean_k(weights[k] * D_k)``, so all-ones weights
+    reproduce the mean rule exactly.  The trimmed mean drops the ``trim``
+    smallest and largest values of each cell.
 
-    Majority vote needs at least two members.  Every member votes for its
-    argmin column in each query row (ties to the smallest index), and the
-    modal column wins (ties again to the smallest index).  The fused row
-    holds 0.0 at that column and 1.0 elsewhere, so its argmin is the vote.
+    Majority vote: every member votes for its argmin column in each query
+    row (ties to the smallest index), and the modal column wins (ties again
+    to the smallest index).  The fused row holds 0.0 at that column and 1.0
+    elsewhere, so its argmin is the vote.
     """
+    k = len(members)
+    rule.check_members(k)
     stack = _stack(members)
-    k = stack.shape[0]
     if rule.kind is RuleKind.MEAN:
         fused = _tree_mean(stack)
     elif rule.kind is RuleKind.PRODUCT:
@@ -174,19 +160,11 @@ def combine(
     elif rule.kind is RuleKind.MAX:
         fused = np.max(stack, axis=0)
     elif rule.kind is RuleKind.TRIMMED_MEAN:
-        if 2 * rule.trim >= k:
-            raise ConfigError(
-                f"trimmed mean with trim={rule.trim} needs more than {2 * rule.trim} members"
-            )
         fused = _tree_mean(np.sort(stack, axis=0)[rule.trim : k - rule.trim])
     elif rule.kind is RuleKind.WEIGHTED:
-        if len(rule.weights) != k:
-            raise ConfigError(f"{len(rule.weights)} weights for {k} members")
         w = np.array(rule.weights, dtype=np.float64)
         fused = _tree_mean(w[:, None, None] * stack)
     elif rule.kind is RuleKind.MAJORITY_VOTE:
-        if k < 2:
-            raise ConfigError("majority vote needs at least two members")
         _, n_q, n_r = stack.shape
         # Count every (row, voted column) pair at once; argmax keeps the
         # smallest column among tied counts.
@@ -278,5 +256,5 @@ def weight_grid_search(
     or any other tie-break.
     """
     for weights in enumerate_weight_grid(len(members), grid):
-        fused = combine(members, EnsembleRule.weighted(weights))
+        fused = combine(members, EnsembleRule(RuleKind.WEIGHTED, weights=weights))
         yield weights, precision_at_full_recall(fused, ground_truth, loc_threshold_us)

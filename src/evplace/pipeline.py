@@ -19,7 +19,7 @@ import numpy as np
 
 from .descriptors import DescriptorParams, DescriptorSequence, describe_window_set
 from .distance import DistanceMatrix, Metric, build_distance_matrix
-from .ensemble import EnsembleRule, approximate_combine, combine
+from .ensemble import EnsembleRule, RuleKind, approximate_combine, combine
 from .errors import ConfigError
 from .evaluation import (
     DEFAULT_LOC_THRESHOLD_US,
@@ -67,7 +67,7 @@ def run_from_sequences(
     reference_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
     anchors: GroundTruth,
     metric: Metric = Metric.COSINE,
-    rule: EnsembleRule = EnsembleRule.mean(),
+    rule: EnsembleRule = EnsembleRule(RuleKind.MEAN),
     loc_threshold_us: int = DEFAULT_LOC_THRESHOLD_US,
     approximate_query: DescriptorSequence | None = None,
 ) -> PipelineResult:
@@ -131,7 +131,7 @@ def run_place_recognition(
     spans_us=None,
     descriptor: DescriptorParams = DescriptorParams(),
     metric: Metric = Metric.COSINE,
-    rule: EnsembleRule = EnsembleRule.mean(),
+    rule: EnsembleRule = EnsembleRule(RuleKind.MEAN),
     grid_dt_us: int = DEFAULT_GRID_DT_US,
     loc_threshold_us: int = DEFAULT_LOC_THRESHOLD_US,
     approximate_fraction: float | None = DEFAULT_APPROX_FRACTION,

@@ -45,12 +45,14 @@ class SyntheticWorld:
         expected = (self.n_places, self.geometry.height, self.geometry.width)
         if pat.shape != expected:
             raise ConfigError(f"pattern shape {pat.shape}, expected {expected}")
-        if np.any(pat < 0):
+        if not np.all(pat >= 0):
             raise ConfigError("pattern intensities must be non-negative")
-        for i in range(self.n_places):
-            for j in range(i + 1, self.n_places):
-                if np.array_equal(pat[i], pat[j]):
-                    raise ConfigError(f"places {i} and {j} have identical patterns")
+        # Equal patterns have equal bytes once -0.0 is folded into 0.0.
+        first: dict[bytes, int] = {}
+        for i, p in enumerate(pat):
+            j = first.setdefault((p + 0.0).tobytes(), i)
+            if j != i:
+                raise ConfigError(f"places {j} and {i} have identical patterns")
         pat.flags.writeable = False
         object.__setattr__(self, "place_patterns", pat)
 
@@ -115,6 +117,7 @@ def generate_world(
         raise ConfigError("segments_per_place must be >= 1")
     rng = np.random.default_rng(seed)
     patterns = np.zeros((n_places, geometry.height, geometry.width), dtype=np.float64)
+    seen: set[bytes] = set()
     for i in range(n_places):
         while True:
             pat = np.zeros((geometry.height, geometry.width), dtype=np.float64)
@@ -123,8 +126,10 @@ def generate_world(
                 y0, y1 = rng.integers(0, geometry.height, size=2)
                 for x, y in _raster_segment(int(x0), int(y0), int(x1), int(y1)):
                     pat[y, x] = EDGE_RATE
-            if not any(np.array_equal(pat, patterns[j]) for j in range(i)):
+            key = pat.tobytes()
+            if key not in seen:
                 break
+        seen.add(key)
         patterns[i] = pat
     return SyntheticWorld(seed, n_places, geometry, patterns)
 

@@ -39,6 +39,7 @@ from evplace.distance import (
 )
 from evplace.ensemble import (
     EnsembleRule,
+    RuleKind,
     approximate_combine,
     combine,
     cross_window_combine,
@@ -133,14 +134,14 @@ def test_combination_rules_match_straight_line_oracles():
         stack = [v.tolist() for v in raw]
         weights = tuple(float(rng.choice([0.5, 0.75, 1.0, 1.25, 1.5])) for _ in range(5))
         cases = [
-            ("mean", EnsembleRule.mean(), 1e-12),
-            ("product", EnsembleRule.product(), 1e-12),
-            ("median", EnsembleRule.median(), 1e-12),
-            ("min", EnsembleRule.minimum(), 0.0),
-            ("max", EnsembleRule.maximum(), 0.0),
-            ("trimmed", EnsembleRule.trimmed_mean(1), 1e-12),
-            ("weighted", EnsembleRule.weighted(weights), 1e-12),
-            ("vote", EnsembleRule.majority_vote(), 0.0),
+            ("mean", EnsembleRule(RuleKind.MEAN), 1e-12),
+            ("product", EnsembleRule(RuleKind.PRODUCT), 1e-12),
+            ("median", EnsembleRule(RuleKind.MEDIAN), 1e-12),
+            ("min", EnsembleRule(RuleKind.MIN), 0.0),
+            ("max", EnsembleRule(RuleKind.MAX), 0.0),
+            ("trimmed", EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1), 1e-12),
+            ("weighted", EnsembleRule(RuleKind.WEIGHTED, weights=weights), 1e-12),
+            ("vote", EnsembleRule(RuleKind.MAJORITY_VOTE), 0.0),
         ]
         for name, rule, tol in cases:
             fused = combine(members, rule).values
@@ -180,12 +181,12 @@ def test_reduction_identities_are_exact():
 
     raw = [rng.random((8, 9)) for _ in range(5)]
     members = [DistanceMatrix(v, qt, rt, f"m{i}") for i, v in enumerate(raw)]
-    all_ones = combine(members, EnsembleRule.weighted((1.0,) * 5)).values
-    plain = combine(members, EnsembleRule.mean()).values
+    all_ones = combine(members, EnsembleRule(RuleKind.WEIGHTED, weights=(1.0,) * 5)).values
+    plain = combine(members, EnsembleRule(RuleKind.MEAN)).values
     if not np.array_equal(all_ones, plain):
         failures.append("weighted with unit weights differs from mean")
 
-    single = combine([members[0]], EnsembleRule.mean())
+    single = combine([members[0]], EnsembleRule(RuleKind.MEAN))
     if not np.array_equal(single.values, members[0].values):
         failures.append("single-member mean differs from the member")
 
@@ -201,7 +202,7 @@ def test_reduction_identities_are_exact():
 
     for k in (2, 4, 8):
         copies = [DistanceMatrix(raw[0], qt, rt, f"c{i}") for i in range(k)]
-        fused = combine(copies, EnsembleRule.mean()).values
+        fused = combine(copies, EnsembleRule(RuleKind.MEAN)).values
         if not np.array_equal(fused, raw[0]):
             failures.append(f"mean of {k} identical members differs from the member")
 

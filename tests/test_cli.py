@@ -724,6 +724,7 @@ def test_evaluate_command_matches_run_outputs(workspace, rule_runs, kind, tmp_pa
 
 
 def test_distance_command_runs(workspace, tmp_path):
+    # describe -> distance per family -> ensemble -> evaluate reproduces run.
     qdir = tmp_path / "q"
     rdir = tmp_path / "r"
     for events, out in (("query_events.csv", qdir), ("reference_events.csv", rdir)):
@@ -736,19 +737,41 @@ def test_distance_command_runs(workspace, tmp_path):
             ]
         )
         assert rc == 0
-    out = tmp_path / "dist"
+    members = []
+    for slug in FAMILY_SLUGS:
+        out = tmp_path / f"dist_{slug}"
+        rc = main(
+            [
+                "distance",
+                "--config", str(workspace["cfg"]),
+                "--query", str(qdir / f"descriptors_{slug}.csv"),
+                "--reference", str(rdir / f"descriptors_{slug}.csv"),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 0
+        matrix = read_matrix_csv((out / "distance.csv").read_bytes(), "m")
+        assert matrix.values.min() >= 0.0 and matrix.values.max() <= 2.0
+        members.append(str(out / "distance.csv"))
+    ens = tmp_path / "ens"
+    rc = main(
+        ["ensemble", "--config", str(workspace["cfg"]), "--members", *members, "-o", str(ens)]
+    )
+    assert rc == 0
+    ev = tmp_path / "eval"
     rc = main(
         [
-            "distance",
+            "evaluate",
             "--config", str(workspace["cfg"]),
-            "--query", str(qdir / "descriptors_count_58.csv"),
-            "--reference", str(rdir / "descriptors_count_58.csv"),
-            "-o", str(out),
+            "--matrix", str(ens / "ensemble.csv"),
+            "--gt", str(workspace["data"] / "ground_truth.csv"),
+            "-o", str(ev),
         ]
     )
     assert rc == 0
-    matrix = read_matrix_csv((out / "distance.csv").read_bytes(), "m")
-    assert matrix.values.min() >= 0.0 and matrix.values.max() <= 2.0
+    run = workspace["run"]
+    assert (ev / "eval.csv").read_bytes() == (run / "eval_mean_of_4.csv").read_bytes()
+    assert (ev / "pr.csv").read_bytes() == (run / "pr_mean_of_4.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +828,110 @@ def test_empty_window_grids_fail_before_any_processing(workspace, tmp_path, caps
         assert rc == 1, overrides
         assert "[config]" in capsys.readouterr().err
         assert not out.exists()  # validation failed before the output dir was made
+
+
+def test_bad_sweep_values_fail_before_any_output(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    for values in ("[]", "[NaN]"):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "run",
+                "--config", str(workspace["cfg"]),
+                "--set", f"sweep.values={values}",
+                "--query", str(data / "query_events.csv"),
+                "--reference", str(data / "reference_events.csv"),
+                "--gt", str(data / "ground_truth.csv"),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, values
+        err = capsys.readouterr().err
+        assert err.startswith("evplace run: error [config] sweep.values must be"), err
+        assert not out.exists()
+
+
+def _assert_config_refusal(capsys, out: Path, command: str, message: str) -> None:
+    err = capsys.readouterr().err
+    assert err == f"evplace {command}: error [config] {message}\n"
+    assert not out.exists()
+
+
+# The test world has four window families, so four members per run.  Every
+# input path below is missing: only a refusal at [config] gets past reading.
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["rule.kind=weighted", "rule.weights=[1,1]"], "2 weights for 4 members"),
+        (["rule.kind=trimmed_mean", "rule.trim=2"],
+         "trimmed mean with trim=2 needs more than 4 members"),
+        (["rule.kind=majority_vote", "windows.counts=[0.3]", "windows.spans_ms=[]"],
+         "majority vote needs at least two members"),
+    ],
+    ids=["weights", "trim", "vote_one_family"],
+)
+def test_run_refuses_a_rule_that_cannot_fuse_its_families(
+    workspace, tmp_path, capsys, overrides, message
+):
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "run",
+            "--config", str(workspace["cfg"]),
+            *[arg for override in overrides for arg in ("--set", override)],
+            "--query", str(tmp_path / "missing_q.csv"),
+            "--reference", str(tmp_path / "missing_r.csv"),
+            "--gt", str(tmp_path / "missing_gt.csv"),
+            "-o", str(out),
+        ]
+    )
+    assert rc == 1
+    _assert_config_refusal(capsys, out, "run", message)
+
+
+def test_run_refuses_descriptor_files_that_do_not_pair_or_fit(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = [str(tmp_path / f"missing_{i}.csv") for i in range(3)]
+    cases = (
+        ([], missing[:2], missing[2:], "2 query but 1 reference descriptor files"),
+        (["--set", "rule.kind=majority_vote"], missing[:1], missing[1:2],
+         "majority vote needs at least two members"),
+    )
+    for sets, queries, references, message in cases:
+        rc = main(
+            [
+                "run",
+                "--config", str(workspace["cfg"]),
+                *sets,
+                "--query-descriptors", *queries,
+                "--reference-descriptors", *references,
+                "--gt", str(tmp_path / "missing_gt.csv"),
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, message
+        _assert_config_refusal(capsys, out, "run", message)
+
+
+def test_ensemble_refuses_too_few_members(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = [str(tmp_path / f"missing_{i}.csv") for i in range(2)]
+    cases = (
+        (["rule.kind=majority_vote"], missing[:1], "majority vote needs at least two members"),
+        (["rule.kind=trimmed_mean"], missing, "trimmed mean with trim=1 needs more than 2 members"),
+    )
+    for overrides, members, message in cases:
+        rc = main(
+            [
+                "ensemble",
+                "--config", str(workspace["cfg"]),
+                *[arg for override in overrides for arg in ("--set", override)],
+                "--members", *members,
+                "-o", str(out),
+            ]
+        )
+        assert rc == 1, message
+        _assert_config_refusal(capsys, out, "ensemble", message)
 
 
 def test_run_prints_fused_precision(workspace, tmp_path, capsys):

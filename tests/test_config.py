@@ -127,6 +127,21 @@ def test_validation_catches_bad_values():
             PipelineConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "values", [[], [float("nan")], [0.1, float("nan")], [float("inf")], [float("-inf"), 0.5]]
+)
+def test_sweep_values_must_be_non_empty_and_finite(values):
+    with pytest.raises(ConfigError, match="sweep.values must be a non-empty list of finite"):
+        PipelineConfig.from_dict({"sweep": {"values": values}})
+    with pytest.raises(ConfigError, match="sweep.values must be a non-empty list of finite"):
+        PipelineConfig.from_dict(None, [f"sweep.values={json.dumps(values)}"])
+
+
+def test_sweep_values_accepts_a_finite_ascending_list():
+    cfg = PipelineConfig.from_dict({"sweep": {"values": [0, 0.5, 0.5, 2]}})
+    assert cfg.sweep_values == (0.0, 0.5, 0.5, 2.0)
+
+
 def test_integer_counts_pass_through_unscaled():
     cfg = PipelineConfig.from_dict({"windows": {"counts": [500, 0.25]}})
     assert cfg.counts == (500, 0.25)

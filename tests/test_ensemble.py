@@ -47,7 +47,7 @@ def _seq(values, name="s"):
 
 
 def test_mean_rule_simple():
-    fused = combine([_matrix([[0.0, 2.0]]), _matrix([[2.0, 0.0]])], EnsembleRule.mean())
+    fused = combine([_matrix([[0.0, 2.0]]), _matrix([[2.0, 0.0]])], EnsembleRule(RuleKind.MEAN))
     np.testing.assert_array_equal(fused.values, [[1.0, 1.0]])
     assert fused.member_label == "mean_of_2"
 
@@ -56,7 +56,7 @@ def test_mean_of_identical_members_is_that_member():
     rng = np.random.default_rng(109)
     m = _matrix(rng.random((7, 7)))
     for k in (2, 4, 8):  # powers of two sum and divide without rounding
-        fused = combine([m] * k, EnsembleRule.mean())
+        fused = combine([m] * k, EnsembleRule(RuleKind.MEAN))
         assert np.array_equal(fused.values, m.values)
 
 
@@ -65,10 +65,10 @@ def test_product_median_min_max_against_numpy():
     members = _random_members(rng, 5)
     stack = np.stack([m.values for m in members])
     cases = [
-        (EnsembleRule.product(), np.prod(stack, axis=0)),
-        (EnsembleRule.median(), np.median(stack, axis=0)),
-        (EnsembleRule.minimum(), stack.min(axis=0)),
-        (EnsembleRule.maximum(), stack.max(axis=0)),
+        (EnsembleRule(RuleKind.PRODUCT), np.prod(stack, axis=0)),
+        (EnsembleRule(RuleKind.MEDIAN), np.median(stack, axis=0)),
+        (EnsembleRule(RuleKind.MIN), stack.min(axis=0)),
+        (EnsembleRule(RuleKind.MAX), stack.max(axis=0)),
     ]
     for rule, expect in cases:
         np.testing.assert_array_equal(combine(members, rule).values, expect)
@@ -76,13 +76,13 @@ def test_product_median_min_max_against_numpy():
 
 def test_median_even_count_averages_middles():
     members = [_matrix([[v]]) for v in (1.0, 2.0, 10.0, 40.0)]
-    fused = combine(members, EnsembleRule.median())
+    fused = combine(members, EnsembleRule(RuleKind.MEDIAN))
     assert fused.values[0, 0] == 6.0
 
 
 def test_trimmed_mean_drops_extremes():
     members = [_matrix([[1.0]]), _matrix([[5.0]]), _matrix([[100.0]])]
-    fused = combine(members, EnsembleRule.trimmed_mean(trim=1))
+    fused = combine(members, EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1))
     assert fused.values[0, 0] == 5.0
     assert fused.member_label == "trimmed_mean_of_3"
 
@@ -90,14 +90,14 @@ def test_trimmed_mean_drops_extremes():
 def test_trimmed_mean_needs_enough_members():
     members = [_matrix([[1.0]]), _matrix([[2.0]])]
     with pytest.raises(ConfigError):
-        combine(members, EnsembleRule.trimmed_mean(trim=1))
+        combine(members, EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1))
 
 
 def test_weighted_all_ones_equals_mean_exactly():
     rng = np.random.default_rng(127)
     members = _random_members(rng, 5)
-    mean = combine(members, EnsembleRule.mean())
-    weighted = combine(members, EnsembleRule.weighted((1.0,) * 5))
+    mean = combine(members, EnsembleRule(RuleKind.MEAN))
+    weighted = combine(members, EnsembleRule(RuleKind.WEIGHTED, weights=(1.0,) * 5))
     assert np.array_equal(mean.values, weighted.values)
 
 
@@ -105,7 +105,7 @@ def test_weighted_matches_brute_force():
     rng = np.random.default_rng(131)
     members = _random_members(rng, 4)
     w = (0.5, 1.25, 0.75, 1.5)
-    fused = combine(members, EnsembleRule.weighted(w))
+    fused = combine(members, EnsembleRule(RuleKind.WEIGHTED, weights=w))
     expect = sum(wk * m.values for wk, m in zip(w, members)) / 4
     np.testing.assert_allclose(fused.values, expect, atol=1e-12)
 
@@ -113,12 +113,56 @@ def test_weighted_matches_brute_force():
 def test_weighted_weight_count_checked():
     rng = np.random.default_rng(137)
     with pytest.raises(ConfigError):
-        combine(_random_members(rng, 3), EnsembleRule.weighted((1.0, 1.0)))
+        combine(_random_members(rng, 3), EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "rule, k, message",
+    [
+        (EnsembleRule(RuleKind.MEAN), 0, "ensemble needs at least one member"),
+        (EnsembleRule(RuleKind.MEDIAN), 0, "ensemble needs at least one member"),
+        (EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1), 2,
+         "trimmed mean with trim=1 needs more than 2 members"),
+        (EnsembleRule(RuleKind.TRIMMED_MEAN, trim=2), 4,
+         "trimmed mean with trim=2 needs more than 4 members"),
+        (EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, 1.0)), 3, "2 weights for 3 members"),
+        (EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, 1.0)), 1, "2 weights for 1 members"),
+        (EnsembleRule(RuleKind.MAJORITY_VOTE), 1, "majority vote needs at least two members"),
+    ],
+    ids=["mean_0", "median_0", "trim1_2", "trim2_4", "weights2_3", "weights2_1", "vote_1"],
+)
+def test_check_members_refuses_each_misfit(rule, k, message):
+    with pytest.raises(ConfigError) as err:
+        rule.check_members(k)
+    assert str(err.value) == message
+    # combine makes the same check before it touches the members.
+    rng = np.random.default_rng(151)
+    with pytest.raises(ConfigError) as err:
+        combine(_random_members(rng, k), rule)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "rule, k",
+    [
+        (EnsembleRule(RuleKind.MEAN), 1),
+        (EnsembleRule(RuleKind.PRODUCT), 1),
+        (EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1), 3),
+        (EnsembleRule(RuleKind.TRIMMED_MEAN, trim=2), 5),
+        (EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, 2.0, 3.0)), 3),
+        (EnsembleRule(RuleKind.MAJORITY_VOTE), 2),
+    ],
+    ids=["mean_1", "product_1", "trim1_3", "trim2_5", "weights3_3", "vote_2"],
+)
+def test_check_members_accepts_the_smallest_fit(rule, k):
+    rule.check_members(k)
+    rng = np.random.default_rng(157)
+    assert combine(_random_members(rng, k), rule).member_label == f"{rule.kind.value}_of_{k}"
 
 
 def test_weights_must_be_positive():
     with pytest.raises(ConfigError):
-        EnsembleRule.weighted((1.0, -0.5))
+        EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, -0.5))
 
 
 def test_rules_stay_inside_member_bounds():
@@ -127,11 +171,11 @@ def test_rules_stay_inside_member_bounds():
     lo = min(m.values.min() for m in members)
     hi = max(m.values.max() for m in members)
     for rule in (
-        EnsembleRule.mean(),
-        EnsembleRule.median(),
-        EnsembleRule.minimum(),
-        EnsembleRule.maximum(),
-        EnsembleRule.trimmed_mean(1),
+        EnsembleRule(RuleKind.MEAN),
+        EnsembleRule(RuleKind.MEDIAN),
+        EnsembleRule(RuleKind.MIN),
+        EnsembleRule(RuleKind.MAX),
+        EnsembleRule(RuleKind.TRIMMED_MEAN, trim=1),
     ):
         fused = combine(members, rule)
         assert fused.values.min() >= lo - 1e-12
@@ -142,18 +186,18 @@ def test_combine_rejects_mismatched_timestamps():
     a = _matrix([[1.0]], q_t=np.array([0], dtype=np.int64))
     b = _matrix([[1.0]], q_t=np.array([5], dtype=np.int64))
     with pytest.raises(ConfigError):
-        combine([a, b], EnsembleRule.mean())
+        combine([a, b], EnsembleRule(RuleKind.MEAN))
 
 
 def test_combine_rejects_mismatched_shapes():
     with pytest.raises(ConfigError):
-        combine([_matrix([[1.0]]), _matrix([[1.0, 2.0]])], EnsembleRule.mean())
+        combine([_matrix([[1.0]]), _matrix([[1.0, 2.0]])], EnsembleRule(RuleKind.MEAN))
 
 
 def test_single_member_mean_is_identity():
     rng = np.random.default_rng(149)
     (m,) = _random_members(rng, 1)
-    fused = combine([m], EnsembleRule.mean())
+    fused = combine([m], EnsembleRule(RuleKind.MEAN))
     assert np.array_equal(fused.values, m.values)
 
 
@@ -162,7 +206,7 @@ def test_single_member_mean_is_identity():
 
 
 def _vote(members):
-    return combine(members, EnsembleRule.majority_vote())
+    return combine(members, EnsembleRule(RuleKind.MAJORITY_VOTE))
 
 
 def test_majority_vote_modal_column():

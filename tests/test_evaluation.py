@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evplace.distance import DistanceMatrix
-from evplace.ensemble import EnsembleRule, combine
+from evplace.ensemble import EnsembleRule, RuleKind, combine
 from evplace.errors import (
     ConfigError,
     MissingGroundTruthError,
@@ -176,7 +176,7 @@ def test_majority_vote_scores_the_voted_column():
     rng = np.random.default_rng(229)
     t = np.arange(6) * S
     members = [_matrix(rng.random((6, 6)), t, t, label=f"m{i}") for i in range(3)]
-    fused = combine(members, EnsembleRule.majority_vote())
+    fused = combine(members, EnsembleRule(RuleKind.MAJORITY_VOTE))
     gt = _identity_gt(t)
     # Retrieval takes each row's argmin, which must be the modal member vote.
     member_votes = np.argmin(np.stack([m.values for m in members]), axis=2)

@@ -10,7 +10,7 @@ from evplace.descriptors import (
     DescriptorParams,
     DescriptorSequence,
 )
-from evplace.ensemble import EnsembleRule
+from evplace.ensemble import EnsembleRule, RuleKind
 from evplace.errors import ConfigError
 from evplace.evaluation import GroundTruth, precision_at_full_recall
 from evplace.events import SensorGeometry
@@ -90,7 +90,7 @@ def test_majority_vote_rule_runs_end_to_end():
         qry, ref, anchors,
         counts=[0.2, 0.4, 0.6], spans_us=[],
         descriptor=DESCRIPTOR, grid_dt_us=500_000, loc_threshold_us=900_000,
-        rule=EnsembleRule.majority_vote(),
+        rule=EnsembleRule(RuleKind.MAJORITY_VOTE),
     )
     # distances: 0.0 at each row's voted column, 1.0 elsewhere
     assert set(np.unique(result.fused.values).tolist()) <= {0.0, 1.0}

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from evplace import synthetic
 from evplace.descriptors import AccumulationMode, DescriptorParams
 from evplace.distance import Metric
-from evplace.ensemble import EnsembleRule
+from evplace.ensemble import EnsembleRule, RuleKind
 from evplace.errors import ConfigError
 from evplace.events import SensorGeometry
 from evplace.pipeline import run_place_recognition
@@ -53,6 +54,53 @@ def test_world_minimal_two_places():
     w = generate_world(3, 2, SensorGeometry(8, 8))
     assert w.place_patterns.shape == (2, 8, 8)
     assert not np.array_equal(w.place_patterns[0], w.place_patterns[1])
+
+
+def _pairwise_generate_world(seed, n_places, geometry, segments_per_place):
+    """The redraw loop with a pairwise comparison against every earlier place."""
+    rng = np.random.default_rng(seed)
+    patterns = np.zeros((n_places, geometry.height, geometry.width))
+    for i in range(n_places):
+        while True:
+            pat = np.zeros((geometry.height, geometry.width))
+            for _ in range(segments_per_place):
+                x0, x1 = rng.integers(0, geometry.width, size=2)
+                y0, y1 = rng.integers(0, geometry.height, size=2)
+                for x, y in synthetic._raster_segment(int(x0), int(y0), int(x1), int(y1)):
+                    pat[y, x] = EDGE_RATE
+            if not any(np.array_equal(pat, patterns[j]) for j in range(i)):
+                break
+        patterns[i] = pat
+    return patterns
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_world_redraws_collisions_like_the_pairwise_loop(seed):
+    # A 3x2 sensor with one segment per place has few distinct patterns,
+    # so twelve places force many redraws.
+    geom = SensorGeometry(3, 2)
+    w = generate_world(seed, 12, geom, segments_per_place=1)
+    expect = _pairwise_generate_world(seed, 12, geom, 1)
+    assert w.place_patterns.tobytes() == expect.tobytes()
+
+
+def test_world_rejects_identical_places():
+    pat = np.zeros((4, 2, 2))
+    pat[:, 0, 0] = [1.0, 2.0, 3.0, 2.0]
+    with pytest.raises(ConfigError, match="places 1 and 3 have identical patterns"):
+        SyntheticWorld(0, 4, SensorGeometry(2, 2), pat)
+    # -0.0 equals 0.0, so these two places are identical too.
+    pat = np.zeros((2, 2, 2))
+    pat[1, 1, 1] = -0.0
+    with pytest.raises(ConfigError, match="places 0 and 1 have identical patterns"):
+        SyntheticWorld(0, 2, SensorGeometry(2, 2), pat)
+
+
+def test_world_rejects_nan_intensities():
+    pat = np.zeros((2, 2, 2))
+    pat[0, 0, 0] = np.nan
+    with pytest.raises(ConfigError, match="non-negative"):
+        SyntheticWorld(0, 2, SensorGeometry(2, 2), pat)
 
 
 def test_world_patterns_are_edge_rate_or_zero():
@@ -249,7 +297,7 @@ def test_experiment_forwards_options_bit_for_bit():
         counts=[0.3, 0.6],
         spans_us=[400_000],
         metric=Metric.SAD,
-        rule=EnsembleRule.median(),
+        rule=EnsembleRule(RuleKind.MEDIAN),
         grid_dt_us=300_000,
         loc_threshold_us=700_000,
         approximate_fraction=None,

@@ -69,7 +69,12 @@ from .events import (
     remove_hot_pixels,
     write_event_csv,
 )
-from .pipeline import PipelineResult, run_from_sequences, run_place_recognition
+from .pipeline import (
+    PipelineResult,
+    describe_traverse,
+    run_from_sequences,
+    run_place_recognition,
+)
 from .synthetic import (
     SyntheticWorld,
     TraverseParams,
@@ -125,6 +130,7 @@ __all__ = [
     "cosine_distance",
     "cross_window_combine",
     "cross_window_members",
+    "describe_traverse",
     "describe_window_set",
     "enumerate_weight_grid",
     "filter_bursts",

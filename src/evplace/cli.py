@@ -11,12 +11,17 @@ first write, so a command that fails before writing leaves none behind.
 Every failure prints ``evplace <cmd>: error [<stage>] ...`` and exits 1.
 Inputs are hashed and event CSVs parsed and written a block at a time, so
 no command holds an event file's whole text, and each parsed stream is
-filtered in place.
+filtered in place.  ``run`` on event CSVs takes each traverse from its
+file to its descriptors on a thread of its own (the reference on a worker,
+the query on the caller), since the two meet only at the distance stage;
+a failure is reported as the sequential order, query first, would report it.
 
 ``evplace --profile PATH <cmd> ...`` also writes each stage's wall time and
 the process's peak RSS at its end to the JSON file ``PATH``, which must lie
 outside the output directory, with the events in and out of the
 read-events, hot-pixels and bursts stages and the pixels hot-pixels flagged.
+The records of those stages and of ``describe`` name their input's
+``role`` (``events``, ``query`` or ``reference``).
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
@@ -33,6 +38,7 @@ import os
 import re
 import resource
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,7 +46,7 @@ from typing import Iterable
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .descriptors import describe_window_set, load_descriptors, write_descriptors
+from .descriptors import load_descriptors, write_descriptors
 from .distance import (
     DistanceMatrix,
     build_distance_matrix,
@@ -69,9 +75,14 @@ from .events import (
     remove_hot_pixels,  # noqa: F401  (a name perfbench/tracing.py hooks)
     write_event_csv,  # noqa: F401  (a name perfbench/tracing.py hooks)
 )
-from .pipeline import PipelineResult, run_from_sequences, run_place_recognition
+from .pipeline import (
+    PipelineResult,
+    describe_traverse,
+    run_from_sequences,
+    run_place_recognition,  # noqa: F401  (a name perfbench/tracing.py hooks)
+)
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
-from .windowing import build_window_set, sample_grid
+from .windowing import build_window_set
 
 logger = logging.getLogger(__name__)
 
@@ -89,14 +100,17 @@ class StageError(EvPlaceError):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, role: str | None = None):
     """Tag errors with the stage ``name``; with --profile, record the stage.
 
     Yields a dict: data counters the stage puts there (events in and out,
-    pixels flagged) join its profile record.
+    pixels flagged) join its profile record.  A ``role`` names the input
+    the stage works on (``events``, ``query``, ``reference``) in the
+    record, since ``run`` works on its two event inputs at once and their
+    records interleave.
     """
-    logger.info("stage %s", name)
-    counters: dict = {}
+    logger.info("stage %s", name if role is None else f"{name} ({role})")
+    counters: dict = {} if role is None else {"role": role}
     start = time.perf_counter()
     try:
         yield counters
@@ -193,12 +207,12 @@ def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
     it.  The stream, flagged pixels and report equal those of
     ``remove_hot_pixels`` then ``filter_bursts`` on the parsed stream.
     """
-    with _stage("read-events") as counters:
+    with _stage("read-events", role) as counters:
         stream = out.read(role, path, parse_event_csv, cfg.geometry)
         counters.update(events_in=len(stream), events_out=len(stream))
     report = {"events_in": len(stream)}
     if cfg.hot_pixels_enabled:
-        with _stage("hot-pixels") as counters:
+        with _stage("hot-pixels", role) as counters:
             n_before = len(stream)
             keep, flagged = hot_pixel_mask(stream, cfg.hot_pixels_sigma)
             stream = compact_in_place(stream, keep)
@@ -210,7 +224,7 @@ def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
                 "events_removed": n_before - len(stream),
             }
     if cfg.bursts_enabled:
-        with _stage("bursts") as counters:
+        with _stage("bursts", role) as counters:
             n_before = len(stream)
             keep = burst_mask(stream, cfg.burst_bin_us, cfg.burst_fraction)
             stream = compact_in_place(stream, keep)
@@ -222,6 +236,21 @@ def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
             }
     report["events_out"] = len(stream)
     return stream, report
+
+
+def _describe_events(
+    out: _Outputs, role: str, path: str, cfg: PipelineConfig, approximate_fraction=None
+):
+    """Read, filter and describe one event CSV, as :func:`describe_traverse`.
+
+    Returns its sequences and approximate sequence.  The stream is dropped
+    on return, so only the descriptors outlive this call.
+    """
+    stream, _ = _read_events(out, role, path, cfg)
+    with _stage("describe", role):
+        return describe_traverse(
+            stream, cfg.counts, cfg.spans_us, cfg.descriptor, cfg.grid_dt_us, approximate_fraction
+        )
 
 
 def _eval_summary(label: str, result: EvalResult) -> dict:
@@ -280,11 +309,7 @@ def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
-    stream, _ = _read_events(out, "events", args.events, cfg)
-    with _stage("describe"):
-        grid = sample_grid(stream, cfg.grid_dt_us)
-        wset = build_window_set(stream, cfg.counts, cfg.spans_us)
-        seqs = describe_window_set(wset, stream, grid, cfg.descriptor)
+    seqs, _ = _describe_events(out, "events", args.events, cfg)
     with _stage("write"):
         for seq in seqs:
             out.write(f"descriptors_{_slug(seq.label)}.csv", write_descriptors(seq))
@@ -371,6 +396,34 @@ def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResul
     out.write("summary.json", _json_bytes(summary))
 
 
+def _query_and_reference(query_side, reference_side):
+    """``(query_side(), reference_side())``, the reference side on a thread.
+
+    The two traverses are independent until the distance stage, so one
+    side's work that runs without the GIL (hashing, numpy arithmetic)
+    overlaps the other side's parse.  Both sides have finished when this
+    returns or raises, and a failure is raised as the sequential order
+    would raise it: the query side's first.
+    """
+    reference: list = []
+
+    def work():
+        try:
+            reference.append(reference_side())
+        except BaseException as e:  # re-raised on the caller's thread below
+            reference.append(e)
+
+    worker = threading.Thread(target=work, name="evplace-reference")
+    worker.start()
+    try:
+        query = query_side()
+    finally:
+        worker.join()
+    if isinstance(reference[0], BaseException):
+        raise reference[0]
+    return query, reference[0]
+
+
 def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
     with _stage("config"):
         event_mode = args.query is not None or args.reference is not None
@@ -392,22 +445,10 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
 
     if event_mode:
-        q_stream, _ = _read_events(out, "query", args.query, cfg)
-        r_stream, _ = _read_events(out, "reference", args.reference, cfg)
-        with _stage("pipeline"):
-            result = run_place_recognition(
-                q_stream,
-                r_stream,
-                anchors,
-                counts=cfg.counts,
-                spans_us=cfg.spans_us,
-                descriptor=cfg.descriptor,
-                metric=cfg.metric,
-                rule=cfg.rule,
-                grid_dt_us=cfg.grid_dt_us,
-                loc_threshold_us=cfg.loc_threshold_us,
-                approximate_fraction=cfg.approximate_fraction,
-            )
+        (q_seqs, approx_query), (r_seqs, _) = _query_and_reference(
+            lambda: _describe_events(out, "query", args.query, cfg, cfg.approximate_fraction),
+            lambda: _describe_events(out, "reference", args.reference, cfg),
+        )
     else:
         with _stage("read-descriptors"):
             q_seqs = [
@@ -420,15 +461,17 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             ]
         if cfg.approximate_fraction is not None:
             logger.warning("approximate ensemble needs event inputs; skipping it")
-        with _stage("pipeline"):
-            result = run_from_sequences(
-                q_seqs,
-                r_seqs,
-                anchors,
-                metric=cfg.metric,
-                rule=cfg.rule,
-                loc_threshold_us=cfg.loc_threshold_us,
-            )
+        approx_query = None
+    with _stage("pipeline"):
+        result = run_from_sequences(
+            q_seqs,
+            r_seqs,
+            anchors,
+            metric=cfg.metric,
+            rule=cfg.rule,
+            loc_threshold_us=cfg.loc_threshold_us,
+            approximate_query=approx_query,
+        )
 
     with _stage("write"):
         _write_run_outputs(out, cfg, result)

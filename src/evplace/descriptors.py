@@ -38,6 +38,8 @@ DEFAULT_DOWN_HEIGHT = 24
 DEFAULT_PATCH = 8
 # Patches with standard deviation below this are emitted as zeros.
 DEGENERATE_STD = 1e-9
+# Output rows per block of the area resize's column products.
+_RESIZE_BLOCK_ROWS = 8
 
 
 class AccumulationMode(enum.Enum):
@@ -198,15 +200,22 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     else:
         # Each output row sums only its band of input rows, in ascending
         # order, as one gather (0.8 MB at 346x260 to 32x24, freed before
-        # the 2.1 MB column product).  numpy adds the terms of this axis one
+        # the column products).  numpy adds the terms of this axis one
         # after another, starting from +0.0, so a partial sum is never -0.0
         # and the skipped zero-weight terms would not have changed it.
         idx, wband = _area_band(in_h, out_h)
         tmp = (pixels[idx] * wband[:, :, None]).sum(axis=1)
-    # Columns: one broadcast-and-sum over the full weights.  numpy sums this
-    # axis in a pairwise order, so dropping its zero terms would change the
-    # values.
-    return (tmp[:, :, None] * wc.T[None, :, :]).sum(axis=1)
+    # Columns: a broadcast-and-sum over the full weights, which keeps their
+    # zero terms: dropping them would change the values.  Each output row
+    # is its own sum, so taking _RESIZE_BLOCK_ROWS of them at a time gives
+    # the same bits with a third of the product (0.7 MB, not 2.1 MB, at
+    # 346x260 to 32x24).
+    wct = wc.T[None, :, :]
+    out = np.empty((out_h, out_w))
+    for r in range(0, out_h, _RESIZE_BLOCK_ROWS):
+        rows = slice(r, r + _RESIZE_BLOCK_ROWS)
+        out[rows] = (tmp[rows, :, None] * wct).sum(axis=1)
+    return out
 
 
 def sad_descriptor(

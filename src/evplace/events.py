@@ -39,7 +39,7 @@ which is how the command line filters a stream it has just parsed.
 from __future__ import annotations
 
 import io
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -344,7 +344,9 @@ def _block_values(block: bytes) -> np.ndarray | None:
     """The whole strict rows of ``block`` as an int64 (rows, 4) array.
 
     The last row's LF may be missing (the end of the file).  ``None`` when
-    the form checks or ``np.fromstring`` refuse the rows.
+    the form checks or ``np.fromstring`` refuse the rows.  No process-wide
+    state (such as a warning filter) is touched, so blocks may be parsed on
+    several threads at once.
     """
     if not block.endswith(b"\n"):
         block += b"\n"
@@ -353,13 +355,13 @@ def _block_values(block: bytes) -> np.ndarray | None:
     n_fields = _strict_field_count(np.frombuffer(block, np.uint8))
     if n_fields is None:
         return None
+    # ``count`` must be the exact field count: asked for more fields than
+    # the text holds, fromstring pads with uninitialised values, silently.
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.fromstring(
-                block.replace(b"\n", b","), dtype=np.int64, count=n_fields, sep=","
-            )
-    except (ValueError, DeprecationWarning):
+        values = np.fromstring(
+            block.replace(b"\n", b","), dtype=np.int64, count=n_fields, sep=","
+        )
+    except ValueError:  # unmatched data, which the form checks already rule out
         return None
     return values.reshape(-1, 4) if values.size == n_fields else None
 
@@ -583,6 +585,9 @@ def compact_in_place(stream: EventStream, keep: np.ndarray | None) -> EventStrea
     the returned stream adopts it.  The peak is the stream and one chunk of
     one array, not a second stream.  ``ndarray.resize`` refuses, with a
     ``ValueError``, an array that a view or another name still references.
+    Under a trace or profile function (a debugger, a coverage tool,
+    cProfile), which adds references of its own, a refused column is
+    replaced by a copy of its kept prefix instead: the same events.
     With ``keep`` ``None`` the stream is returned as it is.
     """
     if keep is None:
@@ -604,7 +609,15 @@ def compact_in_place(stream: EventStream, keep: np.ndarray | None) -> EventStrea
     shrunk = []
     while columns:
         column = columns.pop(0)
-        column.resize(n_kept)
+        try:
+            column.resize(n_kept)
+        except ValueError:
+            if sys.gettrace() is None and sys.getprofile() is None:
+                raise
+            # A trace or profile function holds references of its own (a
+            # snapshot of this frame's locals, a bound method), which the
+            # check cannot tell from a holder: keep a copy of the prefix.
+            column = column[:n_kept].copy()
         shrunk.append(column)
     return EventStream._adopt(stream.geometry, *shrunk)
 

@@ -1,10 +1,11 @@
 """End-to-end composition: streams to descriptors to fused evaluation.
 
 This is plumbing shared by the synthetic benchmark and the command line.
-The flow is fixed: sample grids over both traverses, one descriptor
-sequence per window family, one distance matrix per family, a fused
+The flow is fixed: for each traverse, a sample grid and one descriptor
+sequence per window family (:func:`describe_traverse`, which needs nothing
+of the other traverse); then one distance matrix per family, a fused
 matrix under the configured rule, optionally the approximate ensemble,
-and precision at full recall for everything.
+and precision at full recall for everything (:func:`run_from_sequences`).
 
 Ground-truth anchors are interpolated onto the query grid first; grid
 points outside anchor coverage are dropped from the whole pipeline so
@@ -31,7 +32,9 @@ from .evaluation import (
 from .events import EventStream
 from .windowing import (
     DEFAULT_APPROX_FRACTION,
+    DEFAULT_COUNT_FRACTIONS,
     DEFAULT_GRID_DT_US,
+    DEFAULT_SPANS_US,
     WindowSet,
     build_window_set,
     normalized_count,
@@ -123,6 +126,39 @@ def run_from_sequences(
     )
 
 
+def describe_traverse(
+    stream: EventStream,
+    counts=None,
+    spans_us=None,
+    descriptor: DescriptorParams = DescriptorParams(),
+    grid_dt_us: int = DEFAULT_GRID_DT_US,
+    approximate_fraction: float | None = None,
+) -> tuple[list[DescriptorSequence], DescriptorSequence | None]:
+    """One traverse's descriptor sequences, one per window family, on its grid.
+
+    This is all the work on one side before the two sides meet in
+    :func:`run_from_sequences`, so the query and reference sides can be
+    described independently (the command line runs them on two threads).
+    ``counts`` and ``spans_us`` follow
+    :func:`evplace.windowing.build_window_set`.  With
+    ``approximate_fraction`` set (the query side), the second value is the
+    approximate ensemble's single fixed-count family, sized as that
+    fraction of the pixel count, on the same grid; otherwise it is ``None``.
+    """
+    grid = sample_grid(stream, grid_dt_us)
+    if grid.size == 0:
+        raise ConfigError("cannot sample an empty stream")
+    sequences = describe_window_set(
+        build_window_set(stream, counts, spans_us), stream, grid, descriptor
+    )
+    approximate = None
+    if approximate_fraction is not None:
+        n_hat = normalized_count(approximate_fraction, stream.geometry)
+        family = split_fixed_count(stream, n_hat)
+        approximate = describe_window_set(WindowSet((family,)), stream, grid, descriptor)[0]
+    return sequences, approximate
+
+
 def run_place_recognition(
     query_stream: EventStream,
     reference_stream: EventStream,
@@ -142,28 +178,20 @@ def run_place_recognition(
     :func:`evplace.windowing.build_window_set`.  Set
     ``approximate_fraction`` to ``None`` to skip the approximate ensemble;
     otherwise it sizes the single query-side window family as a fraction
-    of the pixel count.
+    of the pixel count.  A rule that cannot fuse one member per window
+    family is refused before either stream is described.
     """
+    if counts is None:
+        counts = DEFAULT_COUNT_FRACTIONS
+    if spans_us is None:
+        spans_us = DEFAULT_SPANS_US
+    rule.check_members(len(counts) + len(spans_us))
     if query_stream.geometry != reference_stream.geometry:
         raise ConfigError("query and reference streams need one sensor geometry")
-    q_grid = sample_grid(query_stream, grid_dt_us)
-    r_grid = sample_grid(reference_stream, grid_dt_us)
-    if q_grid.size == 0 or r_grid.size == 0:
-        raise ConfigError("cannot sample an empty stream")
-
-    q_set = build_window_set(query_stream, counts, spans_us)
-    r_set = build_window_set(reference_stream, counts, spans_us)
-    q_seqs = describe_window_set(q_set, query_stream, q_grid, descriptor)
-    r_seqs = describe_window_set(r_set, reference_stream, r_grid, descriptor)
-
-    approx_query = None
-    if approximate_fraction is not None:
-        n_hat = normalized_count(approximate_fraction, query_stream.geometry)
-        family = split_fixed_count(query_stream, n_hat)
-        approx_query = describe_window_set(
-            WindowSet((family,)), query_stream, q_grid, descriptor
-        )[0]
-
+    q_seqs, approx_query = describe_traverse(
+        query_stream, counts, spans_us, descriptor, grid_dt_us, approximate_fraction
+    )
+    r_seqs, _ = describe_traverse(reference_stream, counts, spans_us, descriptor, grid_dt_us)
     return run_from_sequences(
         q_seqs,
         r_seqs,

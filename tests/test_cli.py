@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -519,6 +522,23 @@ def test_read_events_filters_in_the_stream_and_a_mask(tmp_path):
     assert peak < 14 * len(stream) + 2.5 * 2**20
 
 
+@pytest.mark.parametrize("install", [sys.settrace, sys.setprofile], ids=["trace", "profile"])
+def test_read_events_filters_in_place_under_a_trace_or_profile_function(install):
+    # Debuggers, coverage tools and cProfile install such a function; its
+    # extra references made the in-place shrink refuse every column.
+    g = SensorGeometry(16, 12)
+    cfg = _filter_config(g, True, 5.0, True, 500, 0.25)
+    previous = sys.gettrace() if install is sys.settrace else sys.getprofile()
+    install(lambda *args: None)
+    try:
+        report = _assert_read_events_matches_public_filters(
+            _noisy_stream(g, 6000, 3), cfg, events._FILTER_CHUNK_EVENTS
+        )
+    finally:
+        install(previous)
+    assert report["hot_pixels"]["events_removed"] > 0 and report["bursts"]["events_removed"] > 0
+
+
 def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):
     rc = main(["filter", "--events", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")])
     assert rc == 1
@@ -967,3 +987,115 @@ def test_run_prints_fused_precision(workspace, tmp_path, capsys):
     assert stdout.startswith("fused mean_of_4: precision ")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["approximate"] is None
+
+
+# ---------------------------------------------------------------------------
+# run: the query and reference sides on two threads
+
+
+def _event_run_args(workspace, query, reference, out, *sets) -> list[str]:
+    return [
+        "run",
+        "--config", str(workspace["cfg"]),
+        *sets,
+        "--query", str(query),
+        "--reference", str(reference),
+        "--gt", str(workspace["data"] / "ground_truth.csv"),
+        "-o", str(out),
+    ]
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_run_profile_records_name_the_role_of_each_side(workspace, tmp_path):
+    data = workspace["data"]
+    filters = ["--set", "filters.hot_pixels.enabled=true", "--set", "filters.bursts.enabled=true"]
+    profile = tmp_path / "profile.json"
+    args_a = _event_run_args(
+        workspace, data / "query_events.csv", data / "reference_events.csv", tmp_path / "a", *filters
+    )
+    assert main(["--profile", str(profile), *args_a]) == 0
+    args_b = _event_run_args(
+        workspace, data / "query_events.csv", data / "reference_events.csv", tmp_path / "b", *filters
+    )
+    assert main(args_b) == 0
+    assert _files(tmp_path / "a") == _files(tmp_path / "b")
+    stages = json.loads(profile.read_text())["stages"]
+    # The two sides' records interleave; each names its side.
+    for role in ("query", "reference"):
+        own = [s for s in stages if s.get("role") == role]
+        assert [s["stage"] for s in own] == ["read-events", "hot-pixels", "bursts", "describe"]
+        read, hot, bursts, _ = own
+        assert hot["events_in"] == read["events_out"] and bursts["events_in"] == hot["events_out"]
+    assert [s["stage"] for s in stages if "role" not in s] == [
+        "config", "config", "read-ground-truth", "pipeline", "write", "write"
+    ]
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert set(manifest["inputs"]) == {"ground_truth", "query", "reference"}
+
+
+def test_run_sides_give_the_same_outputs_under_frequent_thread_switches(workspace, tmp_path):
+    data = workspace["data"]
+    expected = _files(workspace["run"])
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(3):
+            out = tmp_path / f"run{i}"
+            args = _event_run_args(
+                workspace, data / "query_events.csv", data / "reference_events.csv", out
+            )
+            assert main(args) == 0
+            assert _files(out) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "query_ok, reference_ok, named",
+    [(False, False, "query"), (True, False, "reference"), (False, True, "query")],
+)
+def test_run_reports_a_failing_side_as_the_sequential_order_would(
+    workspace, tmp_path, capsys, query_ok, reference_ok, named
+):
+    data = workspace["data"]
+    paths = {
+        "query": data / "query_events.csv" if query_ok else tmp_path / "absent_query.csv",
+        "reference": (
+            data / "reference_events.csv" if reference_ok else tmp_path / "absent_reference.csv"
+        ),
+    }
+    other = "reference" if named == "query" else "query"
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    assert main(_event_run_args(workspace, paths["query"], paths["reference"], out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace run: error [read-events]"), err
+    assert str(paths[named]) in err and str(paths[other]) not in err
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
+def test_query_and_reference_raise_the_query_sides_error_after_both_finish():
+    finished = []
+
+    def failing(name: str, delay: float):
+        def side():
+            time.sleep(delay)
+            finished.append(name)
+            raise ValueError(name)
+
+        return side
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="query"):
+        cli._query_and_reference(failing("query", 0.0), failing("reference", 0.05))
+    assert sorted(finished) == ["query", "reference"]
+    with pytest.raises(ValueError, match="reference"):
+        cli._query_and_reference(lambda: "q", failing("reference", 0.0))
+    assert cli._query_and_reference(lambda: "q", lambda: "r") == ("q", "r")
+    assert threading.active_count() == threads

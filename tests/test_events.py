@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -515,6 +518,63 @@ def test_parse_refuses_an_overflowing_field_that_opens_a_block():
             _assert_parses_like_rows(f"t,x,y,p\n5,0,0,1\n{field},0,0,1\n")
 
 
+def test_concurrent_parses_leave_the_warning_filters_as_they_were():
+    # Blocks are parsed without touching process-wide state.  A
+    # warnings.catch_warnings() around each block, entered and left by two
+    # threads in turn, could restore one thread's "error" filter last and
+    # leave it behind for the whole process.
+    rng = np.random.default_rng(71)
+    g = SensorGeometry(64, 48)
+    texts = [write_event_csv(_random_stream(rng, 3000, g)) for _ in range(2)]
+    expected = [parse_event_csv(text, g) for text in texts]
+    filters = list(warnings.filters)
+    results = [None, None]
+
+    def parse(i):
+        results[i] = parse_event_csv(texts[i], g)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(events, "_CHECK_BLOCK_BYTES", 256):  # hundreds of blocks
+            for _ in range(5):
+                results[:] = [None, None]
+                threads = [threading.Thread(target=parse, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert warnings.filters == filters
+                for got, want in zip(results, expected):
+                    for k in COLUMNS:
+                        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "block", [b"1,2-3,4\n", b"1,2,3,4-\n", b"1,2,3,--4\n", b"-,2,3,4\n", b"1,2,,4\n"]
+)
+def test_block_values_refuses_malformed_blocks_without_a_warning(block):
+    # fromstring reads "--4" and "-" as 0 without a word, so the form
+    # checks must refuse these blocks before it sees them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert events._block_values(block) is None
+
+
+@pytest.mark.parametrize("block", [b"1,2-3,4\n", b"1,2,,4\n"])
+def test_block_values_turns_fromstrings_refusal_into_none(block):
+    # Past the form checks (skipped here), fromstring refuses unmatched
+    # data with a ValueError of its own: no warning filter is needed.
+    n_fields = block.count(b",") + 1
+    with mock.patch.object(events, "_strict_field_count", lambda a: n_fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert events._block_values(block) is None
+
+
 @st.composite
 def _streams(draw):
     g = SensorGeometry(draw(st.integers(1, 400)), draw(st.integers(1, 300)))
@@ -957,6 +1017,28 @@ def test_compact_in_place_refuses_an_array_held_elsewhere():
     with pytest.raises(ValueError, match="resize"):
         compact_in_place(held, np.arange(len(s)) % 2 == 0)
     del view
+
+
+@pytest.mark.parametrize("install", [sys.settrace, sys.setprofile], ids=["trace", "profile"])
+def test_compact_in_place_under_a_trace_or_profile_function(install):
+    # A trace or profile function (a debugger, a coverage tool, cProfile)
+    # adds references of its own that resize's check cannot tell from a
+    # holder's; the refused columns are copied instead.
+    s = _noisy_small_stream(73)
+    keep = np.arange(len(s)) % 3 != 0
+    expected = s.select(keep)
+    taken = EventStream(s.geometry, s.t, s.x, s.y, s.p)
+    previous = sys.gettrace() if install is sys.settrace else sys.getprofile()
+    install(lambda *args: None)
+    try:
+        got = compact_in_place(taken, keep)
+    finally:
+        install(previous)
+    for k in FIELDS:
+        a = getattr(got, k)
+        assert a.dtype == getattr(expected, k).dtype and np.array_equal(a, getattr(expected, k))
+    for k in COLUMNS:
+        assert not getattr(got, k).flags.writeable
 
 
 def test_burst_rejects_bad_params():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from evplace import pipeline
 from evplace.descriptors import (
     AccumulationMode,
     DescriptorParams,
@@ -14,7 +17,7 @@ from evplace.ensemble import EnsembleRule, RuleKind
 from evplace.errors import ConfigError
 from evplace.evaluation import GroundTruth, precision_at_full_recall
 from evplace.events import SensorGeometry
-from evplace.pipeline import run_from_sequences, run_place_recognition
+from evplace.pipeline import describe_traverse, run_from_sequences, run_place_recognition
 from evplace.synthetic import TraverseParams, generate_traverse, generate_world
 
 GEOM = SensorGeometry(16, 12)
@@ -152,3 +155,47 @@ def test_run_from_sequences_external_descriptors():
     assert result.fused_eval.precision == 1.0
     assert result.approximate is None
     assert result.dropped_grid_points == 0
+
+
+@pytest.mark.parametrize(
+    "counts, spans_us, rule, message",
+    [
+        ([0.3], [400_000, 700_000], EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, 1.0)),
+         "2 weights for 3 members"),
+        # the defaults: four count and five span families
+        (None, None, EnsembleRule(RuleKind.TRIMMED_MEAN, trim=5), "needs more than 10 members"),
+        ([0.3], [], EnsembleRule(RuleKind.MAJORITY_VOTE), "at least two members"),
+    ],
+)
+def test_misfit_rule_is_refused_before_either_stream_is_described(
+    counts, spans_us, rule, message
+):
+    qry, ref, anchors = _synthetic_pair()
+    with mock.patch.object(
+        pipeline, "describe_window_set", side_effect=AssertionError("described a stream")
+    ):
+        with pytest.raises(ConfigError, match=message):
+            run_place_recognition(
+                qry, ref, anchors,
+                counts=counts, spans_us=spans_us, rule=rule,
+                descriptor=DESCRIPTOR, grid_dt_us=500_000,
+            )
+
+
+def test_run_place_recognition_is_describe_traverse_per_side_then_run_from_sequences():
+    qry, ref, anchors = _synthetic_pair()
+    options = dict(counts=[0.3, 0.6], spans_us=[400_000], descriptor=DESCRIPTOR,
+                   grid_dt_us=500_000)
+    q_seqs, approx = describe_traverse(qry, approximate_fraction=0.5, **options)
+    r_seqs, none = describe_traverse(ref, **options)
+    assert none is None and np.array_equal(approx.t_us, q_seqs[0].t_us)
+    expected = run_from_sequences(
+        q_seqs, r_seqs, anchors, loc_threshold_us=100_000, approximate_query=approx
+    )
+    got = run_place_recognition(
+        qry, ref, anchors, loc_threshold_us=100_000, approximate_fraction=0.5, **options
+    )
+    for a, b in zip((*got.members, got.fused, got.approximate),
+                    (*expected.members, expected.fused, expected.approximate)):
+        assert a.member_label == b.member_label and a.values.tobytes() == b.values.tobytes()
+    assert got.fused_eval == expected.fused_eval

@@ -12,16 +12,19 @@ Every failure prints ``evplace <cmd>: error [<stage>] ...`` and exits 1.
 Inputs are hashed and event CSVs parsed and written a block at a time, so
 no command holds an event file's whole text, and each parsed stream is
 filtered in place.  ``run`` on event CSVs takes each traverse from its
-file to its descriptors on a thread of its own (the reference on a worker,
-the query on the caller), since the two meet only at the distance stage;
-a failure is reported as the sequential order, query first, would report it.
+file to its descriptors in a process of its own (the reference in a forked
+worker, the query in the caller), since the two meet only at the distance
+stage; only the reference side's descriptors, profile records and manifest
+entry come back.  A failure is reported as the sequential order, query
+first, would report it.
 
 ``evplace --profile PATH <cmd> ...`` also writes each stage's wall time and
-the process's peak RSS at its end to the JSON file ``PATH``, which must lie
-outside the output directory, with the events in and out of the
-read-events, hot-pixels and bursts stages and the pixels hot-pixels flagged.
-The records of those stages and of ``describe`` name their input's
-``role`` (``events``, ``query`` or ``reference``).
+the peak RSS of the process that ran it, at its end, to the JSON file
+``PATH``, which must lie outside the output directory, with the events in
+and out of the read-events, hot-pixels and bursts stages and the pixels
+hot-pixels flagged.  The records of those stages and of ``describe`` name
+their input's ``role`` (``events``, ``query`` or ``reference``); the
+``reference`` records of ``run`` carry the worker's own peak.
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
@@ -35,11 +38,12 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import re
 import resource
 import sys
-import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
@@ -94,9 +98,15 @@ _PROFILE: list[dict] | None = None
 class StageError(EvPlaceError):
     """An error annotated with the pipeline stage it occurred in."""
 
-    def __init__(self, stage: str, error: Exception):
+    def __init__(self, stage: str, error: Exception | str):
         super().__init__(f"[{stage}] {error}")
         self.stage = stage
+        self.detail = str(error)
+
+    def __reduce__(self):
+        # rebuilt from its stage and message: ``run``'s reference worker
+        # sends its failure to the parent pickled
+        return StageError, (self.stage, self.detail)
 
 
 @contextmanager
@@ -396,32 +406,77 @@ def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResul
     out.write("summary.json", _json_bytes(summary))
 
 
-def _query_and_reference(query_side, reference_side):
-    """``(query_side(), reference_side())``, the reference side on a thread.
+def _query_and_reference(out: _Outputs, query_side, reference_side):
+    """``(query_side(), reference_side())``, the reference side in a forked worker.
 
-    The two traverses are independent until the distance stage, so one
-    side's work that runs without the GIL (hashing, numpy arithmetic)
-    overlaps the other side's parse.  Both sides have finished when this
-    returns or raises, and a failure is raised as the sequential order
-    would raise it: the query side's first.
+    The two traverses are independent until the distance stage, so each
+    side parses, filters and describes on a CPU and interpreter of its own.
+    The worker sends back, pickled, its side's result or error, its
+    --profile records and the manifest entries it read, which join the
+    caller's.  A failure is raised as the sequential order would raise it,
+    the query side's first; on any exception in the caller the worker is
+    killed at once, and no worker outlives this call.
     """
-    reference: list = []
-
-    def work():
+    # flushed first, so that the child holds no copy of pending output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    n_records = 0 if _PROFILE is None else len(_PROFILE)
+    roles = set(out.inputs)
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork() while other OS threads exist; here
+        # those are OpenBLAS's pool, which OpenBLAS stops around a fork
+        # (pthread_atfork) and restarts in the child on demand.  The child
+        # runs only this package's numpy code and leaves by os._exit.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            reference.append(reference_side())
-        except BaseException as e:  # re-raised on the caller's thread below
-            reference.append(e)
+            os.close(read_fd)
+            try:
+                outcome = (True, reference_side())
+            except BaseException as e:  # re-raised in the caller below
+                outcome = (False, e)
+            records = [] if _PROFILE is None else _PROFILE[n_records:]
+            inputs = {k: v for k, v in out.inputs.items() if k not in roles}
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((outcome, records, inputs), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            # never return into the caller's stack (a test runner, a tracer)
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            query = query_side()
+            payload = pipe.read()
+        except BaseException:
+            import signal
 
-    worker = threading.Thread(target=work, name="evplace-reference")
-    worker.start()
-    try:
-        query = query_side()
-    finally:
-        worker.join()
-    if isinstance(reference[0], BaseException):
-        raise reference[0]
-    return query, reference[0]
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if status != 0:
+        import signal
+
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exited with code {code}"
+        if code < 0:
+            how = f"was killed by {signal.Signals(-code).name}"
+        raise StageError("reference", f"worker process {how} before sending its result")
+    (ok, reference), records, inputs = pickle.loads(payload)
+    if _PROFILE is not None:
+        _PROFILE.extend(records)
+    out.inputs.update(inputs)
+    if not ok:
+        raise reference
+    return query, reference
 
 
 def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
@@ -446,6 +501,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
     if event_mode:
         (q_seqs, approx_query), (r_seqs, _) = _query_and_reference(
+            out,
             lambda: _describe_events(out, "query", args.query, cfg, cfg.approximate_fraction),
             lambda: _describe_events(out, "reference", args.reference, cfg),
         )
@@ -504,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         metavar="PATH",
-        help="write each stage's wall time and peak RSS to this JSON file "
-        "(outside the output directory)",
+        help="write each stage's wall time and the peak RSS of the process that ran it "
+        "(run's reference side: its worker) to this JSON file (outside the output directory)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

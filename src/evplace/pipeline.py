@@ -138,7 +138,7 @@ def describe_traverse(
 
     This is all the work on one side before the two sides meet in
     :func:`run_from_sequences`, so the query and reference sides can be
-    described independently (the command line runs them on two threads).
+    described independently (the command line runs them in two processes).
     ``counts`` and ``spans_us`` follow
     :func:`evplace.windowing.build_window_set`.  With
     ``approximate_fraction`` set (the query side), the second value is the

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
 import sys
 import tempfile
 import threading
@@ -23,6 +25,7 @@ from evplace.config import PipelineConfig
 from evplace.descriptors import load_descriptors
 from evplace.distance import read_matrix_csv
 from evplace.ensemble import RuleKind
+from evplace.errors import ConfigError
 from evplace.events import (
     EventStream,
     SensorGeometry,
@@ -990,7 +993,7 @@ def test_run_prints_fused_precision(workspace, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# run: the query and reference sides on two threads
+# run: the query side in the caller, the reference side in a forked worker
 
 
 def _event_run_args(workspace, query, reference, out, *sets) -> list[str]:
@@ -1080,22 +1083,99 @@ def test_run_reports_a_failing_side_as_the_sequential_order_would(
     assert threading.active_count() == threads
 
 
-def test_query_and_reference_raise_the_query_sides_error_after_both_finish():
-    finished = []
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def failing(name: str, delay: float):
-        def side():
-            time.sleep(delay)
-            finished.append(name)
-            raise ValueError(name)
 
-        return side
+def test_query_and_reference_raise_a_query_failure_without_waiting_for_the_worker(tmp_path):
+    def sleeping():
+        time.sleep(5.0)
+        return "r"
 
-    threads = threading.active_count()
+    def failing():
+        raise ValueError("query")
+
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="query"):
-        cli._query_and_reference(failing("query", 0.0), failing("reference", 0.05))
-    assert sorted(finished) == ["query", "reference"]
-    with pytest.raises(ValueError, match="reference"):
-        cli._query_and_reference(lambda: "q", failing("reference", 0.0))
-    assert cli._query_and_reference(lambda: "q", lambda: "r") == ("q", "r")
-    assert threading.active_count() == threads
+        cli._query_and_reference(cli._Outputs(str(tmp_path)), failing, sleeping)
+    assert time.perf_counter() - start < 1.0
+    _assert_no_child_left()
+
+
+def test_query_and_reference_bring_back_the_workers_result_records_and_inputs(tmp_path):
+    out = cli._Outputs(str(tmp_path / "out"))
+    data = tmp_path / "reference.bin"
+    data.write_bytes(b"evplace")
+
+    def reference():
+        with cli._stage("describe", "reference"):
+            return out.read("reference", str(data), lambda fh: fh.read().decode())
+
+    def query():
+        with cli._stage("describe", "query"):
+            return "q"
+
+    with mock.patch.object(cli, "_PROFILE", [{"stage": "config"}]):
+        assert cli._query_and_reference(out, query, reference) == ("q", "evplace")
+        assert [(r["stage"], r.get("role")) for r in cli._PROFILE] == [
+            ("config", None), ("describe", "query"), ("describe", "reference")
+        ]
+    assert out.inputs == {"reference": _digest_entry(data)}
+    _assert_no_child_left()
+
+    def failing():
+        with cli._stage("describe", "reference"):
+            raise ConfigError("nothing to describe")
+
+    with pytest.raises(cli.StageError, match=r"^\[describe\] nothing to describe$") as info:
+        cli._query_and_reference(out, lambda: "q", failing)
+    assert info.value.stage == "describe"
+    _assert_no_child_left()
+
+
+def test_run_reports_a_reference_failure_in_a_later_stage(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    # every event on one pixel: the hot-pixel filter empties this stream
+    reference = tmp_path / "one_pixel.csv"
+    n = 4000
+    stream = EventStream(
+        SensorGeometry(16, 12), np.arange(n, dtype=np.int64) * 1000,
+        np.full(n, 3, dtype=np.int32), np.full(n, 4, dtype=np.int32), np.ones(n, dtype=np.int8),
+    )
+    reference.write_bytes(write_event_csv(stream))
+    out = tmp_path / "out"
+    args = _event_run_args(
+        workspace, data / "query_events.csv", reference, out,
+        "--set", "filters.hot_pixels.enabled=true",
+    )
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "evplace run: error [describe] cannot sample an empty stream\n", err
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "death, named",
+    [(lambda: os.kill(os.getpid(), signal.SIGKILL), "SIGKILL"), (lambda: os._exit(3), "code 3")],
+    ids=["signal", "exit"],
+)
+def test_run_reports_a_worker_that_dies_without_a_result(workspace, tmp_path, capsys, death, named):
+    data = workspace["data"]
+    describe = cli._describe_events
+
+    def dying(out, role, *rest):
+        if role == "reference":
+            death()
+        return describe(out, role, *rest)
+
+    out = tmp_path / "out"
+    args = _event_run_args(workspace, data / "query_events.csv", data / "reference_events.csv", out)
+    with mock.patch.object(cli, "_describe_events", dying):
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace run: error [reference] worker process"), err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+    _assert_no_child_left()

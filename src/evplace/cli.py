@@ -437,9 +437,9 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
         try:
             os.close(read_fd)
             try:
-                outcome = (True, reference_side())
+                outcome = reference_side()
             except BaseException as e:  # re-raised in the caller below
-                outcome = (False, e)
+                outcome = e
             records = [] if _PROFILE is None else _PROFILE[n_records:]
             inputs = {k: v for k, v in out.inputs.items() if k not in roles}
             with open(write_fd, "wb") as pipe:
@@ -470,11 +470,11 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
         if code < 0:
             how = f"was killed by {signal.Signals(-code).name}"
         raise StageError("reference", f"worker process {how} before sending its result")
-    (ok, reference), records, inputs = pickle.loads(payload)
+    reference, records, inputs = pickle.loads(payload)
     if _PROFILE is not None:
         _PROFILE.extend(records)
     out.inputs.update(inputs)
-    if not ok:
+    if isinstance(reference, BaseException):
         raise reference
     return query, reference
 

@@ -34,6 +34,7 @@ flags.  Set ``EVPLACE_LOG=info`` (or ``debug``) for progress logging.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -406,6 +407,10 @@ def _write_run_outputs(out: _Outputs, cfg: PipelineConfig, result: PipelineResul
     out.write("summary.json", _json_bytes(summary))
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)  # the shell's exit status for a SIGTERM
+
+
 def _query_and_reference(out: _Outputs, query_side, reference_side):
     """``(query_side(), reference_side())``, the reference side in a forked worker.
 
@@ -414,57 +419,67 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
     The worker sends back, pickled, its side's result or error, its
     --profile records and the manifest entries it read, which join the
     caller's.  A failure is raised as the sequential order would raise it,
-    the query side's first; on any exception in the caller the worker is
-    killed at once, and no worker outlives this call.
+    the query side's first; on any exception in the caller, including the
+    ``SystemExit`` a SIGTERM raises while the worker lives, the worker is
+    killed at once, and no worker outlives this call.  A worker whose
+    caller is gone exits silently.
     """
+    import signal
+
     # flushed first, so that the child holds no copy of pending output
     sys.stdout.flush()
     sys.stderr.flush()
     n_records = 0 if _PROFILE is None else len(_PROFILE)
     roles = set(out.inputs)
     read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork() while other OS threads exist; here
-        # those are OpenBLAS's pool, which OpenBLAS stops around a fork
-        # (pthread_atfork) and restarts in the child on demand.  The child
-        # runs only this package's numpy code and leaves by os._exit.
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
+    # Until the worker is reaped, a SIGTERM raises SystemExit and so kills
+    # the worker below.  Set before the fork: no SIGTERM finds a live worker
+    # and the default action.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork() while other OS threads exist; here
+            # those are OpenBLAS's pool, which OpenBLAS stops around a fork
+            # (pthread_atfork) and restarts in the child on demand.  The child
+            # runs only this package's numpy code and leaves by os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+        if pid == 0:
+            code = 1
             try:
-                outcome = reference_side()
-            except BaseException as e:  # re-raised in the caller below
-                outcome = e
-            records = [] if _PROFILE is None else _PROFILE[n_records:]
-            inputs = {k: v for k, v in out.inputs.items() if k not in roles}
-            with open(write_fd, "wb") as pipe:
-                pickle.dump((outcome, records, inputs), pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        except BaseException:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            # never return into the caller's stack (a test runner, a tracer)
-            os._exit(code)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
+                signal.signal(signal.SIGTERM, previous)
+                os.close(read_fd)
+                try:
+                    outcome = reference_side()
+                except BaseException as e:  # re-raised in the caller below
+                    outcome = e
+                records = [] if _PROFILE is None else _PROFILE[n_records:]
+                inputs = {k: v for k, v in out.inputs.items() if k not in roles}
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump((outcome, records, inputs), pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            except BrokenPipeError:
+                pass  # the caller is gone: nothing reads a result or a report
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+            finally:
+                # never return into the caller's stack (a test runner, a tracer)
+                os._exit(code)
+        os.close(write_fd)
         try:
-            query = query_side()
-            payload = pipe.read()
+            with open(read_fd, "rb") as pipe:
+                query = query_side()
+                payload = pipe.read()
         except BaseException:
-            import signal
-
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             _, status = os.waitpid(pid, 0)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if status != 0:
-        import signal
-
         code = os.waitstatus_to_exitcode(status)
         how = f"exited with code {code}"
         if code < 0:
@@ -652,5 +667,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry_point() -> int:
+    """The ``evplace`` command: :func:`main`, the import-time heap frozen first.
+
+    ``gc.freeze()`` moves every object the imports left out of the
+    collector's reach, so neither the run nor the exit collects them again.
+    Only process entry freezes; callers of :func:`main` keep the collector
+    as it was.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -38,6 +38,7 @@ which is how the command line filters a stream it has just parsed.
 
 from __future__ import annotations
 
+import functools
 import io
 import sys
 from dataclasses import dataclass
@@ -443,28 +444,84 @@ def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
 def event_csv_blocks(stream: EventStream) -> Iterator[bytes]:
     """The ``t,x,y,p`` CSV of a stream (header row, LF endings) in blocks.
 
-    One ``bytes`` %-format per ``_WRITE_BLOCK_ROWS`` rows: ``t`` as a Python
-    int, ``x``, ``y`` and ``p`` as the encoded digits looked up in tables of
-    ``width``, ``height`` and 3 entries, ``x`` and ``y`` split from the
-    block's pixel ids.  A block bounds the Python objects alive at a time,
-    and writing each block as it comes holds one block of text, not the
-    whole file.
+    One ``bytes`` per ``_WRITE_BLOCK_ROWS`` rows, encoded as a ``uint32``
+    matrix with one row per event and then stripped of its NUL bytes.  A
+    row holds ``t`` as one word per 4-digit group (:func:`_t_group_words`),
+    as many groups as the block's last, largest ``t`` needs, then ``",x"``,
+    ``",y"`` and ``",p\\n"`` looked up in tables of ``width``, ``height``
+    and 3 right-aligned, NUL-padded words, ``x`` and ``y`` split from the
+    block's pixel ids.  Writing each block as it comes holds one block of
+    text, not the whole file.
     """
     yield (EVENT_CSV_HEADER + "\n").encode("ascii")
     g = stream.geometry
-    x_text = np.array([b"%d" % i for i in range(g.width)], dtype=object)
-    y_text = np.array([b"%d" % i for i in range(g.height)], dtype=object)
-    p_text = np.array([b"0", b"1", b"-1"], dtype=object)  # indexed by p itself
+    lead, inside = _t_group_words()
+    x_words, y_words = _field_words(g.width), _field_words(g.height)
+    p_words = np.frombuffer(b"\0,0\n" b"\0,1\n" b",-1\n", np.uint32)  # indexed by p itself
+    zero = np.frombuffer(b"\0\0\0" b"0", np.uint32)  # the one group of t = 0
+    fields = x_words.shape[1] + y_words.shape[1] + 1
     for start in range(0, len(stream), _WRITE_BLOCK_ROWS):
         block = slice(start, start + _WRITE_BLOCK_ROWS)
-        n = stream.t[block].size
+        t = stream.t[block]
+        n_groups = (len(str(int(t[-1]))) + 3) // 4  # t is sorted: the last is the longest
+        words = np.empty((t.size, n_groups + fields), np.uint32)
+        rest = t
+        for column in range(n_groups - 1, 0, -1):  # each group below the top one
+            high = rest // 10_000
+            group = rest - high * 10_000
+            # rows from ``split`` on have digits above this group
+            split = int(np.searchsorted(t, 10 ** (4 * (n_groups - column))))
+            words[:split, column] = lead[group[:split]]
+            words[split:, column] = inside[group[split:]]
+            rest = high
+        words[:, 0] = lead[rest]
+        words[: int(np.searchsorted(t, 1)), n_groups - 1] = zero
         y, x = np.divmod(stream.pixel[block], g.width)
-        rows = np.empty((n, 4), dtype=object)
-        rows[:, 0] = stream.t[block].tolist()
-        rows[:, 1] = x_text[x]
-        rows[:, 2] = y_text[y]
-        rows[:, 3] = p_text[stream.p[block]]
-        yield b"%d,%s,%s,%s\n" * n % tuple(rows.ravel().tolist())
+        x_end = n_groups + x_words.shape[1]
+        words[:, n_groups:x_end] = x_words[x]
+        words[:, x_end:-1] = y_words[y]
+        words[:, -1] = p_words[stream.p[block]]
+        yield words.tobytes().translate(None, b"\0")
+
+
+@functools.cache
+def _t_group_words() -> tuple[np.ndarray, np.ndarray]:
+    """The words of a 4-digit group of ``t``: ``(lead, inside)``, uint32.
+
+    ``inside[v]`` is ``v`` zero-padded to 4 digits, for a group with digits
+    above it; ``lead[v]`` is ``v`` right-aligned and NUL-padded, for the
+    number's top group, so ``lead[0]`` is all NUL.  Built at the first
+    write, never at import.
+    """
+    chars, before = _digit_chars(np.arange(10_000), 4)
+    inside = chars.view(np.uint32)[:, 0].copy()
+    chars[before] = 0
+    return _read_only(chars.view(np.uint32)[:, 0]), _read_only(inside)
+
+
+def _field_words(n: int) -> np.ndarray:
+    """``",v"`` for each ``v`` in ``range(n)``: right-aligned, NUL-padded uint32 words.
+
+    An ``(n, k)`` array, ``k`` words wide enough for ``",{n - 1}"``.
+    """
+    n_chars = 4 * ((len(str(n - 1)) + 4) // 4)
+    chars, before = _digit_chars(np.arange(n), n_chars)
+    before[:, -1] = False  # zero is the one digit "0"
+    chars[before] = 0
+    chars[np.arange(n), np.count_nonzero(before, axis=1) - 1] = ord(",")
+    return chars.view(np.uint32)
+
+
+def _digit_chars(values: np.ndarray, n_chars: int) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of non-negative ``values``, zero-padded to ``n_chars``.
+
+    Returns the ``(len(values), n_chars)`` uint8 digits and a mask of the
+    positions before each value's first significant digit (every position
+    of a zero).
+    """
+    power = 10 ** np.arange(n_chars - 1, -1, -1, dtype=np.int64)
+    v = values[:, None]
+    return (v // power % 10 + ord("0")).astype(np.uint8), v < power
 
 
 def write_event_csv(stream: EventStream) -> bytes:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -1101,6 +1102,55 @@ def test_query_and_reference_raise_a_query_failure_without_waiting_for_the_worke
         cli._query_and_reference(cli._Outputs(str(tmp_path)), failing, sleeping)
     assert time.perf_counter() - start < 1.0
     _assert_no_child_left()
+
+
+def test_query_and_reference_turn_a_sigterm_into_an_exit_that_kills_the_worker(tmp_path, capfd):
+    def sleeping():
+        time.sleep(5.0)
+        return "r"
+
+    def terminated():
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(5.0)
+
+    handler = signal.getsignal(signal.SIGTERM)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        cli._query_and_reference(cli._Outputs(str(tmp_path)), terminated, sleeping)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 128 + signal.SIGTERM
+    assert signal.getsignal(signal.SIGTERM) is handler
+    _assert_no_child_left()
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_query_and_reference_worker_exits_silently_when_its_caller_is_gone(tmp_path, capfd):
+    # Without the kill (a caller that died of SIGKILL cannot kill), the
+    # worker finishes its side and finds the result pipe closed.
+    def reference():
+        time.sleep(0.3)
+        return "r"
+
+    def failing():
+        raise ValueError("query")
+
+    with mock.patch.object(cli.os, "kill"), pytest.raises(ValueError, match="query"):
+        cli._query_and_reference(cli._Outputs(str(tmp_path)), failing, reference)
+    _assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
+def test_only_the_process_entry_freezes_the_heap(workspace, tmp_path):
+    events_csv = workspace["data"] / "query_events.csv"
+    args = ["filter", "--config", str(workspace["cfg"]), "--events", str(events_csv)]
+    assert main([*args, "-o", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0
+    try:
+        with mock.patch.object(cli, "main", return_value=0):
+            assert cli.entry_point() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_query_and_reference_bring_back_the_workers_result_records_and_inputs(tmp_path):

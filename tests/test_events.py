@@ -604,6 +604,32 @@ def test_write_matches_row_oracle_across_blocks():
         assert write_event_csv(s) == _write_event_csv_loop(s)
 
 
+# Each side of a 4-digit group of t, and the extremes of int64.
+_T_GROUP_EDGES = [0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 10**12, 10**16, 2**63 - 1]
+_SIDES = [1, 10, 346, 1000, 5000]
+
+
+def _far_corner_stream(geometry, t, p=(1, -1)):
+    """Events at ``t`` on the pixel (width - 1, height - 1), polarities cycling ``p``."""
+    n = len(t)
+    return EventStream(geometry, np.asarray(t, dtype=np.int64), np.full(n, geometry.width - 1),
+                       np.full(n, geometry.height - 1), np.resize(p, n))
+
+
+@pytest.mark.parametrize("height", _SIDES)
+@pytest.mark.parametrize("width", _SIDES)
+def test_write_matches_row_oracle_at_the_digit_group_edges(width, height):
+    g = SensorGeometry(width, height)
+    streams = [
+        _far_corner_stream(g, []),
+        _far_corner_stream(g, _T_GROUP_EDGES),
+        _far_corner_stream(g, np.sort(np.resize(_T_GROUP_EDGES, events._WRITE_BLOCK_ROWS + 3))),
+    ]
+    streams += [_far_corner_stream(g, [t], [p]) for t in _T_GROUP_EDGES for p in (1, -1)]
+    for stream in streams:
+        assert write_event_csv(stream) == _write_event_csv_loop(stream), stream.t[:3]
+
+
 def _event_csv_blocks_formula(stream):
     """The ``%d`` block format ``event_csv_blocks`` replaced: its byte oracle."""
     yield (EVENT_CSV_HEADER + "\n").encode("ascii")

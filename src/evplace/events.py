@@ -22,7 +22,10 @@ rewound and parsed again row by row, which accepts the lenient forms
 (CRLF, blank lines, ``+5``) and names the offending line in its error.
 The choice follows from the text alone; no setting selects between the
 two.  :func:`event_csv_blocks` encodes a stream ``_WRITE_BLOCK_ROWS`` rows
-at a time, so a file can be written without its whole text.
+at a time, so a file can be written without its whole text.  A block is a
+``uint32`` matrix, one row per event, of words looked up in tables of
+right-aligned, NUL-padded text (``t`` a 4-digit group at a time, then
+``",x"``, ``",y"`` and ``",p\\n"``); dropping its NUL bytes leaves the CSV.
 
 Two denoising filters operate on whole streams: :func:`remove_hot_pixels`
 drops pixels that fire far more often than the sensor average, and

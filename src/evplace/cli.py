@@ -18,9 +18,10 @@ stage; only the reference side's descriptors, profile records and manifest
 entry come back.  A failure is reported as the sequential order, query
 first, would report it.
 
-``evplace --profile PATH <cmd> ...`` also writes each stage's wall time and
-the peak RSS of the process that ran it, at its end, to the JSON file
-``PATH``, which must lie outside the output directory, with the events in
+``evplace --profile PATH <cmd> ...`` also writes each stage's wall time,
+the peak RSS of the process that ran it at the stage's end and the minor
+page faults that process took during the stage, to the JSON file ``PATH``,
+which must lie outside the output directory, with the events in
 and out of the read-events, hot-pixels and bursts stages and the pixels
 hot-pixels flagged.  The records of those stages and of ``describe`` name
 their input's ``role`` (``events``, ``query`` or ``reference``); the
@@ -34,6 +35,7 @@ flags.  Set ``EVPLACE_LOG=info`` (or ``debug``) for progress logging.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import hashlib
 import json
@@ -92,6 +94,10 @@ from .windowing import build_window_set
 logger = logging.getLogger(__name__)
 
 _HASH_BLOCK_BYTES = 1 << 17
+# mallopt's parameters in glibc's <malloc.h>, prctl's in <linux/prctl.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_PR_SET_PDEATHSIG = 1
 # The stage records of a run with --profile, else None.
 _PROFILE: list[dict] | None = None
 
@@ -123,6 +129,7 @@ def _stage(name: str, role: str | None = None):
     logger.info("stage %s", name if role is None else f"{name} ({role})")
     counters: dict = {} if role is None else {"role": role}
     start = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         yield counters
     except StageError:
@@ -131,15 +138,27 @@ def _stage(name: str, role: str | None = None):
         raise StageError(name, e) from e
     finally:
         if _PROFILE is not None:
-            peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            usage = resource.getrusage(resource.RUSAGE_SELF)
             _PROFILE.append(
                 {
                     "stage": name,
                     "wall_s": time.perf_counter() - start,
-                    "peak_rss_mb": peak_kib / 1024.0,
+                    "peak_rss_mb": usage.ru_maxrss / 1024.0,
+                    "minor_faults": usage.ru_minflt - faults,
                     **counters,
                 }
             )
+
+
+def _libc_function(name: str, *argtypes):
+    """The C library's ``int name(*argtypes)``, or None where it has none."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except AttributeError:
+        return None
+    function.argtypes = argtypes
+    function.restype = ctypes.c_int
+    return function
 
 
 def _configure_logging() -> None:
@@ -422,7 +441,8 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
     the query side's first; on any exception in the caller, including the
     ``SystemExit`` a SIGTERM raises while the worker lives, the worker is
     killed at once, and no worker outlives this call.  A worker whose
-    caller is gone exits silently.
+    caller is gone exits silently; on Linux the kernel kills it when its
+    caller is killed outright (SIGKILL).
     """
     import signal
 
@@ -432,6 +452,7 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
     n_records = 0 if _PROFILE is None else len(_PROFILE)
     roles = set(out.inputs)
     read_fd, write_fd = os.pipe()
+    parent = os.getpid()
     # Until the worker is reaped, a SIGTERM raises SystemExit and so kills
     # the worker below.  Set before the fork: no SIGTERM finds a live worker
     # and the default action.
@@ -449,6 +470,15 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
         if pid == 0:
             code = 1
             try:
+                # The kernel sends the SIGKILL when the forking thread ends,
+                # and that thread waits for this worker unless the whole
+                # caller is killed.  A caller gone before the prctl has
+                # already left this worker another parent.
+                prctl = _libc_function("prctl", ctypes.c_int, ctypes.c_ulong)
+                if prctl is not None:
+                    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                if os.getppid() != parent:
+                    os._exit(code)
                 signal.signal(signal.SIGTERM, previous)
                 os.close(read_fd)
                 try:
@@ -668,14 +698,23 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> int:
-    """The ``evplace`` command: :func:`main`, the import-time heap frozen first.
+    """The ``evplace`` command: :func:`main` in a process set up for it.
 
     ``gc.freeze()`` moves every object the imports left out of the
     collector's reach, so neither the run nor the exit collects them again.
-    Only process entry freezes; callers of :func:`main` keep the collector
-    as it was.
+    Fixed malloc thresholds (glibc's ``mallopt``: mmap at 1 MiB, trim at
+    4 MiB) keep the heap pages one parse block, filter chunk or describe
+    frame frees for the next one, rather than giving them back to the
+    kernel and faulting them in again; arrays of 1 MiB and more, such as
+    event columns, are still mapped and unmapped on their own.  The ``run``
+    worker inherits both.  Only process entry does this; callers of
+    :func:`main` keep the collector and the allocator as they were.
     """
     gc.freeze()
+    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 4 << 20)
     return main()
 
 

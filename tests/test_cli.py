@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
 import os
+import platform
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -333,7 +337,7 @@ def test_profile_records_each_stage_outside_the_output(workspace, tmp_path):
     assert [s["stage"] for s in stages] == [
         "config", "read-events", "hot-pixels", "bursts", "write", "write"
     ]
-    assert all(s["wall_s"] >= 0 for s in stages)
+    assert all(s["wall_s"] >= 0 and s["minor_faults"] >= 0 for s in stages)
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0 and peaks == sorted(peaks)
     # the flag leaves the output directory as it is without it
@@ -389,7 +393,8 @@ def test_profile_counts_the_events_of_each_filter(workspace, tmp_path):
     assert bursts["events_out"] == hot["events_out"] - report["bursts"]["events_removed"]
     assert bursts["events_out"] == report["events_out"]
     assert report["bursts"]["events_removed"] > 0
-    assert all(set(s) == {"stage", "wall_s", "peak_rss_mb"} for s in stages if s not in counted.values())
+    uncounted = [s for s in stages if s not in counted.values()]
+    assert all(set(s) == {"stage", "wall_s", "peak_rss_mb", "minor_faults"} for s in uncounted)
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
         p.name for p in (tmp_path / "b").iterdir()
     )
@@ -1140,17 +1145,131 @@ def test_query_and_reference_worker_exits_silently_when_its_caller_is_gone(tmp_p
     assert capfd.readouterr().err == ""
 
 
+def _fake_libc(calls: list, *symbols: str):
+    """A ``ctypes.CDLL`` whose C library has only ``symbols``; each call to
+    one of them is appended to ``calls`` as ``(symbol, *args)``."""
+
+    def function(symbol):
+        return lambda *args: calls.append((symbol, *args))
+
+    def cdll(name):
+        assert name is None
+        return SimpleNamespace(**{symbol: function(symbol) for symbol in symbols})
+
+    return cdll
+
+
 def test_only_the_process_entry_freezes_the_heap(workspace, tmp_path):
     events_csv = workspace["data"] / "query_events.csv"
     args = ["filter", "--config", str(workspace["cfg"]), "--events", str(events_csv)]
     assert main([*args, "-o", str(tmp_path / "out")]) == 0
     assert gc.get_freeze_count() == 0
     try:
-        with mock.patch.object(cli, "main", return_value=0):
+        # the fake C library keeps this process's allocator as it is
+        with mock.patch.object(cli, "main", return_value=0), \
+                mock.patch.object(cli.ctypes, "CDLL", _fake_libc([], "mallopt")):
             assert cli.entry_point() == 0
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("symbols", [("mallopt",), ()], ids=["glibc", "no-mallopt"])
+def test_only_the_process_entry_sets_the_malloc_thresholds(workspace, tmp_path, symbols):
+    events_csv = workspace["data"] / "query_events.csv"
+    args = ["filter", "--config", str(workspace["cfg"]), "--events", str(events_csv)]
+    calls = []
+    with mock.patch.object(cli.ctypes, "CDLL", _fake_libc(calls, *symbols)):
+        assert main([*args, "-o", str(tmp_path / "out")]) == 0
+        assert calls == []
+        try:
+            with mock.patch.object(cli, "main", side_effect=lambda: calls.append("main") or 0):
+                assert cli.entry_point() == 0
+        finally:
+            gc.unfreeze()
+    # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+    thresholds = [("mallopt", -3, 1 << 20), ("mallopt", -1, 4 << 20)] if symbols else []
+    assert calls == [*thresholds, "main"]
+
+
+def _cli_process(*args: str, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter running ``python *args`` on this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_process_entry_parses_with_fewer_page_faults_and_the_same_outputs(tmp_path):
+    geom = SensorGeometry(346, 260)
+    rng = np.random.default_rng(11)
+    n = 200_000
+    stream = EventStream(
+        geom, np.sort(rng.integers(0, 10**7, size=n)), rng.integers(0, geom.width, size=n),
+        rng.integers(0, geom.height, size=n), rng.integers(0, 2, size=n) * 2 - 1,
+    )
+    events_csv = tmp_path / "events.csv"
+    events_csv.write_bytes(write_event_csv(stream))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {"width": geom.width, "height": geom.height}}))
+    entries = {
+        "entry": ["-m", "evplace.cli"],
+        "main": ["-c", "import sys; from evplace.cli import main; sys.exit(main())"],
+    }
+    faults = {}
+    for name, entry in entries.items():
+        profile = tmp_path / f"{name}.json"
+        args = ["--profile", str(profile), "filter", "--config", str(cfg),
+                "--events", str(events_csv), "-o", str(tmp_path / name)]
+        assert _cli_process(*entry, *args).wait(timeout=60) == 0
+        stages = json.loads(profile.read_text())["stages"]
+        (faults[name],) = [s["minor_faults"] for s in stages if s["stage"] == "read-events"]
+    assert faults["entry"] * 2 <= faults["main"], faults
+    assert _files(tmp_path / "entry") == _files(tmp_path / "main")
+
+
+_SLEEPING_REFERENCE = """
+import pathlib, sys, time
+from evplace import cli
+describe = cli._describe_events
+
+def sleeping(out, role, *rest):
+    if role == "reference":
+        pathlib.Path(sys.argv[1]).touch()
+        time.sleep(30.0)
+    return describe(out, role, *rest)
+
+cli._describe_events = sleeping
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_run_worker_dies_with_a_killed_cli(workspace, tmp_path):
+    data = workspace["data"]
+    started = tmp_path / "worker-started"
+    args = _event_run_args(workspace, data / "query_events.csv", data / "reference_events.csv",
+                           tmp_path / "out")
+    proc = _cli_process("-c", _SLEEPING_REFERENCE, str(started), *args, start_new_session=True,
+                        stdout=subprocess.DEVNULL)
+    pgid = proc.pid  # a session leader leads its process group
+    try:
+        deadline = time.monotonic() + 30.0
+        while not started.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=5.0) == -signal.SIGKILL
+        deadline = time.monotonic() + 2.0
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(pgid, 0)
+                time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_query_and_reference_bring_back_the_workers_result_records_and_inputs(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import gc
 import hashlib
 import json
@@ -1230,46 +1231,59 @@ def test_process_entry_parses_with_fewer_page_faults_and_the_same_outputs(tmp_pa
 
 
 _SLEEPING_REFERENCE = """
-import pathlib, sys, time
+import os, pathlib, sys, time
 from evplace import cli
 describe = cli._describe_events
 
 def sleeping(out, role, *rest):
     if role == "reference":
-        pathlib.Path(sys.argv[1]).touch()
+        pathlib.Path(sys.argv[1]).write_text(str(os.getpid()))
         time.sleep(30.0)
     return describe(out, role, *rest)
 
 cli._describe_events = sleeping
 sys.exit(cli.main(sys.argv[2:]))
 """
+_PR_SET_CHILD_SUBREAPER = 36
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
 def test_run_worker_dies_with_a_killed_cli(workspace, tmp_path):
     data = workspace["data"]
-    started = tmp_path / "worker-started"
+    started = tmp_path / "worker-pid"
     args = _event_run_args(workspace, data / "query_events.csv", data / "reference_events.csv",
                            tmp_path / "out")
+    # The orphaned worker comes to this process, which reaps it at once, and
+    # not to an init that may reap it late.
+    prctl = cli._libc_function("prctl", ctypes.c_int, ctypes.c_ulong)
+    assert prctl(_PR_SET_CHILD_SUBREAPER, 1) == 0
     proc = _cli_process("-c", _SLEEPING_REFERENCE, str(started), *args, start_new_session=True,
                         stdout=subprocess.DEVNULL)
     pgid = proc.pid  # a session leader leads its process group
     try:
         deadline = time.monotonic() + 30.0
-        while not started.exists():
+        while not started.exists() or not started.read_text():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
+        worker = int(started.read_text())
         os.kill(proc.pid, signal.SIGKILL)
         assert proc.wait(timeout=5.0) == -signal.SIGKILL
         deadline = time.monotonic() + 2.0
+        while (reaped := os.waitpid(worker, os.WNOHANG))[0] == 0:
+            assert time.monotonic() < deadline, "the worker outlived its killed caller"
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(reaped[1]) == -signal.SIGKILL
         with pytest.raises(ProcessLookupError):
-            while time.monotonic() < deadline:
-                os.killpg(pgid, 0)
-                time.sleep(0.01)
+            os.killpg(pgid, 0)
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(pgid, signal.SIGKILL)
         proc.wait()
+        with contextlib.suppress(ChildProcessError):
+            while True:
+                os.waitpid(-1, 0)  # an orphan the kill above left
+        prctl(_PR_SET_CHILD_SUBREAPER, 0)
+    _assert_no_child_left()
 
 
 def test_query_and_reference_bring_back_the_workers_result_records_and_inputs(tmp_path):

@@ -21,7 +21,7 @@ first, would report it.
 ``evplace --profile PATH <cmd> ...`` also writes each stage's wall time,
 the peak RSS of the process that ran it at the stage's end and the minor
 page faults that process took during the stage, to the JSON file ``PATH``,
-which must lie outside the output directory, with the events in
+a file outside the output directory, with the events in
 and out of the read-events, hot-pixels and bursts stages and the pixels
 hot-pixels flagged.  The records of those stages and of ``describe`` name
 their input's ``role`` (``events``, ``query`` or ``reference``); the
@@ -106,9 +106,10 @@ class StageError(EvPlaceError):
     """An error annotated with the pipeline stage it occurred in."""
 
     def __init__(self, stage: str, error: Exception | str):
-        super().__init__(f"[{stage}] {error}")
+        detail = str(error) or type(error).__name__  # a bare MemoryError has no message
+        super().__init__(f"[{stage}] {detail}")
         self.stage = stage
-        self.detail = str(error)
+        self.detail = detail
 
     def __reduce__(self):
         # rebuilt from its stage and message: ``run``'s reference worker
@@ -134,7 +135,7 @@ def _stage(name: str, role: str | None = None):
         yield counters
     except StageError:
         raise
-    except (EvPlaceError, OSError, ValueError) as e:
+    except (EvPlaceError, OSError, ValueError, MemoryError) as e:
         raise StageError(name, e) from e
     finally:
         if _PROFILE is not None:
@@ -668,8 +669,10 @@ def main(argv=None) -> int:
     try:
         with _stage("config"):
             cfg = load_config(args.config, args.set)
-            if args.profile and Path(args.output).resolve() in Path(args.profile).resolve().parents:
-                raise ConfigError("--profile must be outside the output directory")
+            if args.profile:
+                profile = Path(args.profile).resolve()
+                if profile.is_dir() or Path(args.output).resolve() in (profile, *profile.parents):
+                    raise ConfigError("--profile must be a file outside the output directory")
         out = _Outputs(args.output)
         notes = args.func(args, cfg, out)
         with _stage("write"):

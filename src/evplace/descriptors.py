@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (
     OrderingError,
     ParseError,
 )
-from .events import EventStream, numbered_lines
+from .events import EventStream, csv_rows
 from .windowing import WindowSet, align_to_time
 
 DEFAULT_CLIP = 3.0
@@ -291,42 +293,32 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     Zero-norm rows are rejected because they have no direction to compare.
     The returned sequence is labelled ``external_<name>``.
     """
-    times: list[int] = []
-    rows: list[np.ndarray] = []
-    dim = None
-    prev_t = None
-    for lineno, raw in numbered_lines(source):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
+    times, values = array("q"), array("d")
+    dim = 0
+    for lineno, fields in csv_rows(source):
         if len(fields) < 2:
             raise ParseError("descriptor row needs a time and at least one value", lineno)
         try:
-            t_s = float(fields[0])
-            vals = np.array([float(f) for f in fields[1:]], dtype=np.float64)
+            t_s, *vals = map(float, fields)
         except ValueError:
-            raise ParseError(f"non-numeric field in row {line[:40]!r}", lineno) from None
-        if not np.all(np.isfinite(vals)) or not np.isfinite(t_s):
+            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
+        if not (math.isfinite(t_s) and all(map(math.isfinite, vals))):
             raise ParseError("non-finite value", lineno)
-        if dim is None:
-            dim = vals.size
-        elif vals.size != dim:
-            raise ParseError(f"dimension {vals.size} differs from first row ({dim})", lineno)
-        t_us = int(round(t_s * 1e6))
-        if prev_t is not None and t_us <= prev_t:
+        dim = dim or len(vals)
+        if len(vals) != dim:
+            raise ParseError(f"dimension {len(vals)} differs from first row ({dim})", lineno)
+        try:
+            times.append(round(t_s * 1e6))
+        except OverflowError:
+            raise ParseError(f"time {fields[0]} s beyond int64 microseconds", lineno) from None
+        if len(times) > 1 and times[-1] <= times[-2]:
             raise OrderingError(f"line {lineno}: timestamps must be strictly increasing")
-        if not np.any(vals):
+        if not any(vals):
             raise DegenerateDescriptorError(f"line {lineno}: zero-norm descriptor")
-        prev_t = t_us
-        times.append(t_us)
-        rows.append(vals)
-    label = f"external_{name}"
-    if not rows:
-        return DescriptorSequence(
-            label, np.array([], dtype=np.int64), np.zeros((0, 0), dtype=np.float64)
-        )
-    return DescriptorSequence(label, np.array(times, dtype=np.int64), np.vstack(rows))
+        values.extend(vals)
+    return DescriptorSequence(
+        f"external_{name}", times, np.frombuffer(values).reshape(len(times), dim)
+    )
 
 
 def write_descriptors(seq: DescriptorSequence) -> bytes:

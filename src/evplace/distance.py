@@ -12,13 +12,15 @@ the golden-output tests, and BLAS backends are free to reorder sums.
 from __future__ import annotations
 
 import enum
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import DescriptorSequence
 from .errors import ConfigError, DegenerateDescriptorError, OrderingError, ParseError
-from .events import numbered_lines
+from .events import csv_rows
 
 
 class Metric(enum.Enum):
@@ -168,37 +170,34 @@ def write_matrix_csv(matrix: DistanceMatrix) -> bytes:
 def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:
     """Parse a matrix written by :func:`write_matrix_csv`."""
     ref_t = None
-    query_t: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, raw in numbered_lines(source):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
+    query_t, values = array("q"), array("d")
+    for lineno, fields in csv_rows(source):
         if ref_t is None:
             try:
-                ref_t = [int(f) for f in fields]
+                ref_t = array("q", map(int, fields))
             except ValueError:
                 raise ParseError("header must list integer reference times", lineno) from None
+            except OverflowError:
+                raise ParseError("reference time beyond int64", lineno) from None
             if any(later <= t for t, later in zip(ref_t, ref_t[1:])):
                 raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
             continue
         if len(fields) != len(ref_t) + 1:
-            raise ParseError(
-                f"expected {len(ref_t) + 1} fields, got {len(fields)}", lineno
-            )
+            raise ParseError(f"expected {len(ref_t) + 1} fields, got {len(fields)}", lineno)
         try:
             query_t.append(int(fields[0]))
-            rows.append([float(f) for f in fields[1:]])
+            row = [float(f) for f in fields[1:]]
         except ValueError:
-            raise ParseError(f"non-numeric field in row {line[:40]!r}", lineno) from None
+            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
+        except OverflowError:
+            raise ParseError(f"query time {fields[0]} beyond int64", lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite value", lineno)
         if len(query_t) > 1 and query_t[-1] <= query_t[-2]:
             raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
-    if ref_t is None or not rows:
+        values.extend(row)
+    if ref_t is None or not query_t:
         raise ParseError("matrix CSV needs a header row and at least one data row")
     return DistanceMatrix(
-        np.array(rows, dtype=np.float64),
-        np.array(query_t, dtype=np.int64),
-        np.array(ref_t, dtype=np.int64),
-        member_label,
+        np.frombuffer(values).reshape(len(query_t), len(ref_t)), query_t, ref_t, member_label
     )

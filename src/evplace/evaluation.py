@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import decimal
 import logging
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import ConfigError, MissingGroundTruthError, OrderingError, ParseError
-from .events import numbered_lines
+from .events import csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -244,27 +246,27 @@ def _us_to_seconds_field(t_us: float) -> str:
 
 def read_ground_truth_csv(source) -> GroundTruth:
     """Parse ``t_query_s,t_ref_s`` rows (seconds, no header)."""
-    qs: list[float] = []
-    rs: list[float] = []
-    for lineno, raw in numbered_lines(source):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
+    qs, rs = array("d"), array("d")
+    for lineno, fields in csv_rows(source):
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
         try:
-            qs.append(_seconds_field_to_us(fields[0]))
-            rs.append(_seconds_field_to_us(fields[1]))
+            q, r = map(_seconds_field_to_us, fields)
         except (ValueError, decimal.InvalidOperation):
-            raise ParseError(f"non-numeric field in row {line!r}", lineno) from None
-        if len(qs) > 1 and qs[-1] <= qs[-2]:
+            raise ParseError(f"non-numeric field in row {','.join(fields)!r}", lineno) from None
+        except decimal.Overflow:
+            raise ParseError(f"out-of-range field in row {','.join(fields)!r}", lineno) from None
+        if not (math.isfinite(q) and math.isfinite(r)):
+            raise ParseError("non-finite value", lineno)
+        if qs and q <= qs[-1]:
             raise OrderingError(
                 f"line {lineno}: ground-truth query times must be strictly increasing"
             )
+        qs.append(q)
+        rs.append(r)
     if not qs:
         raise ParseError("ground-truth CSV is empty")
-    return GroundTruth(np.array(qs), np.array(rs))
+    return GroundTruth(qs, rs)
 
 
 def write_ground_truth_csv(gt: GroundTruth) -> bytes:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evplace import cli, events
+from evplace import cli, events, pipeline
 from evplace.cli import main
 from evplace.config import PipelineConfig
 from evplace.descriptors import load_descriptors
@@ -352,10 +352,12 @@ def test_profile_records_each_stage_outside_the_output(workspace, tmp_path):
 def test_profile_inside_the_output_fails_with_config_tag(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     args = _filter_args(workspace, workspace["data"] / "query_events.csv", out)
-    assert main(["--profile", str(out / "profile.json"), *args]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("evplace filter: error [config]") and "--profile" in err
-    assert not out.exists()
+    # a file inside it, the output directory itself, and another directory
+    for profile in (out / "profile.json", out, tmp_path):
+        assert main(["--profile", str(profile), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evplace filter: error [config]") and "--profile" in err
+        assert not out.exists()
 
 
 def _noisy_stream(geom: SensorGeometry, n: int, seed: int) -> EventStream:
@@ -555,6 +557,39 @@ def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[read-events]" in err and "nope.csv" in err
     assert not (tmp_path / "o").exists()  # nothing was written, so no directory
+
+
+@pytest.mark.parametrize(
+    "command, stage, message",
+    [
+        ("windows", "windowing", "Unable to allocate 1.49 PiB for an array"),
+        ("run", "describe", "Unable to allocate 1.49 PiB for an array"),
+        ("windows", "windowing", ""),
+    ],
+)
+def test_a_failed_allocation_fails_with_stage_tag(
+    workspace, tmp_path, capsys, command, stage, message
+):
+    # A span of 2**63 us asks build_window_set for petabytes; whether such a
+    # request fails at once depends on the host's overcommit policy, so the
+    # MemoryError is raised here without the allocation.
+    data = workspace["data"]
+    out = tmp_path / "out"
+    events_path = data / "query_events.csv"
+    if command == "windows":
+        args = ["windows", "--config", str(workspace["cfg"]), "--events", str(events_path)]
+        args += ["-o", str(out)]
+    else:
+        args = _event_run_args(workspace, events_path, data / "reference_events.csv", out)
+    error = MemoryError(message)
+    # run builds its windows in the pipeline module, windows in the command itself
+    with mock.patch.object(cli, "build_window_set", side_effect=error), \
+            mock.patch.object(pipeline, "build_window_set", side_effect=error):
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"evplace {command}: error [{stage}] {message or 'MemoryError'}\n", err
+    assert "Traceback" not in err and not out.exists()
+    _assert_no_child_left()
 
 
 def test_output_beneath_a_file_fails_with_write_tag(workspace, tmp_path, capsys):
@@ -1046,23 +1081,19 @@ def test_run_profile_records_name_the_role_of_each_side(workspace, tmp_path):
     assert set(manifest["inputs"]) == {"ground_truth", "query", "reference"}
 
 
-def test_run_sides_give_the_same_outputs_under_frequent_thread_switches(workspace, tmp_path):
+def test_repeated_runs_give_the_same_outputs_and_leave_no_thread_or_worker(workspace, tmp_path):
     data = workspace["data"]
     expected = _files(workspace["run"])
     threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for i in range(3):
-            out = tmp_path / f"run{i}"
-            args = _event_run_args(
-                workspace, data / "query_events.csv", data / "reference_events.csv", out
-            )
-            assert main(args) == 0
-            assert _files(out) == expected
-    finally:
-        sys.setswitchinterval(interval)
+    for i in range(3):
+        out = tmp_path / f"run{i}"
+        args = _event_run_args(
+            workspace, data / "query_events.csv", data / "reference_events.csv", out
+        )
+        assert main(args) == 0
+        assert _files(out) == expected
     assert threading.active_count() == threads
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -1088,6 +1119,7 @@ def test_run_reports_a_failing_side_as_the_sequential_order_would(
     assert str(paths[named]) in err and str(paths[other]) not in err
     assert not out.exists()
     assert threading.active_count() == threads
+    _assert_no_child_left()
 
 
 def _assert_no_child_left() -> None:

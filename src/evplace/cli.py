@@ -21,15 +21,17 @@ first, would report it.
 ``evplace --profile PATH <cmd> ...`` also writes each stage's wall time,
 the peak RSS of the process that ran it at the stage's end and the minor
 page faults that process took during the stage, to the JSON file ``PATH``,
-a file outside the output directory, with the events in
-and out of the read-events, hot-pixels and bursts stages and the pixels
-hot-pixels flagged.  The records of those stages and of ``describe`` name
-their input's ``role`` (``events``, ``query`` or ``reference``); the
-``reference`` records of ``run`` carry the worker's own peak.
+a file outside the output directory, with the events in and out of the
+read-events, hot-pixels and bursts stages and the pixels hot-pixels
+flagged.  The records travel on the command's :class:`_Outputs`; those of
+these stages and of ``describe`` name their input's ``role`` (``events``,
+``query`` or ``reference``), and ``run``'s ``reference`` records carry the
+worker's own peak.
 
 Config values come from built-in defaults, overridden by ``--config
 file.json``, overridden again by repeatable ``--set key.path=value``
-flags.  Set ``EVPLACE_LOG=info`` (or ``debug``) for progress logging.
+flags.  Set ``EVPLACE_LOG=info`` (or ``debug``) for progress logging by
+``evplace.cli``, which only :func:`entry_point` turns on.
 """
 
 from __future__ import annotations
@@ -91,15 +93,13 @@ from .pipeline import (
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
 from .windowing import build_window_set
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("evplace.cli")  # also when run as __main__
 
 _HASH_BLOCK_BYTES = 1 << 17
 # mallopt's parameters in glibc's <malloc.h>, prctl's in <linux/prctl.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _PR_SET_PDEATHSIG = 1
-# The stage records of a run with --profile, else None.
-_PROFILE: list[dict] | None = None
 
 
 class StageError(EvPlaceError):
@@ -118,14 +118,13 @@ class StageError(EvPlaceError):
 
 
 @contextmanager
-def _stage(name: str, role: str | None = None):
-    """Tag errors with the stage ``name``; with --profile, record the stage.
+def _stage(out: _Outputs, name: str, role: str | None = None):
+    """Tag errors with the stage ``name``; with --profile, record the stage in ``out``.
 
     Yields a dict: data counters the stage puts there (events in and out,
-    pixels flagged) join its profile record.  A ``role`` names the input
-    the stage works on (``events``, ``query``, ``reference``) in the
-    record, since ``run`` works on its two event inputs at once and their
-    records interleave.
+    pixels flagged) join its record in ``out.stages``.  A ``role`` names
+    the input the stage works on (``events``, ``query``, ``reference``) in
+    the record, since ``run`` works on its two event inputs at once.
     """
     logger.info("stage %s", name if role is None else f"{name} ({role})")
     counters: dict = {} if role is None else {"role": role}
@@ -138,9 +137,9 @@ def _stage(name: str, role: str | None = None):
     except (EvPlaceError, OSError, ValueError, MemoryError) as e:
         raise StageError(name, e) from e
     finally:
-        if _PROFILE is not None:
+        if out.stages is not None:
             usage = resource.getrusage(resource.RUSAGE_SELF)
-            _PROFILE.append(
+            out.stages.append(
                 {
                     "stage": name,
                     "wall_s": time.perf_counter() - start,
@@ -162,15 +161,6 @@ def _libc_function(name: str, *argtypes):
     return function
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("EVPLACE_LOG", "warning").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
-
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text)
 
@@ -187,13 +177,15 @@ class _Outputs:
     """One command's output directory plus the manifest entries it collects.
 
     The directory is made at the first write, so a command that fails
-    before writing anything leaves no directory behind.
+    before writing anything leaves no directory behind.  ``stages`` holds
+    its --profile stage records, or is None without --profile.
     """
 
-    def __init__(self, directory: str):
+    def __init__(self, directory: str, profile: bool = False):
         self.dir = Path(directory)
         self.inputs: dict = {}
         self.names: list[str] = []
+        self.stages: list[dict] | None = [] if profile else None
 
     def read(self, role: str, path: str, reader, *args):
         """``reader(file, *args)`` on an input opened for binary reading.
@@ -238,12 +230,12 @@ def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
     it.  The stream, flagged pixels and report equal those of
     ``remove_hot_pixels`` then ``filter_bursts`` on the parsed stream.
     """
-    with _stage("read-events", role) as counters:
+    with _stage(out, "read-events", role) as counters:
         stream = out.read(role, path, parse_event_csv, cfg.geometry)
         counters.update(events_in=len(stream), events_out=len(stream))
     report = {"events_in": len(stream)}
     if cfg.hot_pixels_enabled:
-        with _stage("hot-pixels", role) as counters:
+        with _stage(out, "hot-pixels", role) as counters:
             n_before = len(stream)
             keep, flagged = hot_pixel_mask(stream, cfg.hot_pixels_sigma)
             stream = compact_in_place(stream, keep)
@@ -255,7 +247,7 @@ def _read_events(out: _Outputs, role: str, path: str, cfg: PipelineConfig):
                 "events_removed": n_before - len(stream),
             }
     if cfg.bursts_enabled:
-        with _stage("bursts", role) as counters:
+        with _stage(out, "bursts", role) as counters:
             n_before = len(stream)
             keep = burst_mask(stream, cfg.burst_bin_us, cfg.burst_fraction)
             stream = compact_in_place(stream, keep)
@@ -278,7 +270,7 @@ def _describe_events(
     on return, so only the descriptors outlive this call.
     """
     stream, _ = _read_events(out, role, path, cfg)
-    with _stage("describe", role):
+    with _stage(out, "describe", role):
         return describe_traverse(
             stream, cfg.counts, cfg.spans_us, cfg.descriptor, cfg.grid_dt_us, approximate_fraction
         )
@@ -300,22 +292,22 @@ def _eval_summary(label: str, result: EvalResult) -> dict:
 
 def cmd_filter(args, cfg: PipelineConfig, out: _Outputs) -> None:
     stream, report = _read_events(out, "events", args.events, cfg)
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("filtered.csv", event_csv_blocks(stream))
         out.write("filter_report.json", _json_bytes(report))
 
 
 def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
-    with _stage("config"):
+    with _stage(out, "config"):
         if cfg.synthetic is None:
             raise ConfigError("synth needs a config with a 'synthetic' section")
     s = cfg.synthetic
-    with _stage("generate"):
+    with _stage(out, "generate"):
         world = generate_world(s.world_seed, s.n_places, cfg.geometry, s.segments_per_place)
         ref_stream, ref_gt = generate_traverse(world, s.reference)
         q_stream, q_gt = generate_traverse(world, s.query)
         anchors = pair_ground_truth(q_gt, ref_gt)
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("reference_events.csv", event_csv_blocks(ref_stream))
         out.write("query_events.csv", event_csv_blocks(q_stream))
         out.write("ground_truth.csv", write_ground_truth_csv(anchors))
@@ -328,43 +320,43 @@ def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
     stream, _ = _read_events(out, "events", args.events, cfg)
-    with _stage("windowing"):
+    with _stage(out, "windowing"):
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
         for fam in wset.families:
             columns = (fam.start_idx, fam.end_idx, fam.t_start_us, fam.t_end_us, fam.n_events)
             for i, row in enumerate(zip(*(c.tolist() for c in columns))):
                 lines.append(f"{fam.label},{i}," + ",".join(map(str, row)))
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("windows.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
     seqs, _ = _describe_events(out, "events", args.events, cfg)
-    with _stage("write"):
+    with _stage(out, "write"):
         for seq in seqs:
             out.write(f"descriptors_{_slug(seq.label)}.csv", write_descriptors(seq))
 
 
 def cmd_distance(args, cfg: PipelineConfig, out: _Outputs) -> dict:
-    with _stage("read-descriptors"):
+    with _stage(out, "read-descriptors"):
         q_seq = out.read("query", args.query, load_descriptors, _stem(args.query))
         r_seq = out.read("reference", args.reference, load_descriptors, _stem(args.reference))
-    with _stage("distance"):
+    with _stage(out, "distance"):
         matrix = build_distance_matrix(q_seq, r_seq, cfg.metric)
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("distance.csv", write_matrix_csv(matrix))
     return {"label": matrix.member_label}
 
 
 def cmd_ensemble(args, cfg: PipelineConfig, out: _Outputs) -> dict:
-    with _stage("config"):
+    with _stage(out, "config"):
         cfg.rule.check_members(len(args.members))
-    with _stage("read-matrices"):
+    with _stage(out, "read-matrices"):
         members = [out.read("member", path, read_matrix_csv, _stem(path)) for path in args.members]
-    with _stage("combine"):
+    with _stage(out, "combine"):
         fused = combine(members, cfg.rule)
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("ensemble.csv", write_matrix_csv(fused))
     return {"label": fused.member_label}
 
@@ -389,14 +381,14 @@ def _pr_curve(matrix: DistanceMatrix, gt, cfg: PipelineConfig) -> list[EvalResul
 
 
 def cmd_evaluate(args, cfg: PipelineConfig, out: _Outputs) -> dict:
-    with _stage("read-inputs"):
+    with _stage(out, "read-inputs"):
         matrix = out.read("matrix", args.matrix, read_matrix_csv, _stem(args.matrix))
         anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
-    with _stage("evaluate"):
+    with _stage(out, "evaluate"):
         matrix, gt, dropped = _restrict_to_ground_truth(matrix, anchors)
         full = precision_at_full_recall(matrix, gt, cfg.loc_threshold_us)
         curve = _pr_curve(matrix, gt, cfg)
-    with _stage("write"):
+    with _stage(out, "write"):
         out.write("eval.csv", write_eval_results_csv([full]))
         out.write("pr.csv", write_eval_results_csv(curve))
     return {"dropped_queries": dropped, "precision": full.precision}
@@ -436,8 +428,9 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
 
     The two traverses are independent until the distance stage, so each
     side parses, filters and describes on a CPU and interpreter of its own.
-    The worker sends back, pickled, its side's result or error, its
-    --profile records and the manifest entries it read, which join the
+    The worker records into its own copy of ``out``, emptied right after
+    the fork, and sends back, pickled, its side's result or error with
+    that copy's manifest inputs and --profile records, which join the
     caller's.  A failure is raised as the sequential order would raise it,
     the query side's first; on any exception in the caller, including the
     ``SystemExit`` a SIGTERM raises while the worker lives, the worker is
@@ -450,8 +443,6 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
     # flushed first, so that the child holds no copy of pending output
     sys.stdout.flush()
     sys.stderr.flush()
-    n_records = 0 if _PROFILE is None else len(_PROFILE)
-    roles = set(out.inputs)
     read_fd, write_fd = os.pipe()
     parent = os.getpid()
     # Until the worker is reaped, a SIGTERM raises SystemExit and so kills
@@ -482,14 +473,14 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
                     os._exit(code)
                 signal.signal(signal.SIGTERM, previous)
                 os.close(read_fd)
+                out.inputs.clear()
+                out.stages = None if out.stages is None else []
                 try:
                     outcome = reference_side()
                 except BaseException as e:  # re-raised in the caller below
                     outcome = e
-                records = [] if _PROFILE is None else _PROFILE[n_records:]
-                inputs = {k: v for k, v in out.inputs.items() if k not in roles}
                 with open(write_fd, "wb") as pipe:
-                    pickle.dump((outcome, records, inputs), pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((outcome, out.inputs, out.stages), pipe, pickle.HIGHEST_PROTOCOL)
                 code = 0
             except BrokenPipeError:
                 pass  # the caller is gone: nothing reads a result or a report
@@ -516,17 +507,17 @@ def _query_and_reference(out: _Outputs, query_side, reference_side):
         if code < 0:
             how = f"was killed by {signal.Signals(-code).name}"
         raise StageError("reference", f"worker process {how} before sending its result")
-    reference, records, inputs = pickle.loads(payload)
-    if _PROFILE is not None:
-        _PROFILE.extend(records)
+    reference, inputs, stages = pickle.loads(payload)
     out.inputs.update(inputs)
+    if stages:
+        out.stages += stages
     if isinstance(reference, BaseException):
         raise reference
     return query, reference
 
 
 def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
-    with _stage("config"):
+    with _stage(out, "config"):
         event_mode = args.query is not None or args.reference is not None
         desc_mode = bool(args.query_descriptors) or bool(args.reference_descriptors)
         if event_mode and (args.query is None or args.reference is None):
@@ -542,7 +533,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             if k != n_ref:
                 raise ConfigError(f"{k} query but {n_ref} reference descriptor files")
         cfg.rule.check_members(k)
-    with _stage("read-ground-truth"):
+    with _stage(out, "read-ground-truth"):
         anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
 
     if event_mode:
@@ -552,7 +543,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             lambda: _describe_events(out, "reference", args.reference, cfg),
         )
     else:
-        with _stage("read-descriptors"):
+        with _stage(out, "read-descriptors"):
             q_seqs = [
                 out.read("query_descriptors", p, load_descriptors, _stem(p))
                 for p in args.query_descriptors
@@ -564,7 +555,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
         if cfg.approximate_fraction is not None:
             logger.warning("approximate ensemble needs event inputs; skipping it")
         approx_query = None
-    with _stage("pipeline"):
+    with _stage(out, "pipeline"):
         result = run_from_sequences(
             q_seqs,
             r_seqs,
@@ -575,7 +566,7 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             approximate_query=approx_query,
         )
 
-    with _stage("write"):
+    with _stage(out, "write"):
         _write_run_outputs(out, cfg, result)
     print(f"fused {result.fused.member_label}: precision {result.fused_eval.precision:.4f}")
     return {"dropped_grid_points": result.dropped_grid_points}
@@ -662,20 +653,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _PROFILE
-    _configure_logging()
     args = build_parser().parse_args(argv)
-    _PROFILE = [] if args.profile else None
+    out = _Outputs(args.output, profile=bool(args.profile))
     try:
-        with _stage("config"):
+        with _stage(out, "config"):
             cfg = load_config(args.config, args.set)
             if args.profile:
                 profile = Path(args.profile).resolve()
                 if profile.is_dir() or Path(args.output).resolve() in (profile, *profile.parents):
                     raise ConfigError("--profile must be a file outside the output directory")
-        out = _Outputs(args.output)
         notes = args.func(args, cfg, out)
-        with _stage("write"):
+        with _stage(out, "write"):
             manifest = {
                 "command": args.command,
                 "version": __version__,
@@ -687,16 +675,13 @@ def main(argv=None) -> int:
                 manifest["notes"] = notes
             out.write("manifest.json", _json_bytes(manifest))
         if args.profile:
-            stages, _PROFILE = _PROFILE, None
-            with _stage("profile"):
+            with _stage(out, "profile"):
                 Path(args.profile).write_bytes(
-                    _json_bytes({"command": args.command, "stages": stages})
+                    _json_bytes({"command": args.command, "stages": out.stages})
                 )
     except StageError as e:
         print(f"evplace {args.command}: error {e}", file=sys.stderr)
         return 1
-    finally:
-        _PROFILE = None
     return 0
 
 
@@ -710,9 +695,12 @@ def entry_point() -> int:
     frame frees for the next one, rather than giving them back to the
     kernel and faulting them in again; arrays of 1 MiB and more, such as
     event columns, are still mapped and unmapped on their own.  The ``run``
-    worker inherits both.  Only process entry does this; callers of
-    :func:`main` keep the collector and the allocator as they were.
+    worker inherits both.  ``EVPLACE_LOG`` sets the level of the stderr log
+    handler installed here.  Only process entry does this; callers of
+    :func:`main` keep the collector, the allocator and logging as they were.
     """
+    level = getattr(logging, os.environ.get("EVPLACE_LOG", "warning").upper(), logging.WARNING)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     gc.freeze()
     mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
     if mallopt is not None:

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateDescriptorError,
-    OrderingError,
-    ParseError,
-)
+from .errors import ConfigError, OrderingError, ParseError
 from .events import EventStream, csv_rows
 from .windowing import WindowSet, align_to_time
 
@@ -290,7 +285,6 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
 
     Rows are ``t_seconds,v1,...,vD`` with no header; timestamps must be
     strictly increasing and every row must have the same dimension.
-    Zero-norm rows are rejected because they have no direction to compare.
     The returned sequence is labelled ``external_<name>``.
     """
     times, values = array("q"), array("d")
@@ -313,8 +307,6 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
             raise ParseError(f"time {fields[0]} s beyond int64 microseconds", lineno) from None
         if len(times) > 1 and times[-1] <= times[-2]:
             raise OrderingError(f"line {lineno}: timestamps must be strictly increasing")
-        if not any(vals):
-            raise DegenerateDescriptorError(f"line {lineno}: zero-norm descriptor")
         values.extend(vals)
     return DescriptorSequence(
         f"external_{name}", times, np.frombuffer(values).reshape(len(times), dim)

@@ -213,8 +213,9 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
 
     ``source`` is a ``str``, UTF-8 ``bytes`` or a file-like object, read a
     line at a time; a bytes line is decoded on its own, so one that is not
-    UTF-8 is a :class:`ParseError` naming it.  Every CSV reader iterates
-    these stripped, comma-split lines, so all count and skip lines alike.
+    UTF-8 is a :class:`ParseError` naming it; a byte-order mark opening line
+    1 is dropped.  Every CSV reader iterates these stripped, comma-split
+    lines, so all count and skip lines alike.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -226,6 +227,8 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
                 line = line.decode()
             except UnicodeDecodeError:
                 raise ParseError("not UTF-8 text", lineno) from None
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         if line := line.strip():
             yield lineno, line.split(",")
 
@@ -248,10 +251,11 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     ----------
     source : str, bytes, or file-like
         CSV text, or a file opened at the first byte to parse.  A binary
-        file is read in blocks (the caller closes it); ``bytes`` and ASCII
-        text go through the same loop, other text straight to the row
-        loop.  An optional leading ``t,x,y,p`` header row is skipped.  Both
-        LF and CRLF line endings are accepted.
+        file is read in blocks (the caller closes it); a ``str`` is encoded
+        once and a text file a block at a time, as UTF-8 (a lone surrogate
+        then fails as a line that is not UTF-8), and both go through the
+        same two passes.  An optional leading ``t,x,y,p`` header row is
+        skipped.  Both LF and CRLF line endings are accepted.
     geometry : SensorGeometry
         Sensor dimensions used for coordinate validation.
 
@@ -268,13 +272,11 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
     BoundsError, OrderingError
         Out-of-range coordinates or a timestamp regression.
     """
-    if hasattr(source, "read") and isinstance(source.read(0), str):
-        source = source.read()
     if isinstance(source, str):
-        if not source.isascii():
-            return _parse_rows(source, geometry)
-        source = source.encode("ascii")
+        source = source.encode("utf-8", "surrogatepass")
     fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    if isinstance(fh.read(0), str):
+        fh = _EncodedText(fh)
     if not fh.seekable():
         fh = io.BytesIO(fh.read())  # a pipe: both passes need to rewind
     start = fh.tell()
@@ -283,6 +285,22 @@ def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
         return stream
     fh.seek(start)
     return _parse_rows(fh, geometry)
+
+
+class _EncodedText:
+    """A text file as the binary file of its UTF-8 text, encoded a read at a time."""
+
+    def __init__(self, fh):
+        self._fh, self.seekable, self.tell, self.seek = fh, fh.seekable, fh.tell, fh.seek
+
+    def read(self, size: int = -1) -> bytes:
+        return self._fh.read(size).encode("utf-8", "surrogatepass")
+
+    def readline(self) -> bytes:
+        return self._fh.readline().encode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        return iter(self.readline, b"")
 
 
 def _parse_strict(fh, geometry: SensorGeometry) -> EventStream | None:

@@ -839,6 +839,27 @@ def test_distance_command_runs(workspace, tmp_path):
     assert (ev / "pr.csv").read_bytes() == (run / "pr_mean_of_4.csv").read_bytes()
 
 
+@pytest.mark.parametrize("metric", ["sad", "cosine"])
+def test_distance_loads_a_zero_descriptor_that_only_cosine_refuses(tmp_path, capsys, metric):
+    query, reference = tmp_path / "q.csv", tmp_path / "r.csv"
+    query.write_text("1.0,0.0,0.0\n")
+    reference.write_text("1.0,1.0,2.0\n")
+    out = tmp_path / "out"
+    rc = main(["distance", "--set", f"metric={metric}", "--query", str(query),
+               "--reference", str(reference), "-o", str(out)])
+    err = capsys.readouterr().err
+    if metric == "sad":
+        assert rc == 0, err
+        assert read_matrix_csv((out / "distance.csv").read_bytes()).values.tolist() == [[1.5]]
+    else:
+        assert rc == 1
+        assert err == (
+            "evplace distance: error [distance] query external_q: 1 zero-norm descriptor(s), "
+            "the first at t=1.0 s, cannot be compared with cosine\n"
+        )
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run argument and config validation
 
@@ -1207,6 +1228,31 @@ def test_only_the_process_entry_freezes_the_heap(workspace, tmp_path):
         gc.unfreeze()
 
 
+_ROOT_HANDLERS_AROUND_MAIN = """
+import logging, sys
+from evplace.cli import main
+before = list(logging.getLogger().handlers)
+code = main(sys.argv[1:])
+sys.exit(code or 3 * (logging.getLogger().handlers != before))
+"""
+
+
+def test_only_the_process_entry_configures_logging(workspace, tmp_path):
+    events_csv = workspace["data"] / "query_events.csv"
+    args = ["filter", "--config", str(workspace["cfg"]), "--events", str(events_csv)]
+    with mock.patch.dict(os.environ, EVPLACE_LOG="info"):
+        embedded = _cli_process("-c", _ROOT_HANDLERS_AROUND_MAIN, *args, "-o", str(tmp_path / "a"),
+                                stderr=subprocess.PIPE, text=True)
+        entry = _cli_process("-m", "evplace.cli", *args, "-o", str(tmp_path / "b"),
+                             stderr=subprocess.PIPE, text=True)
+        _, embedded_err = embedded.communicate(timeout=60)
+        _, entry_err = entry.communicate(timeout=60)
+    assert embedded.returncode == 0, embedded_err
+    assert "INFO" not in embedded_err
+    assert entry.returncode == 0, entry_err
+    assert "INFO evplace.cli: stage read-events (events)\n" in entry_err, entry_err
+
+
 @pytest.mark.parametrize("symbols", [("mallopt",), ()], ids=["glibc", "no-mallopt"])
 def test_only_the_process_entry_sets_the_malloc_thresholds(workspace, tmp_path, symbols):
     events_csv = workspace["data"] / "query_events.csv"
@@ -1319,28 +1365,28 @@ def test_run_worker_dies_with_a_killed_cli(workspace, tmp_path):
 
 
 def test_query_and_reference_bring_back_the_workers_result_records_and_inputs(tmp_path):
-    out = cli._Outputs(str(tmp_path / "out"))
+    out = cli._Outputs(str(tmp_path / "out"), profile=True)
+    out.stages.append({"stage": "config"})
     data = tmp_path / "reference.bin"
     data.write_bytes(b"evplace")
 
     def reference():
-        with cli._stage("describe", "reference"):
+        with cli._stage(out, "describe", "reference"):
             return out.read("reference", str(data), lambda fh: fh.read().decode())
 
     def query():
-        with cli._stage("describe", "query"):
+        with cli._stage(out, "describe", "query"):
             return "q"
 
-    with mock.patch.object(cli, "_PROFILE", [{"stage": "config"}]):
-        assert cli._query_and_reference(out, query, reference) == ("q", "evplace")
-        assert [(r["stage"], r.get("role")) for r in cli._PROFILE] == [
-            ("config", None), ("describe", "query"), ("describe", "reference")
-        ]
+    assert cli._query_and_reference(out, query, reference) == ("q", "evplace")
+    assert [(r["stage"], r.get("role")) for r in out.stages] == [
+        ("config", None), ("describe", "query"), ("describe", "reference")
+    ]
     assert out.inputs == {"reference": _digest_entry(data)}
     _assert_no_child_left()
 
     def failing():
-        with cli._stage("describe", "reference"):
+        with cli._stage(out, "describe", "reference"):
             raise ConfigError("nothing to describe")
 
     with pytest.raises(cli.StageError, match=r"^\[describe\] nothing to describe$") as info:

@@ -20,6 +20,7 @@ from evplace.descriptors import (
     sad_descriptor,
     write_descriptors,
 )
+from evplace.distance import Metric, build_distance_matrix
 from evplace.errors import (
     ConfigError,
     DegenerateDescriptorError,
@@ -432,9 +433,14 @@ def test_load_descriptors_requires_increasing_time():
         load_descriptors("2.0,1,0\n1.0,0,1\n")
 
 
-def test_load_descriptors_rejects_zero_vector():
-    with pytest.raises(DegenerateDescriptorError):
-        load_descriptors("1.0,0,0,0\n")
+def test_load_descriptors_keeps_a_zero_vector_that_only_cosine_refuses():
+    # SAD compares a zero row like any other; cosine refuses it at distance.
+    zero = load_descriptors("1.0,0,0,0\n", "q")
+    assert zero.values.tolist() == [[0.0, 0.0, 0.0]]
+    other = load_descriptors("1.0,1,2,3\n", "r")
+    assert build_distance_matrix(zero, other, Metric.SAD).values.tolist() == [[2.0]]
+    with pytest.raises(DegenerateDescriptorError, match=r"^query external_q: 1 zero-norm"):
+        build_distance_matrix(zero, other, Metric.COSINE)
 
 
 def test_load_descriptors_rejects_non_numeric():

@@ -706,6 +706,38 @@ def test_parse_from_an_open_file_holds_the_stream_and_one_block(tmp_path):
     assert peak < 17 * len(s) + 2 * 2**20
 
 
+def test_parse_reads_a_text_file_a_block_at_a_time():
+    # A text file is encoded a block at a time, so it peaks like its bytes.
+    s = _random_stream(np.random.default_rng(47), 200_000, SensorGeometry(346, 260), t_max=10**7)
+    data = write_event_csv(s)
+    peaks = []
+    for fh in (io.BytesIO(data), io.StringIO(data.decode())):
+        tracemalloc.start()
+        try:
+            back = parse_event_csv(fh, s.geometry)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(getattr(back, k), getattr(s, k)) for k in FIELDS)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_parse_gives_every_source_of_a_non_ascii_row_one_outcome(tmp_path):
+    good = "t,x,y,p\n" + "".join(f"{i},1,2,1\n" for i in range(50))
+    # int() reads the Arabic-Indic digit 3; it refuses an accented letter
+    for text in (good + "60,\u0663,0,1\n", good + "60,\u00e9,0,1\n"):
+        _assert_parses_like_rows(text)
+        path = tmp_path / "events.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:  # refused, rewound by its tell() cookie
+            assert _outcome(parse_event_csv, fh, G4) == _outcome(_parse_rows, text, G4)
+    text = good + "60,\ud800,0,1\n"  # a lone surrogate
+    data = text.encode("utf-8", "surrogatepass")
+    for source in (text, data, io.BytesIO(data), io.StringIO(text)):
+        with pytest.raises(ParseError, match="^line 52: not UTF-8 text$"):
+            parse_event_csv(source, G4)
+
+
 def test_lenient_parse_appends_rows_to_typed_columns():
     # A CRLF file takes the row loop, which appends each row to int64, int32
     # and int8 columns and copies them into the stream one at a time: about
@@ -791,6 +823,27 @@ def test_every_reader_names_the_line_of_a_bad_field(reader, data, line):
             with pytest.raises(ParseError, match=f"^line {line}: ") as exc:
                 read(make())
             assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("events", "t,x,y,p\n1,0,0,1\n2,1,1,0\n"),
+        ("events", "1,0,0,1\n2,1,1,0\n"),
+        ("descriptors", "0.5,1.0,2.0\n1.0,2.0,1.0\n"),
+        ("matrix", "0,1000000\n500000,0.1,0.5\n"),
+        ("ground_truth", "0.1,0.0\n0.9,1.0\n"),
+    ],
+    ids=["events-header", "events", "descriptors", "matrix", "ground_truth"],
+)
+def test_every_reader_skips_a_byte_order_mark_opening_line_1(reader, text):
+    read = _READERS[reader]
+    first, rest = text.split("\n", 1)
+    for make in (str.encode, lambda t: io.BytesIO(t.encode()), str, io.StringIO):
+        assert _reader_outcome(read, make("\ufeff" + text)) == _reader_outcome(read, text)
+        with pytest.raises(ParseError, match="^line 2: ") as exc:
+            read(make(first + "\n\ufeff" + rest))
+        assert exc.value.line == 2
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,11 @@ class _Outputs:
 
         The file is hashed a block at a time for the manifest, rewound,
         handed to ``reader`` and closed when it returns, so no input's
-        whole text is held here.
+        whole text is held here.  One that cannot be rewound is refused unread.
         """
         with open(path, "rb") as fh:
+            if not fh.seekable():
+                raise ConfigError(f"{path} is not seekable; an input must be a regular file")
             digest = hashlib.sha256()
             buf = bytearray(_HASH_BLOCK_BYTES)
             while n := fh.readinto(buf):
@@ -298,24 +300,24 @@ def cmd_filter(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
+    """Write both traverses, each dropped before the next is drawn, and their ground truth."""
     with _stage(out, "config"):
         if cfg.synthetic is None:
             raise ConfigError("synth needs a config with a 'synthetic' section")
     s = cfg.synthetic
-    with _stage(out, "generate"):
+    with _stage(out, "generate", "reference"):
         world = generate_world(s.world_seed, s.n_places, cfg.geometry, s.segments_per_place)
-        ref_stream, ref_gt = generate_traverse(world, s.reference)
-        q_stream, q_gt = generate_traverse(world, s.query)
-        anchors = pair_ground_truth(q_gt, ref_gt)
-    with _stage(out, "write"):
-        out.write("reference_events.csv", event_csv_blocks(ref_stream))
-        out.write("query_events.csv", event_csv_blocks(q_stream))
-        out.write("ground_truth.csv", write_ground_truth_csv(anchors))
-    return {
-        "places": s.n_places,
-        "reference_events": len(ref_stream),
-        "query_events": len(q_stream),
-    }
+        stream, ref_gt = generate_traverse(world, s.reference)
+    with _stage(out, "write", "reference"):
+        out.write("reference_events.csv", event_csv_blocks(stream))
+    notes = {"places": s.n_places, "reference_events": len(stream)}
+    del stream
+    with _stage(out, "generate", "query"):
+        stream, q_gt = generate_traverse(world, s.query)
+    with _stage(out, "write", "query"):
+        out.write("query_events.csv", event_csv_blocks(stream))
+        out.write("ground_truth.csv", write_ground_truth_csv(pair_ground_truth(q_gt, ref_gt)))
+    return {**notes, "query_events": len(stream)}
 
 
 def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:

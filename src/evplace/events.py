@@ -151,7 +151,7 @@ class EventStream:
     def _adopt(
         cls, geometry: SensorGeometry, t: np.ndarray, pixel: np.ndarray, p: np.ndarray
     ) -> "EventStream":
-        """Wrap arrays this module has just built and checked, without a copy.
+        """Wrap arrays this package has just built and checked, without a copy.
 
         The arrays must already be valid int64/int32/int8 columns that
         nothing else references; they are marked read-only here.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import AccumulationMode, DescriptorParams
-from .errors import ConfigError
+from .errors import ConfigError, OrderingError
 from .evaluation import GroundTruth
 from .events import EventStream, SensorGeometry
 from .pipeline import PipelineResult, run_place_recognition
@@ -144,15 +144,19 @@ def generate_traverse(
     events/s with uniform timestamps inside the dwell and random polarity;
     ``dropout`` then thins events independently.  The returned ground
     truth anchors one pair per place center, in the traverse's own
-    timeline (pair two traverses with :func:`pair_ground_truth`).
+    timeline (pair two traverses with :func:`pair_ground_truth`).  Place
+    ``i``'s times lie in ``[i * dwell_us, (i + 1) * dwell_us)``, so sorting
+    each place stably and joining them once sorts the whole traverse.
     """
     rng = np.random.default_rng(params.seed)
     geom = world.geometry
     dwell_us = int(round(params.dwell_s * 1e6))
     if dwell_us < 1:
         raise ConfigError("dwell_s is below one microsecond")
-    ts, pixs, pols = [], [], []
-    pixel_ids = np.arange(geom.n_pixels, dtype=np.int64)
+    centers = np.arange(world.n_places, dtype=np.float64) * dwell_us + dwell_us / 2.0
+    truth = GroundTruth(centers, centers.copy())  # refuses a world of no places
+    places, end = [], 0
+    pixel_ids = np.arange(geom.n_pixels, dtype=np.int32)
     for i in range(world.n_places):
         lam = (params.rate_scale * world.place_patterns[i] + params.noise_rate) * params.dwell_s
         counts = rng.poisson(lam).ravel()
@@ -161,25 +165,16 @@ def generate_traverse(
         # that differ only in dropout share the underlying event set.
         t = i * dwell_us + np.floor(rng.random(n_i) * dwell_us).astype(np.int64)
         pol = (rng.integers(0, 2, size=n_i) * 2 - 1).astype(np.int8)
-        keep = rng.random(n_i) >= params.dropout
-        ts.append(t[keep])
-        pixs.append(np.repeat(pixel_ids, counts)[keep])
-        pols.append(pol[keep])
-    t = np.concatenate(ts) if ts else np.array([], dtype=np.int64)
-    pix = np.concatenate(pixs) if pixs else np.array([], dtype=np.int64)
-    pol = np.concatenate(pols) if pols else np.array([], dtype=np.int8)
-    order = np.argsort(t, kind="stable")
-    stream = EventStream(
-        geom,
-        t[order],
-        (pix[order] % geom.width).astype(np.int32),
-        (pix[order] // geom.width).astype(np.int32),
-        pol[order],
-    )
-    centers = (
-        np.arange(world.n_places, dtype=np.float64) * dwell_us + dwell_us / 2.0
-    )
-    return stream, GroundTruth(centers, centers.copy())
+        kept = np.flatnonzero(rng.random(n_i) >= params.dropout)
+        kept = kept[np.argsort(t[kept], kind="stable")]
+        pix = np.repeat(pixel_ids, counts)[kept]
+        place = EventStream(geom, t[kept], pix % geom.width, pix // geom.width, pol[kept])
+        if len(place) and place.t[0] < end:
+            raise OrderingError(f"place {i} starts before the places before it end")
+        end = place.t[-1] if len(place) else end
+        places.append(place)
+    columns = (np.concatenate([getattr(s, c) for s in places]) for c in ("t", "pixel", "p"))
+    return EventStream._adopt(geom, *columns), truth
 
 
 def pair_ground_truth(query_gt: GroundTruth, reference_gt: GroundTruth) -> GroundTruth:

@@ -154,6 +154,46 @@ def test_synth_without_synthetic_section_fails(tmp_path, capsys):
     assert "[config]" in err and "synthetic" in err
 
 
+# sha256 of ``synth``'s outputs for ``SENSOR_SYNTH_SETS``, recorded at
+# commit ffd07e1, which sorted each traverse as a whole.
+SENSOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic-sensor.json"
+SENSOR_SYNTH_SETS = [
+    "--set", "synthetic.n_places=2",
+    "--set", "synthetic.reference.dwell_s=0.3",
+    "--set", "synthetic.query.dwell_s=0.3",
+]
+SENSOR_SYNTH_SHA256 = {
+    "reference_events.csv": "0cee8762b19950fcf5ff13931c62572729fab2f2c407260de03224fc53ef73ec",
+    "query_events.csv": "981007babd717db3131995ed71d5265493aafd6759100a4deda3624075fd9f98",
+    "ground_truth.csv": "8284042787fac6fcb5bbc1c53bf6d20c5614f12f4c91e05c2cfd48e4506dc1f9",
+}
+
+
+def test_synth_at_davis_geometry_writes_the_recorded_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(SENSOR_CONFIG), *SENSOR_SYNTH_SETS, "-o", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SENSOR_SYNTH_SHA256
+    }
+    assert digests == SENSOR_SYNTH_SHA256
+
+
+def test_synth_writes_the_reference_before_it_draws_the_query(workspace, tmp_path):
+    profile = tmp_path / "profile.json"
+    args = ["--profile", str(profile), "synth", "--config", str(workspace["cfg"])]
+    assert main([*args, "-o", str(tmp_path / "out")]) == 0
+    stages = json.loads(profile.read_text())["stages"]
+    assert [(s["stage"], s.get("role")) for s in stages] == [
+        ("config", None),
+        ("config", None),
+        ("generate", "reference"),
+        ("write", "reference"),
+        ("generate", "query"),
+        ("write", "query"),
+        ("write", None),
+    ]
+
+
 def test_wrongly_typed_override_fails_with_config_tag(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     events = workspace["data"] / "query_events.csv"
@@ -557,6 +597,35 @@ def test_missing_input_file_fails_with_stage_tag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[read-events]" in err and "nope.csv" in err
     assert not (tmp_path / "o").exists()  # nothing was written, so no directory
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize(
+    "command, stage, source",
+    [("filter", "read-events", "query_events.csv"), ("evaluate", "read-inputs", "ground_truth.csv")],
+)
+def test_a_pipe_input_fails_unread_with_stage_tag(
+    workspace, tmp_path, capsys, command, stage, source
+):
+    head = (workspace["data"] / source).read_bytes()[:4096]  # within a pipe's buffer
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, head)
+    os.close(write_fd)
+    pipe = f"/dev/fd/{read_fd}"
+    inputs = {
+        "filter": ["--events", pipe],
+        "evaluate": ["--matrix", str(workspace["run"] / "dist_mean_of_4.csv"), "--gt", pipe],
+    }
+    out = tmp_path / "out"
+    try:
+        args = [command, *inputs[command], "--config", str(workspace["cfg"]), "-o", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"error [{stage}] {pipe} is not seekable" in err and "regular file" in err
+        assert not out.exists()
+        assert os.read(read_fd, len(head) + 1) == head  # nothing was read from the pipe
+    finally:
+        os.close(read_fd)
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evplace import synthetic
 from evplace.descriptors import AccumulationMode, DescriptorParams
 from evplace.distance import Metric
 from evplace.ensemble import EnsembleRule, RuleKind
-from evplace.errors import ConfigError
-from evplace.events import SensorGeometry
+from evplace.errors import ConfigError, OrderingError
+from evplace.evaluation import GroundTruth
+from evplace.events import EventStream, SensorGeometry
 from evplace.pipeline import run_place_recognition
 from evplace.synthetic import (
     EDGE_RATE,
@@ -153,6 +156,85 @@ def test_traverse_zero_rates_is_empty():
     stream, gt = generate_traverse(quiet, TraverseParams(seed=1))
     assert len(stream) == 0
     assert len(gt) == 3
+
+
+def _whole_traverse(world, params):
+    """The traverse drawn place by place, then sorted once as a whole.
+
+    The same draws as :func:`generate_traverse`; the places are
+    concatenated, stably sorted by time over the whole traverse, and split
+    into ``x`` and ``y`` for the stream's constructor.
+    """
+    rng = np.random.default_rng(params.seed)
+    geom = world.geometry
+    dwell_us = int(round(params.dwell_s * 1e6))
+    ts, pixs, pols = [], [], []
+    pixel_ids = np.arange(geom.n_pixels, dtype=np.int64)
+    for i in range(world.n_places):
+        lam = (params.rate_scale * world.place_patterns[i] + params.noise_rate) * params.dwell_s
+        counts = rng.poisson(lam).ravel()
+        n_i = int(counts.sum())
+        t = i * dwell_us + np.floor(rng.random(n_i) * dwell_us).astype(np.int64)
+        pol = (rng.integers(0, 2, size=n_i) * 2 - 1).astype(np.int8)
+        keep = rng.random(n_i) >= params.dropout
+        ts.append(t[keep])
+        pixs.append(np.repeat(pixel_ids, counts)[keep])
+        pols.append(pol[keep])
+    t, pix, pol = np.concatenate(ts), np.concatenate(pixs), np.concatenate(pols)
+    order = np.argsort(t, kind="stable")
+    stream = EventStream(
+        geom, t[order], pix[order] % geom.width, pix[order] // geom.width, pol[order]
+    )
+    centers = np.arange(world.n_places, dtype=np.float64) * dwell_us + dwell_us / 2.0
+    return stream, GroundTruth(centers, centers.copy())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    world_seed=st.integers(0, 2**16),
+    n_places=st.integers(2, 6),
+    width=st.integers(4, 40),
+    height=st.integers(3, 30),
+    seed=st.integers(0, 2**16),
+    dwell_s=st.floats(0.01, 0.3),
+    rate_scale=st.floats(0.1, 3.0),
+    noise_rate=st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
+    dropout=st.sampled_from([0.0, 0.4]),
+)
+def test_traverse_sorted_place_by_place_equals_the_whole_traverse_sort(
+    world_seed, n_places, width, height, seed, dwell_s, rate_scale, noise_rate, dropout
+):
+    world = generate_world(world_seed, n_places, SensorGeometry(width, height))
+    params = TraverseParams(
+        seed=seed, dwell_s=dwell_s, rate_scale=rate_scale, noise_rate=noise_rate, dropout=dropout
+    )
+    stream, gt = generate_traverse(world, params)
+    expect, expect_gt = _whole_traverse(world, params)
+    for name in ("t", "pixel", "p"):
+        got, want = getattr(stream, name), getattr(expect, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert not (stream.t.flags.writeable or stream.pixel.flags.writeable or stream.p.flags.writeable)
+    assert gt.query_t_us.tobytes() == expect_gt.query_t_us.tobytes()
+    assert gt.ref_t_us.tobytes() == expect_gt.ref_t_us.tobytes()
+
+
+def test_traverse_refuses_a_place_that_starts_before_the_last_ended(monkeypatch):
+    # Timestamps drawn at 2.5 dwells put place 0 after place 1, drawn at 0.
+    draws = iter([2.5, 0.0, 0.0, 0.0])  # place 0's times and dropout, then place 1's
+    real_rng = np.random.default_rng
+
+    class ScriptedTimes:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+            self.poisson, self.integers = self._rng.poisson, self._rng.integers
+
+        def random(self, n):
+            return np.full(n, next(draws))
+
+    world = generate_world(5, 2, GEOM)
+    monkeypatch.setattr(synthetic.np.random, "default_rng", ScriptedTimes)
+    with pytest.raises(OrderingError, match="place 1 starts before"):
+        generate_traverse(world, TraverseParams(seed=1))
 
 
 def test_traverse_ground_truth_anchors_place_centers():

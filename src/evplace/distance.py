@@ -121,6 +121,10 @@ def build_distance_matrix(
     Both sequences must be non-empty and share one descriptor dimension.
     The member label is the common source label, or ``q_vs_r`` when the
     two sides come from different sources.
+
+    Every row reuses one ``R x D`` buffer, with the operations and order a
+    fresh per-row temporary had, so the bytes are the same; a fresh one
+    above the 1 MiB mmap threshold set at process entry faults anew per row.
     """
     if len(query) == 0 or len(reference) == 0:
         raise ConfigError("distance matrix needs non-empty sequences")
@@ -131,13 +135,17 @@ def build_distance_matrix(
     if metric is Metric.COSINE:
         qh = _unit_rows(query, "query")
         rh = _unit_rows(reference, "reference")
+        diff = np.empty_like(rh)
         for i in range(qh.shape[0]):
-            diff = rh - qh[i]
-            out[i] = 0.5 * (diff * diff).sum(axis=1)
+            np.subtract(rh, qh[i], out=diff)
+            np.multiply(diff, diff, out=diff).sum(axis=1, out=out[i])
+        out *= 0.5
         np.clip(out, 0.0, 2.0, out=out)
     elif metric is Metric.SAD:
+        diff = np.empty_like(reference.values)
         for i in range(out.shape[0]):
-            out[i] = np.abs(reference.values - query.values[i]).mean(axis=1)
+            np.subtract(reference.values, query.values[i], out=diff)
+            np.abs(diff, out=diff).mean(axis=1, out=out[i])
     else:
         raise ConfigError(f"unknown metric {metric!r}")
     return DistanceMatrix(out, query.t_us, reference.t_us, label)

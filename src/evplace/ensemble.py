@@ -1,8 +1,8 @@
 """Combination rules that fuse per-member distance matrices.
 
 Each window family contributes one distance matrix over the same query
-and reference sample grids.  Every rule here collapses that stack into a
-single distance matrix, which is retrieved and scored like any member.
+and reference sample grids.  Every rule here fuses that member list into
+a single distance matrix, which is retrieved and scored like any member.
 The mean rule is the workhorse; the others exist to quantify how much the
 choice of rule matters.
 
@@ -13,14 +13,15 @@ the command line makes with its config, before any input is read.
 Two further ensembles avoid computing every query-side family:
 :func:`approximate_combine` compares one query family against all
 reference families, and :func:`cross_window_combine` compares every query
-family against every reference family (``k * k`` members).
+family against every reference family (``k * k`` members).  Both fuse by
+:func:`combine`'s mean rule and only relabel the result.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -84,25 +85,25 @@ class EnsembleRule:
             raise ConfigError("majority vote needs at least two members")
 
 
-def _tree_mean(stack: np.ndarray) -> np.ndarray:
-    """Mean over the first axis via pairwise-tree summation.
+def _tree_mean(values: list[np.ndarray]) -> np.ndarray:
+    """Mean of a list of matrices via pairwise-tree summation.
 
-    A sequential reduction passes through fl(3a), fl(5a), ... and can land
+    Each level adds neighbours pairwise, the odd one out carried last to
+    the next level, so no ``k``-deep copy of the list is ever made.  A
+    sequential reduction passes through fl(3a), fl(5a), ... and can land
     one ulp off even when every member is the same matrix.  The tree adds
     equals to equals, so a power-of-two count of identical members
     collapses to that member without any rounding at all.
     """
-    k = stack.shape[0]
-    while stack.shape[0] > 1:
-        even = stack.shape[0] // 2 * 2
-        pairs = stack[0:even:2] + stack[1:even:2]
-        if stack.shape[0] % 2:
-            pairs = np.concatenate([pairs, stack[-1:]], axis=0)
-        stack = pairs
-    return stack[0] / k
+    k = len(values)
+    while len(values) > 1:
+        pairs = [a + b for a, b in zip(values[0::2], values[1::2])]
+        values = pairs + values[-1:] if len(values) % 2 else pairs
+    return values[0] / k
 
 
-def _stack(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> np.ndarray:
+def _aligned(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> list[np.ndarray]:
+    """The members' own matrices, once they share shape and sample grids."""
     first = members[0]
     for m in members[1:]:
         if m.values.shape != first.values.shape:
@@ -115,19 +116,7 @@ def _stack(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> np.nda
             and np.array_equal(m.ref_t_us, first.ref_t_us)
         ):
             raise ConfigError(f"member {m.member_label} is not sample-aligned")
-    return np.stack([m.values for m in members])
-
-
-def _labelled_mean(
-    members: list[DistanceMatrix] | tuple[DistanceMatrix, ...], prefix: str
-) -> DistanceMatrix:
-    """Tree mean of ``members``, labelled ``<prefix>_mean_of_<k>``."""
-    return DistanceMatrix(
-        _tree_mean(_stack(members)),
-        members[0].query_t_us,
-        members[0].ref_t_us,
-        f"{prefix}_mean_of_{len(members)}",
-    )
+    return [m.values for m in members]
 
 
 def combine(
@@ -148,28 +137,27 @@ def combine(
     """
     k = len(members)
     rule.check_members(k)
-    stack = _stack(members)
+    values = _aligned(members)
     if rule.kind is RuleKind.MEAN:
-        fused = _tree_mean(stack)
+        fused = _tree_mean(values)
     elif rule.kind is RuleKind.PRODUCT:
-        fused = np.prod(stack, axis=0)
+        fused = np.prod(values, axis=0)
     elif rule.kind is RuleKind.MEDIAN:
-        fused = np.median(stack, axis=0)
+        fused = np.median(values, axis=0)
     elif rule.kind is RuleKind.MIN:
-        fused = np.min(stack, axis=0)
+        fused = np.min(values, axis=0)
     elif rule.kind is RuleKind.MAX:
-        fused = np.max(stack, axis=0)
+        fused = np.max(values, axis=0)
     elif rule.kind is RuleKind.TRIMMED_MEAN:
-        fused = _tree_mean(np.sort(stack, axis=0)[rule.trim : k - rule.trim])
+        fused = _tree_mean(list(np.sort(values, axis=0)[rule.trim : k - rule.trim]))
     elif rule.kind is RuleKind.WEIGHTED:
-        w = np.array(rule.weights, dtype=np.float64)
-        fused = _tree_mean(w[:, None, None] * stack)
+        fused = _tree_mean([w * v for w, v in zip(rule.weights, values)])
     elif rule.kind is RuleKind.MAJORITY_VOTE:
-        _, n_q, n_r = stack.shape
+        n_q, n_r = values[0].shape
         # Count every (row, voted column) pair at once; argmax keeps the
         # smallest column among tied counts.
         rows = np.arange(n_q)
-        votes = rows * n_r + np.argmin(stack, axis=2)
+        votes = rows * n_r + np.argmin(values, axis=2)
         counts = np.bincount(votes.ravel(), minlength=n_q * n_r).reshape(n_q, n_r)
         fused = np.ones((n_q, n_r), dtype=np.float64)
         fused[rows, counts.argmax(axis=1)] = 0.0
@@ -195,7 +183,8 @@ def approximate_combine(
     if len(references) < 1:
         raise ConfigError("approximate ensemble needs at least one reference member")
     members = [build_distance_matrix(query, ref, metric) for ref in references]
-    return _labelled_mean(members, "approx")
+    fused = combine(members, EnsembleRule(RuleKind.MEAN))
+    return replace(fused, member_label=f"approx_mean_of_{len(members)}")
 
 
 def cross_window_members(
@@ -224,7 +213,9 @@ def cross_window_combine(
     metric: Metric,
 ) -> DistanceMatrix:
     """Mean-fused cross-window ensemble over all ``k * k`` family pairs."""
-    return _labelled_mean(cross_window_members(query_seqs, reference_seqs, metric), "cross")
+    members = cross_window_members(query_seqs, reference_seqs, metric)
+    fused = combine(members, EnsembleRule(RuleKind.MEAN))
+    return replace(fused, member_label=f"cross_mean_of_{len(members)}")
 
 
 def enumerate_weight_grid(

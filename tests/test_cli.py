@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from evplace import cli, events, pipeline
 from evplace.cli import main
 from evplace.config import PipelineConfig
-from evplace.descriptors import load_descriptors
+from evplace.descriptors import DescriptorSequence, load_descriptors, write_descriptors
 from evplace.distance import read_matrix_csv
 from evplace.ensemble import RuleKind
 from evplace.errors import ConfigError
@@ -1375,6 +1375,26 @@ def test_process_entry_parses_with_fewer_page_faults_and_the_same_outputs(tmp_pa
         (faults[name],) = [s["minor_faults"] for s in stages if s["stage"] == "read-events"]
     assert faults["entry"] * 2 <= faults["main"], faults
     assert _files(tmp_path / "entry") == _files(tmp_path / "main")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_distance_at_route_scale_maps_one_buffer_not_one_per_row(tmp_path):
+    # 400 reference rows of 768 values are 2.4 MB a row temporary, above the
+    # 1 MiB mmap threshold fixed at process entry: one fresh temporary per
+    # query row took about 480 k faults in this test.
+    rng = np.random.default_rng(223)
+    paths = {}
+    for side in ("query", "reference"):
+        seq = DescriptorSequence(side, np.arange(1, 401) * 100_000, rng.random((400, 768)))
+        paths[side] = tmp_path / f"{side}.csv"
+        paths[side].write_bytes(write_descriptors(seq))
+    profile = tmp_path / "distance.json"
+    args = ["--profile", str(profile), "distance", "--query", str(paths["query"]),
+            "--reference", str(paths["reference"]), "-o", str(tmp_path / "out")]
+    assert _cli_process("-m", "evplace.cli", *args).wait(timeout=120) == 0
+    stages = json.loads(profile.read_text())["stages"]
+    (faults,) = [s["minor_faults"] for s in stages if s["stage"] == "distance"]
+    assert faults < 50_000, faults
 
 
 _SLEEPING_REFERENCE = """

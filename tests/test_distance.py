@@ -124,6 +124,58 @@ def test_matrix_against_scalar_oracle():
                 )
 
 
+def _loop_distances(q, r, metric):
+    """Every row through a fresh ``R x D`` temporary, as the matrix loop once did."""
+    out = np.empty((len(q), len(r)), dtype=np.float64)
+    if metric is Metric.COSINE:
+        qh, rh = (s.values / np.sqrt((s.values * s.values).sum(axis=1))[:, None] for s in (q, r))
+        for i in range(len(q)):
+            diff = rh - qh[i]
+            out[i] = 0.5 * (diff * diff).sum(axis=1)
+        np.clip(out, 0.0, 2.0, out=out)
+    else:
+        for i in range(len(q)):
+            out[i] = np.abs(r.values - q.values[i]).mean(axis=1)
+    return out
+
+
+def _assert_bitwise(a, b):
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize(
+    "nq, nr, dim", [(1, 1, 1), (13, 5, 3), (9, 40, 192), (5, 200, 768), (3, 171, 768)]
+)
+def test_matrix_equals_the_allocating_loop_bit_for_bit(metric, nq, nr, dim):
+    # 200 x 768 and 171 x 768 float64 rows are above 1 MiB, where a fresh
+    # temporary per row would be mapped afresh.
+    rng = np.random.default_rng(nq * 1_000_003 + nr * 1009 + dim)
+    q = _seq(rng.standard_normal((nq, dim)) * rng.uniform(0.1, 50.0), name="q")
+    r = _seq(rng.standard_normal((nr, dim)), name="r")
+    _assert_bitwise(build_distance_matrix(q, r, metric).values, _loop_distances(q, r, metric))
+    rf = _seq(np.asfortranarray(r.values), name="r")  # a column-major library input
+    assert rf.values.flags.f_contiguous
+    _assert_bitwise(build_distance_matrix(q, rf, metric).values, _loop_distances(q, rf, metric))
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_matrix_equals_the_allocating_loop_on_equal_antipodal_and_tiny_entries(metric):
+    rng = np.random.default_rng(211)
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    q_values = rng.choice(tiny, size=(6, 32))
+    q_values[:, 0] = rng.standard_normal(6)  # one normal entry keeps each row's direction
+    # Cosine needs a direction in every row; SAD also takes rows of nothing but tiny entries.
+    extra = rng.standard_normal((4, 32)) if metric is Metric.COSINE else rng.choice(tiny, (4, 32))
+    q = _seq(q_values, name="q")
+    r = _seq(np.concatenate([q_values, -q_values, extra]), name="r")
+    m = build_distance_matrix(q, r, metric).values
+    _assert_bitwise(m, _loop_distances(q, r, metric))
+    assert np.all(np.diag(m[:, :6]) == 0.0)
+    if metric is Metric.COSINE:
+        assert np.all(np.diag(m[:, 6:12]) == 2.0)
+
+
 def test_matrix_label_from_shared_source():
     q = _seq([[1.0, 2.0]], name="a")
     r = _seq([[2.0, 1.0]], name="a")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,51 @@ def test_weighted_matches_brute_force():
     fused = combine(members, EnsembleRule(RuleKind.WEIGHTED, weights=w))
     expect = sum(wk * m.values for wk, m in zip(w, members)) / 4
     np.testing.assert_allclose(fused.values, expect, atol=1e-12)
+
+
+def _stacked_tree_mean(stack):
+    """The tree mean over one stacked ``k x Q x R`` array, as fusion once did."""
+    k = stack.shape[0]
+    while stack.shape[0] > 1:
+        even = stack.shape[0] // 2 * 2
+        pairs = stack[0:even:2] + stack[1:even:2]
+        if stack.shape[0] % 2:
+            pairs = np.concatenate([pairs, stack[-1:]], axis=0)
+        stack = pairs
+    return stack[0] / k
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_tree_rules_equal_the_stacked_tree_bit_for_bit(k):
+    rng = np.random.default_rng(139 + k)
+    members = _random_members(rng, k, nq=7, nr=9)
+    stack = np.stack([m.values for m in members])
+    w = tuple(rng.uniform(0.1, 3.0, size=k).tolist())
+    expect = {
+        EnsembleRule(RuleKind.MEAN): _stacked_tree_mean(stack),
+        EnsembleRule(RuleKind.WEIGHTED, weights=w): _stacked_tree_mean(
+            np.array(w)[:, None, None] * stack
+        ),
+    }
+    if k > 2:
+        expect[EnsembleRule(RuleKind.TRIMMED_MEAN)] = _stacked_tree_mean(
+            np.sort(stack, axis=0)[1 : k - 1]
+        )
+    for rule, values in expect.items():
+        fused = combine(members, rule).values
+        np.testing.assert_array_equal(fused.view(np.int64), values.view(np.int64), rule.kind.value)
+
+
+def test_mean_of_nine_members_keeps_no_k_deep_copy():
+    rng = np.random.default_rng(149)
+    members = _random_members(rng, 9, nq=300, nr=300)
+    tracemalloc.start()
+    try:
+        combine(members, EnsembleRule(RuleKind.MEAN))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * members[0].values.nbytes, peak / members[0].values.nbytes
 
 
 def test_weighted_weight_count_checked():
@@ -376,6 +422,22 @@ def test_cross_window_identical_families_match_plain_ensemble():
     fused = cross_window_combine([q, q], [r, r], Metric.COSINE)
     plain = build_distance_matrix(q, r, Metric.COSINE)
     assert np.array_equal(fused.values, plain.values)  # 4 identical members, exact
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_approximate_and_cross_window_are_combines_mean_relabelled(metric):
+    rng = np.random.default_rng(197)
+    qs = [_seq(rng.standard_normal((5, 6)), f"q{i}") for i in range(3)]
+    rs = [_seq(rng.standard_normal((7, 6)), f"r{i}") for i in range(3)]
+    mean = EnsembleRule(RuleKind.MEAN)
+    approx = approximate_combine(qs[0], rs, metric)
+    expect = combine([build_distance_matrix(qs[0], r, metric) for r in rs], mean)
+    assert approx.member_label == "approx_mean_of_3"
+    np.testing.assert_array_equal(approx.values.view(np.int64), expect.values.view(np.int64))
+    cross = cross_window_combine(qs, rs, metric)
+    expect = combine(cross_window_members(qs, rs, metric), mean)
+    assert cross.member_label == "cross_mean_of_9"
+    np.testing.assert_array_equal(cross.values.view(np.int64), expect.values.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ from .ensemble import (
     RuleKind,
     approximate_combine,
     combine,
-    cross_window_combine,
-    cross_window_members,
     enumerate_weight_grid,
     weight_grid_search,
 )
@@ -128,8 +126,6 @@ __all__ = [
     "build_window_set",
     "combine",
     "cosine_distance",
-    "cross_window_combine",
-    "cross_window_members",
     "describe_traverse",
     "describe_window_set",
     "enumerate_weight_grid",

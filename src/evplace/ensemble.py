@@ -10,19 +10,24 @@ A rule is built one way, ``EnsembleRule(RuleKind.X, ...)``.  Whether it can
 fuse ``k`` members is one check, :meth:`EnsembleRule.check_members`, which
 the command line makes with its config, before any input is read.
 
-Two further ensembles avoid computing every query-side family:
-:func:`approximate_combine` compares one query family against all
-reference families, and :func:`cross_window_combine` compares every query
-family against every reference family (``k * k`` members).  Both fuse by
-:func:`combine`'s mean rule and only relabel the result.
+The mean, weighted and trimmed rules sum by a pairwise tree folded over
+the members as they come; product, min and max fold them left to right;
+majority vote stacks only each member's per-row argmin.  Median and the
+trimmed mean stack all ``k`` members, since each cell needs all ``k``
+values.
+
+:func:`approximate_combine` avoids computing every query-side family: it
+compares one query family against all reference families and fuses by
+:func:`combine`'s mean rule, relabelling only the result.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +49,11 @@ class RuleKind(enum.Enum):
     TRIMMED_MEAN = "trimmed_mean"
     WEIGHTED = "weighted"
     MAJORITY_VOTE = "majority_vote"
+
+
+# Rules that fold the members left to right, as numpy reduces a stack's
+# first axis, so the result is the same to the bit.
+_FOLDS = {RuleKind.PRODUCT: np.multiply, RuleKind.MIN: np.minimum, RuleKind.MAX: np.maximum}
 
 
 @dataclass(frozen=True)
@@ -85,21 +95,30 @@ class EnsembleRule:
             raise ConfigError("majority vote needs at least two members")
 
 
-def _tree_mean(values: list[np.ndarray]) -> np.ndarray:
-    """Mean of a list of matrices via pairwise-tree summation.
+def _tree_mean(values: Iterable[np.ndarray]) -> np.ndarray:
+    """Mean of matrices via pairwise-tree summation, folded as they come.
 
-    Each level adds neighbours pairwise, the odd one out carried last to
-    the next level, so no ``k``-deep copy of the list is ever made.  A
-    sequential reduction passes through fl(3a), fl(5a), ... and can land
-    one ulp off even when every member is the same matrix.  The tree adds
-    equals to equals, so a power-of-two count of identical members
-    collapses to that member without any rounding at all.
+    Two partial sums of equal count are added as soon as both exist, and
+    what is left at the end (one partial sum per set bit of the count) is
+    added right to left.  That is the tree that pairs neighbours level by
+    level with the odd one carried last, but it holds at most one partial
+    sum per level and never a ``k``-deep copy.  A sequential reduction
+    passes through fl(3a), fl(5a), ... and can land one ulp off even when
+    every member is the same matrix.  The tree adds equals to equals, so a
+    power-of-two count of identical members collapses to that member
+    without any rounding at all.
     """
-    k = len(values)
-    while len(values) > 1:
-        pairs = [a + b for a, b in zip(values[0::2], values[1::2])]
-        values = pairs + values[-1:] if len(values) % 2 else pairs
-    return values[0] / k
+    partials: list[tuple[int, np.ndarray]] = []  # (count, sum), counts falling
+    for k, total in enumerate(values, 1):
+        n = 1
+        while partials and partials[-1][0] == n:
+            total = partials.pop()[1] + total
+            n *= 2
+        partials.append((n, total))
+    total = partials.pop()[1]
+    while partials:
+        total = partials.pop()[1] + total
+    return total / k
 
 
 def _aligned(members: list[DistanceMatrix] | tuple[DistanceMatrix, ...]) -> list[np.ndarray]:
@@ -140,24 +159,20 @@ def combine(
     values = _aligned(members)
     if rule.kind is RuleKind.MEAN:
         fused = _tree_mean(values)
-    elif rule.kind is RuleKind.PRODUCT:
-        fused = np.prod(values, axis=0)
+    elif rule.kind in _FOLDS:
+        fused = functools.reduce(_FOLDS[rule.kind], values)
     elif rule.kind is RuleKind.MEDIAN:
         fused = np.median(values, axis=0)
-    elif rule.kind is RuleKind.MIN:
-        fused = np.min(values, axis=0)
-    elif rule.kind is RuleKind.MAX:
-        fused = np.max(values, axis=0)
     elif rule.kind is RuleKind.TRIMMED_MEAN:
-        fused = _tree_mean(list(np.sort(values, axis=0)[rule.trim : k - rule.trim]))
+        fused = _tree_mean(np.sort(values, axis=0)[rule.trim : k - rule.trim])
     elif rule.kind is RuleKind.WEIGHTED:
-        fused = _tree_mean([w * v for w, v in zip(rule.weights, values)])
+        fused = _tree_mean(w * v for w, v in zip(rule.weights, values))
     elif rule.kind is RuleKind.MAJORITY_VOTE:
         n_q, n_r = values[0].shape
         # Count every (row, voted column) pair at once; argmax keeps the
         # smallest column among tied counts.
         rows = np.arange(n_q)
-        votes = rows * n_r + np.argmin(values, axis=2)
+        votes = rows * n_r + np.stack([np.argmin(v, axis=1) for v in values])
         counts = np.bincount(votes.ravel(), minlength=n_q * n_r).reshape(n_q, n_r)
         fused = np.ones((n_q, n_r), dtype=np.float64)
         fused[rows, counts.argmax(axis=1)] = 0.0
@@ -185,37 +200,6 @@ def approximate_combine(
     members = [build_distance_matrix(query, ref, metric) for ref in references]
     fused = combine(members, EnsembleRule(RuleKind.MEAN))
     return replace(fused, member_label=f"approx_mean_of_{len(members)}")
-
-
-def cross_window_members(
-    query_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
-    reference_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
-    metric: Metric,
-) -> list[DistanceMatrix]:
-    """The ``k * k`` member matrices of the cross-window ensemble.
-
-    Every query family is compared against every reference family, pairing
-    unequal window sizes on purpose: descriptors are rate-normalized, so
-    cross-size comparisons are meaningful and add ensemble diversity.
-    """
-    if len(query_seqs) != len(reference_seqs) or len(query_seqs) < 1:
-        raise ConfigError("cross-window ensemble needs equally many families per side")
-    return [
-        build_distance_matrix(q, r, metric)
-        for q in query_seqs
-        for r in reference_seqs
-    ]
-
-
-def cross_window_combine(
-    query_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
-    reference_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
-    metric: Metric,
-) -> DistanceMatrix:
-    """Mean-fused cross-window ensemble over all ``k * k`` family pairs."""
-    members = cross_window_members(query_seqs, reference_seqs, metric)
-    fused = combine(members, EnsembleRule(RuleKind.MEAN))
-    return replace(fused, member_label=f"cross_mean_of_{len(members)}")
 
 
 def enumerate_weight_grid(

@@ -42,7 +42,6 @@ from evplace.ensemble import (
     RuleKind,
     approximate_combine,
     combine,
-    cross_window_combine,
 )
 from evplace.evaluation import (
     GroundTruth,
@@ -196,9 +195,6 @@ def test_reduction_identities_are_exact():
     approx = approximate_combine(q, [r], Metric.COSINE)
     if not np.array_equal(approx.values, direct.values):
         failures.append("single-reference approximate ensemble differs from the member")
-    cross = cross_window_combine([q], [r], Metric.COSINE)
-    if not np.array_equal(cross.values, direct.values):
-        failures.append("1x1 cross-window ensemble differs from the member")
 
     for k in (2, 4, 8):
         copies = [DistanceMatrix(raw[0], qt, rt, f"c{i}") for i in range(k)]

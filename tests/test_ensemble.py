@@ -1,4 +1,4 @@
-"""Combination rules, the approximate and cross-window ensembles, weights."""
+"""Combination rules, the approximate ensemble, weights."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from evplace.ensemble import (
     RuleKind,
     approximate_combine,
     combine,
-    cross_window_combine,
-    cross_window_members,
     enumerate_weight_grid,
     weight_grid_search,
 )
@@ -123,18 +121,38 @@ def _stacked_tree_mean(stack):
     return stack[0] / k
 
 
+def _stacked_vote(stack):
+    """Majority vote over one stacked ``k x Q x R`` array, as fusion once did."""
+    n_q, n_r = stack.shape[1:]
+    rows = np.arange(n_q)
+    votes = rows * n_r + np.argmin(stack, axis=2)
+    counts = np.bincount(votes.ravel(), minlength=n_q * n_r).reshape(n_q, n_r)
+    fused = np.ones((n_q, n_r), dtype=np.float64)
+    fused[rows, counts.argmax(axis=1)] = 0.0
+    return fused
+
+
 @pytest.mark.parametrize("k", range(1, 12))
 def test_tree_rules_equal_the_stacked_tree_bit_for_bit(k):
     rng = np.random.default_rng(139 + k)
-    members = _random_members(rng, k, nq=7, nr=9)
-    stack = np.stack([m.values for m in members])
+    stack = rng.random((k, 7, 9))
+    # Signed zeros and exact ties in every member, and identical copies.
+    cells = rng.random(stack.shape) < 0.3
+    stack[cells] = rng.choice([0.0, -0.0, 0.25, 0.5], size=int(cells.sum()))
+    stack[k // 2 :: 3] = stack[0]
+    members = [_matrix(v, label=f"m{i}") for i, v in enumerate(stack)]
     w = tuple(rng.uniform(0.1, 3.0, size=k).tolist())
     expect = {
         EnsembleRule(RuleKind.MEAN): _stacked_tree_mean(stack),
         EnsembleRule(RuleKind.WEIGHTED, weights=w): _stacked_tree_mean(
             np.array(w)[:, None, None] * stack
         ),
+        EnsembleRule(RuleKind.PRODUCT): np.prod(stack, axis=0),
+        EnsembleRule(RuleKind.MIN): np.min(stack, axis=0),
+        EnsembleRule(RuleKind.MAX): np.max(stack, axis=0),
     }
+    if k > 1:
+        expect[EnsembleRule(RuleKind.MAJORITY_VOTE)] = _stacked_vote(stack)
     if k > 2:
         expect[EnsembleRule(RuleKind.TRIMMED_MEAN)] = _stacked_tree_mean(
             np.sort(stack, axis=0)[1 : k - 1]
@@ -144,16 +162,39 @@ def test_tree_rules_equal_the_stacked_tree_bit_for_bit(k):
         np.testing.assert_array_equal(fused.view(np.int64), values.view(np.int64), rule.kind.value)
 
 
-def test_mean_of_nine_members_keeps_no_k_deep_copy():
-    rng = np.random.default_rng(149)
-    members = _random_members(rng, 9, nq=300, nr=300)
+def _peak_over_one_member(members, rule):
     tracemalloc.start()
     try:
-        combine(members, EnsembleRule(RuleKind.MEAN))
+        combine(members, rule)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * members[0].values.nbytes, peak / members[0].values.nbytes
+    return peak / members[0].values.nbytes
+
+
+def test_mean_of_nine_members_keeps_no_k_deep_copy():
+    rng = np.random.default_rng(149)
+    members = _random_members(rng, 9, nq=300, nr=300)
+    peak = _peak_over_one_member(members, EnsembleRule(RuleKind.MEAN))
+    assert peak < 3.5, peak
+
+
+@pytest.mark.parametrize(
+    "rule, bound",
+    [
+        (EnsembleRule(RuleKind.MAJORITY_VOTE), 3.5),
+        (EnsembleRule(RuleKind.WEIGHTED, weights=(0.5, 1.0, 1.5) * 3), 4.5),
+        (EnsembleRule(RuleKind.PRODUCT), 2.5),
+        (EnsembleRule(RuleKind.MIN), 2.5),
+        (EnsembleRule(RuleKind.MAX), 2.5),
+    ],
+    ids=["majority_vote", "weighted", "product", "min", "max"],
+)
+def test_folding_rules_keep_no_k_deep_copy(rule, bound):
+    rng = np.random.default_rng(149)
+    members = _random_members(rng, 9, nq=300, nr=300)
+    peak = _peak_over_one_member(members, rule)
+    assert peak < bound, peak
 
 
 def test_weighted_weight_count_checked():
@@ -352,7 +393,7 @@ def test_majority_vote_best_match_is_the_modal_column():
 
 
 # ---------------------------------------------------------------------------
-# approximate and cross-window ensembles
+# approximate ensemble
 
 
 def test_approximate_single_reference_is_plain_matrix():
@@ -388,56 +429,15 @@ def test_approximate_two_references_mean():
     np.testing.assert_allclose(approx.values, expect, atol=1e-15)
 
 
-def test_cross_window_single_family_is_identity():
-    rng = np.random.default_rng(181)
-    q = _seq(rng.standard_normal((4, 6)), "q")
-    r = _seq(rng.standard_normal((4, 6)), "r")
-    fused = cross_window_combine([q], [r], Metric.COSINE)
-    direct = build_distance_matrix(q, r, Metric.COSINE)
-    assert np.array_equal(fused.values, direct.values)
-
-
-def test_cross_window_uses_squared_member_count():
-    rng = np.random.default_rng(191)
-    qs = [_seq(rng.standard_normal((3, 6)), f"q{i}") for i in range(2)]
-    rs = [_seq(rng.standard_normal((4, 6)), f"r{i}") for i in range(2)]
-    members = cross_window_members(qs, rs, Metric.COSINE)
-    assert len(members) == 4
-    labels = [m.member_label for m in members]
-    expect_labels = [
-        f"external_q{a}_vs_external_r{b}" for a in range(2) for b in range(2)
-    ]
-    assert labels == expect_labels
-    fused = cross_window_combine(qs, rs, Metric.COSINE)
-    assert fused.member_label == "cross_mean_of_4"
-    np.testing.assert_allclose(
-        fused.values, np.mean([m.values for m in members], axis=0), atol=1e-15
-    )
-
-
-def test_cross_window_identical_families_match_plain_ensemble():
-    rng = np.random.default_rng(193)
-    q = _seq(rng.standard_normal((3, 6)), "q")
-    r = _seq(rng.standard_normal((4, 6)), "r")
-    fused = cross_window_combine([q, q], [r, r], Metric.COSINE)
-    plain = build_distance_matrix(q, r, Metric.COSINE)
-    assert np.array_equal(fused.values, plain.values)  # 4 identical members, exact
-
-
 @pytest.mark.parametrize("metric", list(Metric))
-def test_approximate_and_cross_window_are_combines_mean_relabelled(metric):
+def test_approximate_is_combines_mean_relabelled(metric):
     rng = np.random.default_rng(197)
-    qs = [_seq(rng.standard_normal((5, 6)), f"q{i}") for i in range(3)]
+    q = _seq(rng.standard_normal((5, 6)), "q")
     rs = [_seq(rng.standard_normal((7, 6)), f"r{i}") for i in range(3)]
-    mean = EnsembleRule(RuleKind.MEAN)
-    approx = approximate_combine(qs[0], rs, metric)
-    expect = combine([build_distance_matrix(qs[0], r, metric) for r in rs], mean)
+    approx = approximate_combine(q, rs, metric)
+    expect = combine([build_distance_matrix(q, r, metric) for r in rs], EnsembleRule(RuleKind.MEAN))
     assert approx.member_label == "approx_mean_of_3"
     np.testing.assert_array_equal(approx.values.view(np.int64), expect.values.view(np.int64))
-    cross = cross_window_combine(qs, rs, metric)
-    expect = combine(cross_window_members(qs, rs, metric), mean)
-    assert cross.member_label == "cross_mean_of_9"
-    np.testing.assert_array_equal(cross.values.view(np.int64), expect.values.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ from .evaluation import (
     write_ground_truth_csv,
 )
 from .events import (
+    _read_only,
     burst_mask,
     compact_in_place,
     event_csv_blocks,
@@ -368,9 +369,8 @@ def _restrict_to_ground_truth(matrix: DistanceMatrix, anchors) -> tuple[Distance
     gt, keep = interpolate_ground_truth(anchors, matrix.query_t_us)
     dropped = int(matrix.n_queries - keep.sum())
     if dropped:
-        matrix = DistanceMatrix(
-            matrix.values[keep], matrix.query_t_us[keep], matrix.ref_t_us, matrix.member_label
-        )
+        values, query_t = (_read_only(a[keep]) for a in (matrix.values, matrix.query_t_us))
+        matrix = DistanceMatrix(values, query_t, matrix.ref_t_us, matrix.member_label)
     return matrix, gt, dropped
 
 

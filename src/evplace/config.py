@@ -298,12 +298,8 @@ class PipelineConfig:
             sweep_points=sweep_points,
             sweep_values=sweep_values,
             synthetic=synthetic,
-            resolved=merged_copy(c),
+            resolved=json.loads(json.dumps(c)),
         )
-
-
-def merged_copy(c: dict) -> dict:
-    return json.loads(json.dumps(c))
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> PipelineConfig:

@@ -17,6 +17,7 @@ A computed sequence carries its window family's label (``count_230``,
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OrderingError, ParseError
-from .events import EventStream, csv_rows
+from .events import EventStream, _check_increasing, _freeze, _read_only, _seconds_to_us, csv_rows
 from .windowing import WindowSet, align_to_time
 
 DEFAULT_CLIP = 3.0
@@ -63,16 +64,10 @@ class DescriptorSequence:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(f"sequence label must be a non-empty string, got {self.label!r}")
-        t = np.array(self.t_us, dtype=np.int64)
-        v = np.array(self.values, dtype=np.float64)
+        t, v = _freeze(self, t_us=np.int64, values=np.float64)
         if t.ndim != 1 or v.ndim != 2 or t.size != v.shape[0]:
             raise ConfigError("descriptor sequence arrays are inconsistent")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise OrderingError("descriptor timestamps must be strictly increasing")
-        t.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "t_us", t)
-        object.__setattr__(self, "values", v)
+        _check_increasing(t, "descriptor timestamps")
 
     @property
     def dim(self) -> int:
@@ -97,6 +92,8 @@ class DescriptorParams:
             raise ConfigError(f"clip must be positive, got {self.clip}")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
+        if self.down_width < 1 or self.down_height < 1:
+            raise ConfigError(f"target size {self.down_width}x{self.down_height} must be positive")
         if self.down_width % self.patch or self.down_height % self.patch:
             raise ConfigError(
                 f"patch {self.patch} must divide {self.down_width}x{self.down_height}"
@@ -157,9 +154,7 @@ def _area_weights(n_in: int, n_out: int) -> np.ndarray:
     r = np.arange(n_out, dtype=np.int64)[:, None]
     i = np.arange(n_in, dtype=np.int64)[None, :]
     overlap = np.minimum(i + 1.0, (r + 1) * scale) - np.maximum(i * 1.0, r * scale)
-    w = np.where(overlap > 0, overlap / scale, 0.0)
-    w.flags.writeable = False
-    return w
+    return _read_only(np.where(overlap > 0, overlap / scale, 0.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,9 +170,7 @@ def _area_band(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     offset = np.arange(int(width.max()))
     idx = np.minimum(np.argmax(w > 0, axis=1)[:, None] + offset, n_in - 1)
     wband = np.where(offset < width[:, None], np.take_along_axis(w, idx, axis=1), 0.0)
-    idx.flags.writeable = False
-    wband.flags.writeable = False
-    return idx, wband
+    return _read_only(idx), _read_only(wband)
 
 
 def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -260,11 +253,11 @@ def describe_window_set(
     exactly the grid's timestamps, so matrices built from them are
     index-aligned.
     """
-    grid = np.ascontiguousarray(grid, dtype=np.int64)
+    # One read-only copy, which every returned sequence shares.
+    grid = _read_only(np.array(grid, dtype=np.int64, ndmin=1))
     if grid.size == 0:
         raise ConfigError("sample grid is empty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise OrderingError("sample grid must be strictly increasing")
+    _check_increasing(grid, "sample grid")
     sequences = []
     for family in window_set.families:
         windows, row_window = np.unique(
@@ -276,7 +269,7 @@ def describe_window_set(
                 stream, int(family.start_idx[w]), int(family.end_idx[w]), params
             )
             frames[k] = sad_descriptor(image, params)
-        sequences.append(DescriptorSequence(family.label, grid, frames[row_window]))
+        sequences.append(DescriptorSequence(family.label, grid, _read_only(frames[row_window])))
     return sequences
 
 
@@ -284,8 +277,10 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     """Load externally computed descriptors from CSV.
 
     Rows are ``t_seconds,v1,...,vD`` with no header; timestamps must be
-    strictly increasing and every row must have the same dimension.
-    The returned sequence is labelled ``external_<name>``.
+    strictly increasing and every row must have the same dimension.  Times
+    are shifted to microseconds exactly, then rounded half to even, so any
+    time under 2**33 s that :func:`write_descriptors` wrote reads back as
+    written.  The returned sequence is labelled ``external_<name>``.
     """
     times, values = array("q"), array("d")
     dim = 0
@@ -294,7 +289,9 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
             raise ParseError("descriptor row needs a time and at least one value", lineno)
         try:
             t_s, *vals = map(float, fields)
-        except ValueError:
+            # The exact microseconds, once the time is known to be finite.
+            t_us = round(_seconds_to_us(fields[0])) if math.isfinite(t_s) else 0
+        except (ValueError, decimal.InvalidOperation):
             raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
         if not (math.isfinite(t_s) and all(map(math.isfinite, vals))):
             raise ParseError("non-finite value", lineno)
@@ -302,7 +299,7 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
         if len(vals) != dim:
             raise ParseError(f"dimension {len(vals)} differs from first row ({dim})", lineno)
         try:
-            times.append(round(t_s * 1e6))
+            times.append(t_us)
         except OverflowError:
             raise ParseError(f"time {fields[0]} s beyond int64 microseconds", lineno) from None
         if len(times) > 1 and times[-1] <= times[-2]:
@@ -313,10 +310,13 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     )
 
 
+def _float_rows(lead_format: str, lead: np.ndarray, values: np.ndarray) -> list[str]:
+    """CSV lines ``lead,v1,...,vD``: one ``%``-format per row of Python values,
+    ``%r`` of a float being its shortest round-tripping ``repr``."""
+    row_format = lead_format + "," + ",".join(["%r"] * values.shape[1]) + "\n"
+    return [row_format % (t, *row) for t, row in zip(lead.tolist(), values.tolist())]
+
+
 def write_descriptors(seq: DescriptorSequence) -> bytes:
     """Serialize a descriptor sequence as ``t_seconds,v1,...,vD`` CSV."""
-    out = []
-    for i in range(len(seq)):
-        t_s = seq.t_us[i] / 1e6
-        out.append(repr(float(t_s)) + "," + ",".join(repr(float(v)) for v in seq.values[i]) + "\n")
-    return "".join(out).encode("utf-8")
+    return "".join(_float_rows("%r", seq.t_us / 1e6, seq.values)).encode("utf-8")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import DescriptorSequence
+from .descriptors import DescriptorSequence, _float_rows
 from .errors import ConfigError, DegenerateDescriptorError, OrderingError, ParseError
-from .events import csv_rows
+from .events import _check_increasing, _freeze, _read_only, csv_rows
 
 
 class Metric(enum.Enum):
@@ -77,19 +77,13 @@ class DistanceMatrix:
     member_label: str
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        qt = np.array(self.query_t_us, dtype=np.int64)
-        rt = np.array(self.ref_t_us, dtype=np.int64)
+        v, qt, rt = _freeze(self, values=np.float64, query_t_us=np.int64, ref_t_us=np.int64)
         if v.ndim != 2 or v.shape != (qt.size, rt.size) or v.size == 0:
             raise ConfigError("distance matrix shape does not match its timestamps")
         if not np.all(np.isfinite(v)):
             raise ConfigError("distance matrix contains non-finite entries")
         for ts in (qt, rt):
-            if ts.size > 1 and np.any(np.diff(ts) <= 0):
-                raise OrderingError("matrix timestamps must be strictly increasing")
-        for arr, name in ((v, "values"), (qt, "query_t_us"), (rt, "ref_t_us")):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            _check_increasing(ts, "matrix timestamps")
 
     @property
     def n_queries(self) -> int:
@@ -148,7 +142,7 @@ def build_distance_matrix(
             np.abs(diff, out=diff).mean(axis=1, out=out[i])
     else:
         raise ConfigError(f"unknown metric {metric!r}")
-    return DistanceMatrix(out, query.t_us, reference.t_us, label)
+    return DistanceMatrix(_read_only(out), query.t_us, reference.t_us, label)
 
 
 def best_match_per_query(matrix: DistanceMatrix) -> list[tuple[int, float]]:
@@ -161,17 +155,9 @@ def best_match_per_query(matrix: DistanceMatrix) -> list[tuple[int, float]]:
 
 
 def write_matrix_csv(matrix: DistanceMatrix) -> bytes:
-    """Serialize a matrix: header of reference times, then ``t_q,d1,...``.
-
-    Each row is one ``%d,%r,...`` format of its Python values: ``%r`` of a
-    float is its shortest round-tripping ``repr``.
-    """
-    row_format = "%d" + ",%r" * matrix.ref_t_us.size + "\n"
+    """Serialize a matrix: header of reference times, then ``t_q,d1,...``."""
     lines = [",".join(map(str, matrix.ref_t_us.tolist())) + "\n"]
-    lines += [
-        row_format % (t, *row)
-        for t, row in zip(matrix.query_t_us.tolist(), matrix.values.tolist())
-    ]
+    lines += _float_rows("%d", matrix.query_t_us, matrix.values)
     return "".join(lines).encode("utf-8")
 
 

@@ -11,10 +11,10 @@ fuse ``k`` members is one check, :meth:`EnsembleRule.check_members`, which
 the command line makes with its config, before any input is read.
 
 The mean, weighted and trimmed rules sum by a pairwise tree folded over
-the members as they come; product, min and max fold them left to right;
-majority vote stacks only each member's per-row argmin.  Median and the
-trimmed mean stack all ``k`` members, since each cell needs all ``k``
-values.
+the members as they come; product, min and max fold them in place into one
+copy of the first; majority vote stacks only each member's per-row argmin.
+Median and the trimmed mean stack all ``k`` members once, since each cell
+needs all ``k`` values, and partition or sort that one stack in place.
 
 :func:`approximate_combine` avoids computing every query-side family: it
 compares one query family against all reference families and fuses by
@@ -24,7 +24,6 @@ compares one query family against all reference families and fuses by
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
@@ -34,6 +33,7 @@ import numpy as np
 from .descriptors import DescriptorSequence
 from .distance import DistanceMatrix, Metric, build_distance_matrix
 from .errors import ConfigError
+from .events import _read_only
 from .evaluation import DEFAULT_LOC_THRESHOLD_US, precision_at_full_recall
 
 DEFAULT_WEIGHT_GRID = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -51,8 +51,8 @@ class RuleKind(enum.Enum):
     MAJORITY_VOTE = "majority_vote"
 
 
-# Rules that fold the members left to right, as numpy reduces a stack's
-# first axis, so the result is the same to the bit.
+# Rules that fold the members left to right into one copy of the first,
+# as numpy reduces a stack's first axis, so the result is the same to the bit.
 _FOLDS = {RuleKind.PRODUCT: np.multiply, RuleKind.MIN: np.minimum, RuleKind.MAX: np.maximum}
 
 
@@ -160,11 +160,15 @@ def combine(
     if rule.kind is RuleKind.MEAN:
         fused = _tree_mean(values)
     elif rule.kind in _FOLDS:
-        fused = functools.reduce(_FOLDS[rule.kind], values)
+        fused = values[0].copy()
+        for v in values[1:]:
+            _FOLDS[rule.kind](fused, v, out=fused)
     elif rule.kind is RuleKind.MEDIAN:
-        fused = np.median(values, axis=0)
+        fused = np.median(np.stack(values), axis=0, overwrite_input=True)
     elif rule.kind is RuleKind.TRIMMED_MEAN:
-        fused = _tree_mean(np.sort(values, axis=0)[rule.trim : k - rule.trim])
+        stack = np.stack(values)
+        stack.sort(axis=0)
+        fused = _tree_mean(stack[rule.trim : k - rule.trim])
     elif rule.kind is RuleKind.WEIGHTED:
         fused = _tree_mean(w * v for w, v in zip(rule.weights, values))
     elif rule.kind is RuleKind.MAJORITY_VOTE:
@@ -179,7 +183,7 @@ def combine(
     else:
         raise ConfigError(f"unknown rule {rule.kind!r}")
     return DistanceMatrix(
-        fused, members[0].query_t_us, members[0].ref_t_us, f"{rule.kind.value}_of_{k}"
+        _read_only(fused), members[0].query_t_us, members[0].ref_t_us, f"{rule.kind.value}_of_{k}"
     )
 
 

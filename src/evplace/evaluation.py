@@ -24,7 +24,7 @@ import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import ConfigError, MissingGroundTruthError, OrderingError, ParseError
-from .events import csv_rows
+from .events import _check_increasing, _freeze, _read_only, _seconds_to_us, csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -46,18 +46,12 @@ class GroundTruth:
     ref_t_us: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.query_t_us, dtype=np.float64)
-        r = np.array(self.ref_t_us, dtype=np.float64)
+        q, r = _freeze(self, query_t_us=np.float64, ref_t_us=np.float64)
         if q.ndim != 1 or r.ndim != 1 or q.size != r.size or q.size == 0:
             raise ConfigError("ground truth needs matching non-empty time vectors")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
             raise ConfigError("ground truth times must be finite")
-        if q.size > 1 and np.any(np.diff(q) <= 0):
-            raise OrderingError("ground-truth query times must be strictly increasing")
-        q.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "query_t_us", q)
-        object.__setattr__(self, "ref_t_us", r)
+        _check_increasing(q, "ground-truth query times")
 
     def __len__(self) -> int:
         return int(self.query_t_us.size)
@@ -100,16 +94,15 @@ def interpolate_ground_truth(
     grid = np.array(query_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError("query grid must be a non-empty 1-D array")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise OrderingError("query grid must be strictly increasing")
+    _check_increasing(grid, "query grid")
     inside = (grid >= anchors.query_t_us[0]) & (grid <= anchors.query_t_us[-1])
     dropped = int(grid.size - inside.sum())
     if dropped:
         logger.info("dropped %d grid points outside ground-truth coverage", dropped)
-    kept = grid[inside]
+    kept = _read_only(grid[inside])
     if kept.size == 0:
         raise ConfigError("no grid points inside ground-truth coverage")
-    refs = np.interp(kept, anchors.query_t_us, anchors.ref_t_us)
+    refs = _read_only(np.interp(kept, anchors.query_t_us, anchors.ref_t_us))
     return GroundTruth(kept, refs), inside
 
 
@@ -233,12 +226,6 @@ def precision_vs_loc_threshold(
     return [precision_at_full_recall(matrix, gt, int(t)) for t in thresholds]
 
 
-def _seconds_field_to_us(field: str) -> float:
-    # Shift the decimal point instead of multiplying: float(x) * 1e6 rounds
-    # twice and can land one ulp off the microsecond value that was written.
-    return float(decimal.Decimal(field).scaleb(6))
-
-
 def _us_to_seconds_field(t_us: float) -> str:
     d = decimal.Decimal(repr(float(t_us))).scaleb(-6).normalize()
     return format(d, "f")
@@ -251,7 +238,7 @@ def read_ground_truth_csv(source) -> GroundTruth:
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
         try:
-            q, r = map(_seconds_field_to_us, fields)
+            q, r = (float(_seconds_to_us(f)) for f in fields)
         except (ValueError, decimal.InvalidOperation):
             raise ParseError(f"non-numeric field in row {','.join(fields)!r}", lineno) from None
         except decimal.Overflow:

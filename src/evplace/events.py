@@ -41,6 +41,7 @@ which is how the command line filters a stream it has just parsed.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import io
 import sys
@@ -144,8 +145,7 @@ class EventStream:
     def _set(self, geometry: SensorGeometry, t: np.ndarray, pixel: np.ndarray, p: np.ndarray):
         object.__setattr__(self, "geometry", geometry)
         for name, arr in (("t", t), ("pixel", pixel), ("p", p)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     @classmethod
     def _adopt(
@@ -208,6 +208,32 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _freeze(record, **dtypes) -> list[np.ndarray]:
+    """Set each named field of a frozen record to a read-only array of its dtype.
+
+    A read-only array of that dtype that owns its memory is kept as it is,
+    which is how the package's producers hand over what they have built.
+    Anything else (a writeable array, a view, a list) is copied, so no later
+    write by a caller reaches the record.  An array kept as it is must stay
+    read-only: its owner must not set ``writeable`` again.
+    """
+    arrays = []
+    for name, dtype in dtypes.items():
+        arr = getattr(record, name)
+        owned = isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata
+        if not owned or arr.flags.writeable:
+            arr = _read_only(np.array(arr, dtype=dtype))
+        object.__setattr__(record, name, arr)
+        arrays.append(arr)
+    return arrays
+
+
+def _check_increasing(ts: np.ndarray, what: str) -> None:
+    # Neighbours are compared, not differenced: an int64 difference can wrap.
+    if np.any(ts[1:] <= ts[:-1]):
+        raise OrderingError(f"{what} must be strictly increasing")
+
+
 def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
     """``(1-based line number, fields)`` of each non-blank line of CSV text.
 
@@ -231,6 +257,14 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
             line = line.removeprefix("\ufeff")
         if line := line.strip():
             yield lineno, line.split(",")
+
+
+def _seconds_to_us(field: str) -> decimal.Decimal:
+    """A seconds field in microseconds, exactly: ``float(field) * 1e6`` rounds twice.
+
+    A field that is not a number raises :class:`decimal.InvalidOperation`.
+    """
+    return decimal.Decimal(field).scaleb(6)
 
 
 def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:
@@ -432,10 +466,7 @@ def _parse_rows(source, geometry: SensorGeometry) -> EventStream:
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields, got {len(fields)}", lineno)
         try:
-            t = int(fields[0])
-            x = int(fields[1])
-            y = int(fields[2])
-            p = int(fields[3])
+            t, x, y, p = map(int, fields)
         except ValueError:
             raise ParseError(f"non-integer field in row {','.join(fields)!r}", lineno) from None
         if t < prev_t:

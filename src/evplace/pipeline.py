@@ -29,7 +29,7 @@ from .evaluation import (
     interpolate_ground_truth,
     precision_at_full_recall,
 )
-from .events import EventStream
+from .events import EventStream, _read_only
 from .windowing import (
     DEFAULT_APPROX_FRACTION,
     DEFAULT_COUNT_FRACTIONS,
@@ -62,7 +62,7 @@ class PipelineResult:
 
 
 def _restrict(seq: DescriptorSequence, mask: np.ndarray) -> DescriptorSequence:
-    return DescriptorSequence(seq.label, seq.t_us[mask], seq.values[mask])
+    return DescriptorSequence(seq.label, _read_only(seq.t_us[mask]), _read_only(seq.values[mask]))
 
 
 def run_from_sequences(
@@ -108,8 +108,7 @@ def run_from_sequences(
         precision_at_full_recall(m, gt, loc_threshold_us) for m in members
     )
 
-    approx = None
-    approx_eval = None
+    approx = approx_eval = None
     if approximate_query is not None:
         approx = approximate_combine(approximate_query, list(reference_seqs), metric)
         approx_eval = precision_at_full_recall(approx, gt, loc_threshold_us)

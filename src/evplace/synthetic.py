@@ -23,7 +23,7 @@ import numpy as np
 from .descriptors import AccumulationMode, DescriptorParams
 from .errors import ConfigError, OrderingError
 from .evaluation import GroundTruth
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, _freeze, _read_only
 from .pipeline import PipelineResult, run_place_recognition
 
 # Firing rate painted onto edge pixels, events per second.
@@ -41,7 +41,7 @@ class SyntheticWorld:
     place_patterns: np.ndarray
 
     def __post_init__(self):
-        pat = np.array(self.place_patterns, dtype=np.float64)
+        (pat,) = _freeze(self, place_patterns=np.float64)
         expected = (self.n_places, self.geometry.height, self.geometry.width)
         if pat.shape != expected:
             raise ConfigError(f"pattern shape {pat.shape}, expected {expected}")
@@ -53,8 +53,6 @@ class SyntheticWorld:
             j = first.setdefault((p + 0.0).tobytes(), i)
             if j != i:
                 raise ConfigError(f"places {j} and {i} have identical patterns")
-        pat.flags.writeable = False
-        object.__setattr__(self, "place_patterns", pat)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ def generate_world(
                 break
         seen.add(key)
         patterns[i] = pat
-    return SyntheticWorld(seed, n_places, geometry, patterns)
+    return SyntheticWorld(seed, n_places, geometry, _read_only(patterns))
 
 
 def generate_traverse(
@@ -154,7 +152,7 @@ def generate_traverse(
     if dwell_us < 1:
         raise ConfigError("dwell_s is below one microsecond")
     centers = np.arange(world.n_places, dtype=np.float64) * dwell_us + dwell_us / 2.0
-    truth = GroundTruth(centers, centers.copy())  # refuses a world of no places
+    truth = GroundTruth(centers, centers)  # refuses a world of no places
     places, end = [], 0
     pixel_ids = np.arange(geom.n_pixels, dtype=np.int32)
     for i in range(world.n_places):

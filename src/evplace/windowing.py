@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, _freeze, _read_only
 
 # Default family grids: four pixel-normalized counts and five spans.
 DEFAULT_COUNT_FRACTIONS = (0.1, 0.3, 0.6, 0.8)
@@ -68,12 +68,9 @@ class WindowFamily:
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(f"family label must be a non-empty string, got {self.label!r}")
         names = ("start_idx", "end_idx", "t_start_us", "t_end_us")
-        arrays = [np.array(getattr(self, name), dtype=np.int64) for name in names]
+        arrays = _freeze(self, **dict.fromkeys(names, np.int64))
         if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
             raise ConfigError("window arrays must be one-dimensional and share one length")
-        for name, arr in zip(names, arrays):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def n_events(self) -> np.ndarray:
@@ -119,9 +116,8 @@ def split_fixed_count(stream: EventStream, count: int) -> WindowFamily:
     start = np.arange(len(stream) // count, dtype=np.int64) * count
     end = start + count
     # Half-open time intervals that contain exactly these events.
-    return WindowFamily(
-        f"count_{int(count)}", start, end, stream.t[start], stream.t[end - 1] + 1
-    )
+    arrays = (start, end, stream.t[start], stream.t[end - 1] + 1)
+    return WindowFamily(f"count_{int(count)}", *map(_read_only, arrays))
 
 
 def split_fixed_time(stream: EventStream, span_us: int) -> WindowFamily:

@@ -1044,6 +1044,23 @@ def test_run_refuses_a_rule_that_cannot_fuse_its_families(
     _assert_config_refusal(capsys, out, "run", message)
 
 
+@pytest.mark.parametrize("size", [0, -4])
+@pytest.mark.parametrize("command", ["describe", "run"])
+def test_a_target_size_below_one_fails_at_config(workspace, tmp_path, capsys, command, size):
+    # real inputs: without the config check, 0 ended in a ZeroDivisionError
+    out = tmp_path / "out"
+    sets = ["--set", f"descriptor.down_width={size}", "--set", f"descriptor.down_height={size}"]
+    events = workspace["data"] / "query_events.csv"
+    if command == "describe":
+        args = ["describe", "--config", str(workspace["cfg"]), *sets, "--events", str(events)]
+        args += ["-o", str(out)]
+    else:
+        reference = workspace["data"] / "reference_events.csv"
+        args = _event_run_args(workspace, events, reference, out, *sets)
+    assert main(args) == 1
+    _assert_config_refusal(capsys, out, command, f"target size {size}x{size} must be positive")
+
+
 def test_run_refuses_descriptor_files_that_do_not_pair_or_fit(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     missing = [str(tmp_path / f"missing_{i}.csv") for i in range(3)]

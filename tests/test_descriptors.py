@@ -351,6 +351,13 @@ def test_descriptor_dim_matches_params():
     assert p.dim == 32
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 8), (8, 0), (-4, -4), (-8, 8)])
+def test_params_refuse_a_target_size_below_one(width, height):
+    # 0 passes the patch-divides check and once reached a ZeroDivisionError
+    with pytest.raises(ConfigError, match=f"^target size {width}x{height} must be positive$"):
+        DescriptorParams(down_width=width, down_height=height, patch=4)
+
+
 # ---------------------------------------------------------------------------
 # describing a window set
 
@@ -459,6 +466,48 @@ def test_descriptor_csv_round_trip_fuzz():
         back = load_descriptors(write_descriptors(seq), "fuzz")
         assert np.array_equal(back.t_us, seq.t_us)
         assert np.array_equal(back.values, seq.values)  # bit-exact round trip
+
+
+def test_descriptor_times_past_2033_survive_a_round_trip():
+    # t * 1e6 of a parsed float rounds twice: ~0.8 % of these came back 1 us off
+    rng = np.random.default_rng(227)
+    t_us = np.unique(rng.integers(2 * 10**15, 8 * 10**15, size=20_000))
+    seq = DescriptorSequence("external_far", t_us, np.zeros((t_us.size, 1)))
+    assert np.array_equal(load_descriptors(write_descriptors(seq), "far").t_us, t_us)
+
+
+def test_load_descriptors_keeps_its_errors_for_time_fields():
+    cases = [
+        ("1e400,1.0\n", ParseError, "non-finite value"),
+        ("1e300,1.0\n", ParseError, "time 1e300 s beyond int64 microseconds"),
+        ("0x1,1.0\n", ParseError, "non-numeric field in row '0x1,1.0'"),
+        ("nan,1.0\n", ParseError, "non-finite value"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error, match=f"^line 1: {message}$"):
+            load_descriptors(text)
+    # exact shift, then half to even: 0.0000025 s is 2.5 us, read as 2
+    assert load_descriptors("0.0000025,1.0\n0.0000035,1.0\n").t_us.tolist() == [2, 4]
+
+
+def _write_descriptors_loop(seq: DescriptorSequence) -> bytes:
+    """The per-value ``repr`` writer the one-format-per-row writer replaced."""
+    out = []
+    for i in range(len(seq)):
+        t_s = seq.t_us[i] / 1e6
+        out.append(repr(float(t_s)) + "," + ",".join(repr(float(v)) for v in seq.values[i]) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+def test_write_descriptors_equals_the_per_value_loop():
+    rng = np.random.default_rng(229)
+    values = rng.standard_normal((120, 768)) * 10.0 ** rng.integers(-300, 300, (120, 768))
+    values.flat[:6] = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    t_us = np.concatenate([[0], np.cumsum(rng.integers(1, 10**9, 119))])
+    seq = DescriptorSequence("external_w", t_us, values)
+    assert write_descriptors(seq) == _write_descriptors_loop(seq)
+    empty = DescriptorSequence("external_e", np.array([7]), np.ones((1, 0)))
+    assert write_descriptors(empty) == _write_descriptors_loop(empty) == b"7e-06,\n"
 
 
 @pytest.mark.parametrize("label", ["", None, 3, b"external_x"])

@@ -150,6 +150,8 @@ def test_tree_rules_equal_the_stacked_tree_bit_for_bit(k):
         EnsembleRule(RuleKind.PRODUCT): np.prod(stack, axis=0),
         EnsembleRule(RuleKind.MIN): np.min(stack, axis=0),
         EnsembleRule(RuleKind.MAX): np.max(stack, axis=0),
+        # compared by bits: assert_array_equal would take -0.0 for 0.0
+        EnsembleRule(RuleKind.MEDIAN): np.median(stack, axis=0),
     }
     if k > 1:
         expect[EnsembleRule(RuleKind.MAJORITY_VOTE)] = _stacked_vote(stack)
@@ -163,6 +165,9 @@ def test_tree_rules_equal_the_stacked_tree_bit_for_bit(k):
 
 
 def _peak_over_one_member(members, rule):
+    # A first call pays one-time costs, such as np.median's lazy import of
+    # numpy.ma, that are no part of the rule's own peak.
+    combine(members, rule)
     tracemalloc.start()
     try:
         combine(members, rule)
@@ -176,19 +181,23 @@ def test_mean_of_nine_members_keeps_no_k_deep_copy():
     rng = np.random.default_rng(149)
     members = _random_members(rng, 9, nq=300, nr=300)
     peak = _peak_over_one_member(members, EnsembleRule(RuleKind.MEAN))
-    assert peak < 3.5, peak
+    assert peak < 3.1, peak
 
 
 @pytest.mark.parametrize(
     "rule, bound",
     [
-        (EnsembleRule(RuleKind.MAJORITY_VOTE), 3.5),
-        (EnsembleRule(RuleKind.WEIGHTED, weights=(0.5, 1.0, 1.5) * 3), 4.5),
-        (EnsembleRule(RuleKind.PRODUCT), 2.5),
-        (EnsembleRule(RuleKind.MIN), 2.5),
-        (EnsembleRule(RuleKind.MAX), 2.5),
+        (EnsembleRule(RuleKind.MAJORITY_VOTE), 2.5),
+        (EnsembleRule(RuleKind.WEIGHTED, weights=(0.5, 1.0, 1.5) * 3), 4.1),
+        # one copy of the first member, folded in place, then wrapped as it is
+        (EnsembleRule(RuleKind.PRODUCT), 1.2),
+        (EnsembleRule(RuleKind.MIN), 1.2),
+        (EnsembleRule(RuleKind.MAX), 1.2),
+        # one k-deep stack, partitioned or sorted in place
+        (EnsembleRule(RuleKind.MEDIAN), 12.0),
+        (EnsembleRule(RuleKind.TRIMMED_MEAN), 12.0),
     ],
-    ids=["majority_vote", "weighted", "product", "min", "max"],
+    ids=["majority_vote", "weighted", "product", "min", "max", "median", "trimmed_mean"],
 )
 def test_folding_rules_keep_no_k_deep_copy(rule, bound):
     rng = np.random.default_rng(149)

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evplace import events
-from evplace.descriptors import load_descriptors
-from evplace.distance import read_matrix_csv
+from evplace.descriptors import DescriptorSequence, load_descriptors
+from evplace.distance import DistanceMatrix, read_matrix_csv
 from evplace.errors import BoundsError, ConfigError, OrderingError, ParseError
 from evplace.events import (
     EVENT_CSV_HEADER,
@@ -35,7 +35,9 @@ from evplace.events import (
     remove_hot_pixels,
     write_event_csv,
 )
-from evplace.evaluation import read_ground_truth_csv
+from evplace.evaluation import GroundTruth, read_ground_truth_csv
+from evplace.synthetic import SyntheticWorld
+from evplace.windowing import WindowFamily
 
 G4 = SensorGeometry(4, 4)
 # The arrays a stream stores, and those plus the coordinates derived from them.
@@ -144,6 +146,68 @@ def test_constructor_copies_the_callers_arrays():
         arr[:] = 3
     assert s.t.tolist() == [0, 1, 2, 3, 4]
     assert s.x.tolist() == [0] * 5 and s.y.tolist() == [1] * 5 and s.p.tolist() == [1] * 5
+
+
+# Every array record but EventStream: a builder from its arrays in field
+# order, and each field's name and sample values.
+_RECORDS = {
+    "WindowFamily": lambda a: WindowFamily("count_2", *a),
+    "DescriptorSequence": lambda a: DescriptorSequence("external_x", *a),
+    "DistanceMatrix": lambda a: DistanceMatrix(*a, "m"),
+    "GroundTruth": lambda a: GroundTruth(*a),
+    "SyntheticWorld": lambda a: SyntheticWorld(1, 2, SensorGeometry(2, 1), *a),
+}
+_RECORD_FIELDS = {
+    "WindowFamily": (("start_idx", [0, 2]), ("end_idx", [2, 4]),
+                     ("t_start_us", [0, 5]), ("t_end_us", [5, 9])),
+    "DescriptorSequence": (("t_us", [1, 2]), ("values", [[0.5, 1.0], [1.5, -0.0]])),
+    "DistanceMatrix": (("values", [[0.5, 1.0]]), ("query_t_us", [7]), ("ref_t_us", [1, 3])),
+    "GroundTruth": (("query_t_us", [1.0, 2.0]), ("ref_t_us", [3.0, 1.5])),
+    "SyntheticWorld": (("place_patterns", [[[200.0, 0.0]], [[0.0, 200.0]]]),),
+}
+
+
+def _record_arrays(name: str) -> list[np.ndarray]:
+    """Fresh writeable arrays of the sample values, in the dtypes the record holds."""
+    record = _RECORDS[name]([np.asarray(v) for _, v in _RECORD_FIELDS[name]])
+    return [np.array(getattr(record, field)) for field, _ in _RECORD_FIELDS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_share_a_package_frozen_array(name):
+    arrays = [events._read_only(a) for a in _record_arrays(name)]
+    record = _RECORDS[name](arrays)
+    for (field, _), arr in zip(_RECORD_FIELDS[name], arrays):
+        assert getattr(record, field) is arr and np.shares_memory(getattr(record, field), arr)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_copy_an_array_the_caller_can_write(name):
+    arrays = _record_arrays(name)
+    # a read-only view of a writeable array is copied too: its base can change
+    views = [events._read_only(a[...]) for a in _record_arrays(name)]
+    for given in (arrays, views):
+        record = _RECORDS[name](given)
+        for (field, _), arr in zip(_RECORD_FIELDS[name], given):
+            held = getattr(record, field)
+            assert not np.shares_memory(held, arr) and not held.flags.writeable
+            assert np.array_equal(held, arr)
+    assert all(arr.flags.writeable for arr in arrays)
+
+
+def test_a_record_coerces_a_frozen_array_of_another_dtype():
+    t = events._read_only(np.array([1, 2], dtype=np.int32))
+    seq = DescriptorSequence("external_x", t, np.ones((2, 1)))
+    assert seq.t_us.dtype == np.int64 and not np.shares_memory(seq.t_us, t)
+
+
+def test_strictly_increasing_times_are_compared_without_int64_wrap():
+    # np.diff of these two wraps to a negative step
+    t = np.array([-(2**63) + 1, 2**63 - 1], dtype=np.int64)
+    assert DistanceMatrix([[0.0, 1.0]], [0], t, "m").ref_t_us.tolist() == t.tolist()
+    assert read_matrix_csv(f"{t[0]},{t[1]}\n0,0.0,1.0\n").ref_t_us.tolist() == t.tolist()
+    with pytest.raises(OrderingError, match="^matrix timestamps must be strictly increasing$"):
+        DistanceMatrix([[0.0, 1.0]], [0], t[::-1], "m")
 
 
 def test_geometry_must_fit_int32_pixel_ids():

@@ -199,3 +199,21 @@ def test_run_place_recognition_is_describe_traverse_per_side_then_run_from_seque
                     (*expected.members, expected.fused, expected.approximate)):
         assert a.member_label == b.member_label and a.values.tobytes() == b.values.tobytes()
     assert got.fused_eval == expected.fused_eval
+
+
+def test_records_share_the_arrays_the_package_built():
+    """Each producer freezes what it builds, and the record wrapping it keeps it."""
+    qry, ref, _ = _synthetic_pair()
+    anchors = _identity_anchors([0.0, 10_000_000.0])  # covers the whole grid
+    q_seqs, approx_q = describe_traverse(qry, [0.3], [400_000], DESCRIPTOR, 500_000, 0.5)
+    r_seqs, _ = describe_traverse(ref, [0.3], [400_000], DESCRIPTOR, 500_000)
+    # one grid per describe call, shared by its sequences
+    assert q_seqs[0].t_us is q_seqs[1].t_us
+    result = run_from_sequences(q_seqs, r_seqs, anchors, approximate_query=approx_q)
+    assert result.dropped_grid_points == 0
+    for m, q, r in zip(result.members, q_seqs, r_seqs):
+        assert m.query_t_us is q.t_us and m.ref_t_us is r.t_us
+    assert result.fused.query_t_us is q_seqs[0].t_us and result.fused.ref_t_us is r_seqs[0].t_us
+    assert result.approximate.query_t_us is approx_q.t_us
+    # the interpolated truth is wrapped as np.interp returned it
+    assert result.ground_truth.query_t_us.flags.owndata

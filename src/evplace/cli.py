@@ -59,6 +59,7 @@ from .descriptors import load_descriptors, write_descriptors
 from .distance import (
     DistanceMatrix,
     build_distance_matrix,
+    pair_label,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -92,7 +93,7 @@ from .pipeline import (
     run_place_recognition,  # noqa: F401  (a name perfbench/tracing.py hooks)
 )
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
-from .windowing import build_window_set
+from .windowing import build_window_set, family_labels
 
 logger = logging.getLogger("evplace.cli")  # also when run as __main__
 
@@ -279,6 +280,17 @@ def _describe_events(
         )
 
 
+def _check_labels(cfg: PipelineConfig, labels: list[str] | None = None) -> list[str]:
+    """The members' labels, by default the config's window families', refusing
+    two alike: their output files would overwrite each other."""
+    if labels is None:
+        labels = family_labels(cfg.counts, cfg.spans_us, cfg.geometry)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"two ensemble members share the label {label}")
+    return labels
+
+
 def _eval_summary(label: str, result: EvalResult) -> dict:
     return {
         "label": label,
@@ -322,6 +334,8 @@ def cmd_synth(args, cfg: PipelineConfig, out: _Outputs) -> dict:
 
 
 def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
+    with _stage(out, "config"):
+        _check_labels(cfg)
     stream, _ = _read_events(out, "events", args.events, cfg)
     with _stage(out, "windowing"):
         wset = build_window_set(stream, cfg.counts, cfg.spans_us)
@@ -335,6 +349,8 @@ def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
 
 
 def cmd_describe(args, cfg: PipelineConfig, out: _Outputs) -> None:
+    with _stage(out, "config"):
+        _check_labels(cfg)
     seqs, _ = _describe_events(out, "events", args.events, cfg)
     with _stage(out, "write"):
         for seq in seqs:
@@ -528,13 +544,14 @@ def cmd_run(args, cfg: PipelineConfig, out: _Outputs) -> dict:
             raise ConfigError("--query-descriptors and --reference-descriptors go together")
         if event_mode == desc_mode:
             raise ConfigError("pass either event CSVs or descriptor CSVs, not both")
-        if event_mode:
-            k = len(cfg.counts) + len(cfg.spans_us)
-        else:
+        labels = None
+        if desc_mode:
             k, n_ref = len(args.query_descriptors), len(args.reference_descriptors)
             if k != n_ref:
                 raise ConfigError(f"{k} query but {n_ref} reference descriptor files")
-        cfg.rule.check_members(k)
+            pairs = zip(args.query_descriptors, args.reference_descriptors)
+            labels = [pair_label(f"external_{_stem(q)}", f"external_{_stem(r)}") for q, r in pairs]
+        cfg.rule.check_members(len(_check_labels(cfg, labels)))
     with _stage(out, "read-ground-truth"):
         anchors = out.read("ground_truth", args.gt, read_ground_truth_csv)
 

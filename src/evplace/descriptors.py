@@ -21,13 +21,12 @@ import decimal
 import enum
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OrderingError, ParseError
-from .events import EventStream, _check_increasing, _freeze, _read_only, _seconds_to_us, csv_rows
+from .errors import ConfigError
+from .events import EventStream, _check_increasing, _freeze, _read_only, csv_rows, csv_table
 from .windowing import WindowSet, align_to_time
 
 DEFAULT_CLIP = 3.0
@@ -282,32 +281,15 @@ def load_descriptors(source, name: str = "external") -> DescriptorSequence:
     time under 2**33 s that :func:`write_descriptors` wrote reads back as
     written.  The returned sequence is labelled ``external_<name>``.
     """
-    times, values = array("q"), array("d")
-    dim = 0
-    for lineno, fields in csv_rows(source):
-        if len(fields) < 2:
-            raise ParseError("descriptor row needs a time and at least one value", lineno)
-        try:
-            t_s, *vals = map(float, fields)
-            # The exact microseconds, once the time is known to be finite.
-            t_us = round(_seconds_to_us(fields[0])) if math.isfinite(t_s) else 0
-        except (ValueError, decimal.InvalidOperation):
-            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
-        if not (math.isfinite(t_s) and all(map(math.isfinite, vals))):
-            raise ParseError("non-finite value", lineno)
-        dim = dim or len(vals)
-        if len(vals) != dim:
-            raise ParseError(f"dimension {len(vals)} differs from first row ({dim})", lineno)
-        try:
-            times.append(t_us)
-        except OverflowError:
-            raise ParseError(f"time {fields[0]} s beyond int64 microseconds", lineno) from None
-        if len(times) > 1 and times[-1] <= times[-2]:
-            raise OrderingError(f"line {lineno}: timestamps must be strictly increasing")
-        values.extend(vals)
-    return DescriptorSequence(
-        f"external_{name}", times, np.frombuffer(values).reshape(len(times), dim)
-    )
+    times, values = csv_table(csv_rows(source), _exact_us, "s")
+    return DescriptorSequence(f"external_{name}", times, values)
+
+
+def _exact_us(field: str) -> int | float:
+    """Seconds as whole microseconds, shifted exactly, then half to even; a
+    non-finite time as it parses, for the table to refuse."""
+    t_s = float(field)
+    return round(decimal.Decimal(field).scaleb(6)) if math.isfinite(t_s) else t_s
 
 
 def _float_rows(lead_format: str, lead: np.ndarray, values: np.ndarray) -> list[str]:

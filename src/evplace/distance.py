@@ -12,7 +12,6 @@ the golden-output tests, and BLAS backends are free to reorder sums.
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .descriptors import DescriptorSequence, _float_rows
 from .errors import ConfigError, DegenerateDescriptorError, OrderingError, ParseError
-from .events import _check_increasing, _freeze, _read_only, csv_rows
+from .events import _check_increasing, _freeze, _read_only, csv_rows, csv_table
 
 
 class Metric(enum.Enum):
@@ -107,14 +106,18 @@ def _unit_rows(seq: DescriptorSequence, side: str) -> np.ndarray:
     return values / norms[:, None]
 
 
+def pair_label(query_label: str, reference_label: str) -> str:
+    """The common source label of a matrix's two sides, or ``q_vs_r``."""
+    return query_label if query_label == reference_label else f"{query_label}_vs_{reference_label}"
+
+
 def build_distance_matrix(
     query: DescriptorSequence, reference: DescriptorSequence, metric: Metric
 ) -> DistanceMatrix:
     """All pairwise distances between a query and a reference sequence.
 
     Both sequences must be non-empty and share one descriptor dimension.
-    The member label is the common source label, or ``q_vs_r`` when the
-    two sides come from different sources.
+    The member label is :func:`pair_label` of the two sides.
 
     Every row reuses one ``R x D`` buffer, with the operations and order a
     fresh per-row temporary had, so the bytes are the same; a fresh one
@@ -124,7 +127,7 @@ def build_distance_matrix(
         raise ConfigError("distance matrix needs non-empty sequences")
     if query.dim != reference.dim:
         raise ConfigError(f"dimension mismatch: {query.dim} vs {reference.dim}")
-    label = query.label if query.label == reference.label else f"{query.label}_vs_{reference.label}"
+    label = pair_label(query.label, reference.label)
     out = np.empty((len(query), len(reference)), dtype=np.float64)
     if metric is Metric.COSINE:
         qh = _unit_rows(query, "query")
@@ -163,35 +166,15 @@ def write_matrix_csv(matrix: DistanceMatrix) -> bytes:
 
 def read_matrix_csv(source, member_label: str = "loaded") -> DistanceMatrix:
     """Parse a matrix written by :func:`write_matrix_csv`."""
-    ref_t = None
-    query_t, values = array("q"), array("d")
-    for lineno, fields in csv_rows(source):
-        if ref_t is None:
-            try:
-                ref_t = array("q", map(int, fields))
-            except ValueError:
-                raise ParseError("header must list integer reference times", lineno) from None
-            except OverflowError:
-                raise ParseError("reference time beyond int64", lineno) from None
-            if any(later <= t for t, later in zip(ref_t, ref_t[1:])):
-                raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
-            continue
-        if len(fields) != len(ref_t) + 1:
-            raise ParseError(f"expected {len(ref_t) + 1} fields, got {len(fields)}", lineno)
-        try:
-            query_t.append(int(fields[0]))
-            row = [float(f) for f in fields[1:]]
-        except ValueError:
-            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
-        except OverflowError:
-            raise ParseError(f"query time {fields[0]} beyond int64", lineno) from None
-        if not all(map(math.isfinite, row)):
-            raise ParseError("non-finite value", lineno)
-        if len(query_t) > 1 and query_t[-1] <= query_t[-2]:
-            raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
-        values.extend(row)
-    if ref_t is None or not query_t:
+    rows = csv_rows(source)
+    lineno, fields = next(rows, (0, []))  # no header: no reference times, nor rows
+    try:
+        ref_t = array("q", map(int, fields))
+    except (ValueError, OverflowError):
+        raise ParseError("header must list int64 reference times", lineno) from None
+    if any(later <= t for t, later in zip(ref_t, ref_t[1:])):
+        raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
+    query_t, values = csv_table(rows, int, "us", width=len(ref_t))
+    if not query_t.size:
         raise ParseError("matrix CSV needs a header row and at least one data row")
-    return DistanceMatrix(
-        np.frombuffer(values).reshape(len(query_t), len(ref_t)), query_t, ref_t, member_label
-    )
+    return DistanceMatrix(values, query_t, ref_t, member_label)

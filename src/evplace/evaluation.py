@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import decimal
 import logging
-import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import ConfigError, MissingGroundTruthError, OrderingError, ParseError
-from .events import _check_increasing, _freeze, _read_only, _seconds_to_us, csv_rows
+from .events import _check_increasing, _freeze, _read_only, _seconds_to_us, csv_rows, csv_table
 
 logger = logging.getLogger(__name__)
 
@@ -233,27 +231,10 @@ def _us_to_seconds_field(t_us: float) -> str:
 
 def read_ground_truth_csv(source) -> GroundTruth:
     """Parse ``t_query_s,t_ref_s`` rows (seconds, no header)."""
-    qs, rs = array("d"), array("d")
-    for lineno, fields in csv_rows(source):
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
-        try:
-            q, r = (float(_seconds_to_us(f)) for f in fields)
-        except (ValueError, decimal.InvalidOperation):
-            raise ParseError(f"non-numeric field in row {','.join(fields)!r}", lineno) from None
-        except decimal.Overflow:
-            raise ParseError(f"out-of-range field in row {','.join(fields)!r}", lineno) from None
-        if not (math.isfinite(q) and math.isfinite(r)):
-            raise ParseError("non-finite value", lineno)
-        if qs and q <= qs[-1]:
-            raise OrderingError(
-                f"line {lineno}: ground-truth query times must be strictly increasing"
-            )
-        qs.append(q)
-        rs.append(r)
-    if not qs:
+    qs, rs = csv_table(csv_rows(source), _seconds_to_us, "s", 1, _seconds_to_us, typecode="d")
+    if not qs.size:
         raise ParseError("ground-truth CSV is empty")
-    return GroundTruth(qs, rs)
+    return GroundTruth(qs, rs[:, 0])
 
 
 def write_ground_truth_csv(gt: GroundTruth) -> bytes:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import decimal
 import functools
 import io
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -259,12 +260,61 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.split(",")
 
 
-def _seconds_to_us(field: str) -> decimal.Decimal:
-    """A seconds field in microseconds, exactly: ``float(field) * 1e6`` rounds twice.
+def csv_table(rows, time, unit: str, width: int = 0, value=float, typecode: str = "q"):
+    """``(times, values)`` of the ``time,v1,...,vW`` rows of :func:`csv_rows`.
+
+    ``time`` converts each first field into an ``array`` of ``typecode``,
+    ``value`` the others to float; ``width=0`` takes the first row's.  A
+    wrong field count, a field that does not convert, a non-finite number
+    or a time beyond int64 (``unit`` is the time field's) is a
+    :class:`ParseError`, and a time not above the one before an
+    :class:`OrderingError`, each naming its line.  Returns 1-D times and
+    ``(n, width)`` float64 values, views of their buffers; no rows is no error.
+    """
+    inf = math.inf
+    n_fields = width + 1 if width else 0
+    times, values, lines = array(typecode), array("d"), array("q")
+    prev = -inf
+    try:
+        for lineno, fields in rows:
+            if len(fields) != n_fields:
+                if n_fields or len(fields) < 2:
+                    want = n_fields or "at least 2"
+                    raise ParseError(f"expected {want} fields, got {len(fields)}", lineno)
+                n_fields = len(fields)
+            try:
+                t = time(fields[0])
+                values.extend(map(value, fields[1:]))
+            except (ValueError, ArithmeticError) as e:  # decimal's errors are ArithmeticErrors
+                what = "out-of-range" if isinstance(e, decimal.Overflow) else "non-numeric"
+                raise ParseError(f"{what} field in row {','.join(fields)[:40]!r}", lineno) from None
+            if not -inf < t < inf:
+                raise ParseError("non-finite value", lineno)
+            try:
+                times.append(t)
+            except OverflowError:
+                raise ParseError(f"time {fields[0]} {unit} beyond int64 microseconds", lineno) from None
+            if t <= prev:
+                raise OrderingError(f"line {lineno}: time {fields[0]} {unit} does not increase")
+            prev = t
+            lines.append(lineno)
+    finally:
+        # The values are checked at once, here: the first non-finite one is
+        # the error, as the row loops met it, whatever came after it.
+        bad = np.flatnonzero(~np.isfinite(np.frombuffer(values)))
+        if bad.size:
+            row = bad[0] // (n_fields - 1)
+            raise ParseError("non-finite value", lines[row] if row < len(lines) else lineno)
+    values = np.frombuffer(values).reshape(len(times), max(n_fields - 1, 0))
+    return np.frombuffer(times, typecode), values
+
+
+def _seconds_to_us(field: str) -> float:
+    """A seconds field in microseconds, rounded once: ``float(field) * 1e6`` rounds twice.
 
     A field that is not a number raises :class:`decimal.InvalidOperation`.
     """
-    return decimal.Decimal(field).scaleb(6)
+    return float(decimal.Decimal(field).scaleb(6))
 
 
 def parse_event_csv(source, geometry: SensorGeometry) -> EventStream:

@@ -61,8 +61,9 @@ class PipelineResult:
         return tuple(e.precision for e in self.member_evals)
 
 
-def _restrict(seq: DescriptorSequence, mask: np.ndarray) -> DescriptorSequence:
-    return DescriptorSequence(seq.label, _read_only(seq.t_us[mask]), _read_only(seq.values[mask]))
+def _restrict(seq: DescriptorSequence, mask: np.ndarray, grid: np.ndarray) -> DescriptorSequence:
+    """``seq``'s rows under ``mask``, on ``grid``: the restricted grid every sequence shares."""
+    return DescriptorSequence(seq.label, grid, _read_only(seq.values[mask]))
 
 
 def run_from_sequences(
@@ -94,9 +95,10 @@ def run_from_sequences(
     gt, keep = interpolate_ground_truth(anchors, q_grid)
     dropped = int(q_grid.size - keep.sum())
     if dropped:
-        query_seqs = [_restrict(s, keep) for s in query_seqs]
+        grid = _read_only(q_grid[keep])
+        query_seqs = [_restrict(s, keep, grid) for s in query_seqs]
         if approximate_query is not None:
-            approximate_query = _restrict(approximate_query, keep)
+            approximate_query = _restrict(approximate_query, keep, grid)
 
     members = tuple(
         build_distance_matrix(q, r, metric)

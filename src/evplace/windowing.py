@@ -170,18 +170,21 @@ def build_window_set(
         spans_us = DEFAULT_SPANS_US
     if not counts and not spans_us:
         raise ConfigError("window set needs at least one count or span")
-    families = []
-    for c in counts:
-        if isinstance(c, bool):
-            raise ConfigError(f"invalid window count {c!r}")
-        if isinstance(c, float):
-            n = normalized_count(c, stream.geometry)
-        else:
-            n = int(c)
-        families.append(split_fixed_count(stream, n))
-    for s in spans_us:
-        families.append(split_fixed_time(stream, int(s)))
-    return WindowSet(tuple(families))
+    families = [split_fixed_count(stream, _event_count(c, stream.geometry)) for c in counts]
+    return WindowSet(tuple(families + [split_fixed_time(stream, int(s)) for s in spans_us]))
+
+
+def _event_count(count: float | int, geometry: SensorGeometry) -> int:
+    """A fixed-count family's events: a float is a fraction of the pixels."""
+    if isinstance(count, bool):
+        raise ConfigError(f"invalid window count {count!r}")
+    return normalized_count(count, geometry) if isinstance(count, float) else int(count)
+
+
+def family_labels(counts, spans_us, geometry: SensorGeometry) -> list[str]:
+    """The labels :func:`build_window_set` gives these families on ``geometry``, in order."""
+    spans = [f"span_{int(s)}us" for s in spans_us]
+    return [f"count_{_event_count(c, geometry)}" for c in counts] + spans
 
 
 def align_to_time(family: WindowFamily, stream: EventStream, t_us) -> np.ndarray:

@@ -1044,6 +1044,31 @@ def test_run_refuses_a_rule_that_cannot_fuse_its_families(
     _assert_config_refusal(capsys, out, "run", message)
 
 
+# 0.3 of the test world's 192 pixels is 58 events: a second count_58 family.
+@pytest.mark.parametrize("command", ["run", "describe", "windows"])
+def test_two_window_families_of_one_label_fail_at_config(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = [command, "--config", str(workspace["cfg"]), "--set", "windows.counts=[0.3,58]"]
+    if command == "run":
+        args += ["--query", str(tmp_path / "q.csv"), "--reference", str(tmp_path / "r.csv")]
+        args += ["--gt", str(tmp_path / "gt.csv")]
+    else:
+        args += ["--events", str(tmp_path / "events.csv")]
+    assert main([*args, "-o", str(out)]) == 1
+    _assert_config_refusal(capsys, out, command, "two ensemble members share the label count_58")
+
+
+def test_two_descriptor_pairs_of_one_label_fail_at_config(workspace, tmp_path, capsys):
+    # each pair's member is labelled from the two files' stems
+    out = tmp_path / "out"
+    args = ["run", "--config", str(workspace["cfg"]), "--gt", str(tmp_path / "gt.csv")]
+    args += ["--query-descriptors", str(tmp_path / "a" / "q.csv"), str(tmp_path / "b" / "q.csv")]
+    args += ["--reference-descriptors", str(tmp_path / "a" / "r.csv"), str(tmp_path / "b" / "r.csv")]
+    assert main([*args, "-o", str(out)]) == 1
+    message = "two ensemble members share the label external_q_vs_external_r"
+    _assert_config_refusal(capsys, out, "run", message)
+
+
 @pytest.mark.parametrize("size", [0, -4])
 @pytest.mark.parametrize("command", ["describe", "run"])
 def test_a_target_size_below_one_fails_at_config(workspace, tmp_path, capsys, command, size):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import io
+import math
+import re
 import sys
 import tempfile
 import threading
 import tracemalloc
 import warnings
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -28,6 +32,7 @@ from evplace.events import (
     _parse_strict,
     burst_mask,
     compact_in_place,
+    csv_rows,
     event_csv_blocks,
     filter_bursts,
     hot_pixel_mask,
@@ -908,6 +913,238 @@ def test_every_reader_skips_a_byte_order_mark_opening_line_1(reader, text):
         with pytest.raises(ParseError, match="^line 2: ") as exc:
             read(make(first + "\n\ufeff" + rest))
         assert exc.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# numeric tables: the three readers against the row loops they replaced
+
+
+def _exact_seconds(field: str) -> decimal.Decimal:
+    """A seconds field in microseconds, exactly, as the loops below shifted it."""
+    return decimal.Decimal(field).scaleb(6)
+
+
+def _read_matrix_csv_loop(source, member_label: str = "loaded") -> DistanceMatrix:
+    """``read_matrix_csv`` as its own row loop, before the shared table loop."""
+    ref_t = None
+    query_t, values = array("q"), array("d")
+    for lineno, fields in csv_rows(source):
+        if ref_t is None:
+            try:
+                ref_t = array("q", map(int, fields))
+            except ValueError:
+                raise ParseError("header must list integer reference times", lineno) from None
+            except OverflowError:
+                raise ParseError("reference time beyond int64", lineno) from None
+            if any(later <= t for t, later in zip(ref_t, ref_t[1:])):
+                raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
+            continue
+        if len(fields) != len(ref_t) + 1:
+            raise ParseError(f"expected {len(ref_t) + 1} fields, got {len(fields)}", lineno)
+        try:
+            query_t.append(int(fields[0]))
+            row = [float(f) for f in fields[1:]]
+        except ValueError:
+            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
+        except OverflowError:
+            raise ParseError(f"query time {fields[0]} beyond int64", lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite value", lineno)
+        if len(query_t) > 1 and query_t[-1] <= query_t[-2]:
+            raise OrderingError(f"line {lineno}: matrix timestamps must be strictly increasing")
+        values.extend(row)
+    if ref_t is None or not query_t:
+        raise ParseError("matrix CSV needs a header row and at least one data row")
+    return DistanceMatrix(
+        np.frombuffer(values).reshape(len(query_t), len(ref_t)), query_t, ref_t, member_label
+    )
+
+
+def _load_descriptors_loop(source, name: str = "external") -> DescriptorSequence:
+    """``load_descriptors`` as its own row loop, before the shared table loop."""
+    times, values = array("q"), array("d")
+    dim = 0
+    for lineno, fields in csv_rows(source):
+        if len(fields) < 2:
+            raise ParseError("descriptor row needs a time and at least one value", lineno)
+        try:
+            t_s, *vals = map(float, fields)
+            t_us = round(_exact_seconds(fields[0])) if math.isfinite(t_s) else 0
+        except (ValueError, decimal.InvalidOperation):
+            raise ParseError(f"non-numeric field in row {','.join(fields)[:40]!r}", lineno) from None
+        if not (math.isfinite(t_s) and all(map(math.isfinite, vals))):
+            raise ParseError("non-finite value", lineno)
+        dim = dim or len(vals)
+        if len(vals) != dim:
+            raise ParseError(f"dimension {len(vals)} differs from first row ({dim})", lineno)
+        try:
+            times.append(t_us)
+        except OverflowError:
+            raise ParseError(f"time {fields[0]} s beyond int64 microseconds", lineno) from None
+        if len(times) > 1 and times[-1] <= times[-2]:
+            raise OrderingError(f"line {lineno}: timestamps must be strictly increasing")
+        values.extend(vals)
+    return DescriptorSequence(
+        f"external_{name}", times, np.frombuffer(values).reshape(len(times), dim)
+    )
+
+
+def _read_ground_truth_csv_loop(source) -> GroundTruth:
+    """``read_ground_truth_csv`` as its own row loop, before the shared table loop."""
+    qs, rs = array("d"), array("d")
+    for lineno, fields in csv_rows(source):
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
+        try:
+            q, r = (float(_exact_seconds(f)) for f in fields)
+        except (ValueError, decimal.InvalidOperation):
+            raise ParseError(f"non-numeric field in row {','.join(fields)!r}", lineno) from None
+        except decimal.Overflow:
+            raise ParseError(f"out-of-range field in row {','.join(fields)!r}", lineno) from None
+        if not (math.isfinite(q) and math.isfinite(r)):
+            raise ParseError("non-finite value", lineno)
+        if qs and q <= qs[-1]:
+            raise OrderingError(
+                f"line {lineno}: ground-truth query times must be strictly increasing"
+            )
+        qs.append(q)
+        rs.append(r)
+    if not qs:
+        raise ParseError("ground-truth CSV is empty")
+    return GroundTruth(qs, rs)
+
+
+_TABLE_READERS = {
+    "matrix": (read_matrix_csv, _read_matrix_csv_loop),
+    "descriptors": (load_descriptors, _load_descriptors_loop),
+    "ground_truth": (read_ground_truth_csv, _read_ground_truth_csv_loop),
+}
+
+
+def _table_outcome(read, data: bytes):
+    """Every field of the record, arrays as their int64 bit patterns, or the
+    error's class and line (``line N:`` opens every message that has one)."""
+    try:
+        record = read(io.BytesIO(data))
+    except Exception as e:  # the oracle comparison covers every failure
+        line = re.match(r"line (\d+): ", str(e))
+        return type(e), int(line[1]) if line else 0
+    return {
+        f.name: (v.dtype.str, v.shape, v.view(np.int64).tolist())
+        if isinstance(v := getattr(record, f.name), np.ndarray)
+        else v
+        for f in dataclasses.fields(record)
+    }
+
+
+_INT_FORMS = [str, lambda i: f" {i}", lambda i: f"+{i}" if i >= 0 else str(i)]
+_FLOAT_FORMS = [repr, "{:.6e}".format, lambda x: f" {x!r}", lambda x: f"+{x!r}".replace("+-", "-")]
+# Seconds from microseconds: a float's repr, as the descriptor writer puts
+# them; the point shifted, as the ground-truth writer does; and half a
+# microsecond more, which the descriptor reader rounds half to even.
+_SECOND_FORMS = [
+    lambda us: repr(us / 1e6),
+    lambda us: str(decimal.Decimal(us).scaleb(-6)),
+    lambda us: str(decimal.Decimal(10 * us + 5).scaleb(-7)),
+]
+
+
+@st.composite
+def _numeric_tables(draw, reader):
+    """The rows of a valid table for ``reader``, as lists of field strings."""
+    n_rows = draw(st.integers(1 if reader != "descriptors" else 0, 6))
+    width = draw(st.integers(1, 4)) if reader != "ground_truth" else 1
+    step = st.integers(2, 10**9)  # two half microseconds apart stay apart when rounded
+    t = np.cumsum([draw(st.integers(-(10**12), 10**12))] + [draw(step) for _ in range(n_rows)])
+    t = t.tolist()[1:]
+    int_form, float_form = draw(st.sampled_from(_INT_FORMS)), draw(st.sampled_from(_FLOAT_FORMS))
+    second = draw(st.sampled_from(_SECOND_FORMS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if reader == "ground_truth":
+        return [[second(q), second(q + draw(st.integers(-(10**9), 10**9)))] for q in t]
+    rows = []
+    if reader == "matrix":
+        ref = np.cumsum([draw(st.integers(-(2**62), 2**62))] + [draw(step) for _ in range(width - 1)])
+        rows.append([int_form(r) for r in ref.tolist()])
+    for ti in t:
+        time = int_form(ti) if reader == "matrix" else second(ti)
+        rows.append([time] + [float_form(draw(finite)) for _ in range(width)])
+    return rows
+
+
+def _table_bytes(rows) -> bytes:
+    return "".join(",".join(r) + "\n" for r in rows).encode()
+
+
+@pytest.mark.parametrize("reader", sorted(_TABLE_READERS))
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_readers_give_the_row_loops_records(reader, data):
+    data_bytes = _table_bytes(data.draw(_numeric_tables(reader)))
+    read, oracle = _TABLE_READERS[reader]
+    expected = _table_outcome(oracle, data_bytes)
+    assert isinstance(expected, dict), expected
+    assert _table_outcome(read, data_bytes) == expected
+
+
+_BAD_FIELDS = [
+    "abc", "nan", "inf", "-inf", "1e999999", "-1e999999", "1e400", "1e300",
+    "99999999999999999999", "-99999999999999999999", "9223372036854775808", "0x1", "", " ", "sNaN",
+]
+
+
+_VALID_TABLES = {
+    "matrix": [["0", "1000000"], ["500000", "0.1", "0.5"], ["1500000", "0.2", "0.25"]],
+    "descriptors": [["0.5", "1.0", "2.0"], ["1.5", "2.0", "1.0"], ["2.5", "0.5", "0.5"]],
+    "ground_truth": [["0.1", "0.0"], ["0.9", "1.0"], ["1.7", "2.0"]],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TABLE_READERS))
+def test_table_readers_raise_the_row_loops_errors_for_every_bad_field(reader):
+    read, oracle = _TABLE_READERS[reader]
+    rows = _VALID_TABLES[reader]
+    for i, j in [(i, j) for i, row in enumerate(rows) for j in range(len(row))]:
+        for field in _BAD_FIELDS:
+            bad = [list(r) for r in rows]
+            bad[i][j] = field
+            text = _table_bytes(bad)
+            assert _table_outcome(read, text) == _table_outcome(oracle, text), (i, j, field)
+
+
+@pytest.mark.parametrize("reader", sorted(_TABLE_READERS))
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_readers_raise_the_row_loops_errors(reader, data):
+    # One or two faults, so that which one a reader reports first is tested too.
+    rows = data.draw(_numeric_tables(reader)) or [["1.0", "2.0"]]
+    lines = [",".join(r).encode() for r in rows]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        row = list(rows[i % len(rows)])
+        mutation = data.draw(st.sampled_from(
+            ["field", "width", "regression", "blank", "bom_first", "bom_later", "not_utf8"]
+        ))
+        if mutation == "field":
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(_BAD_FIELDS))
+            lines[i] = ",".join(row).encode()
+        elif mutation == "width":
+            lines[i] = lines[i].rsplit(b",", 1)[0] if data.draw(st.booleans()) else lines[i] + b",1"
+        elif mutation == "regression":
+            row[0] = data.draw(st.sampled_from(rows))[0]
+            lines[i] = ",".join(row).encode()
+        elif mutation == "blank":
+            lines.insert(i, data.draw(st.sampled_from([b"", b" ", b"\t", b" \r"])))
+        elif mutation == "bom_first":
+            lines[0] = "\ufeff".encode() + lines[0]
+        elif mutation == "bom_later":
+            lines.insert(i + 1, "\ufeff".encode() + lines[i])
+        else:
+            k = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + b"\xff" + lines[i][k:]
+    text = b"\n".join(lines) + b"\n"
+    read, oracle = _TABLE_READERS[reader]
+    assert _table_outcome(read, text) == _table_outcome(oracle, text)
 
 
 # ---------------------------------------------------------------------------

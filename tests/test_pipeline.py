@@ -217,3 +217,11 @@ def test_records_share_the_arrays_the_package_built():
     assert result.approximate.query_t_us is approx_q.t_us
     # the interpolated truth is wrapped as np.interp returned it
     assert result.ground_truth.query_t_us.flags.owndata
+    # anchors that leave grid points uncovered: one restricted grid for all
+    inner = _identity_anchors([1_000_000.0, 3_000_000.0])
+    result = run_from_sequences(q_seqs, r_seqs, inner, approximate_query=approx_q)
+    assert result.dropped_grid_points > 0
+    grid = result.fused.query_t_us
+    assert grid.tolist() == [t for t in q_seqs[0].t_us.tolist() if 1_000_000 <= t <= 3_000_000]
+    assert all(m.query_t_us is grid for m in result.members)
+    assert result.approximate.query_t_us is grid

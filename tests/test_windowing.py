@@ -12,6 +12,7 @@ from evplace.windowing import (
     DEFAULT_SPANS_US,
     align_to_time,
     build_window_set,
+    family_labels,
     normalized_count,
     sample_grid,
     WindowFamily,
@@ -209,6 +210,14 @@ def test_build_window_set_fraction_vs_absolute():
     ws = build_window_set(s, counts=[0.5, 8], spans_us=[])
     # 0.5 of a 16-pixel array is 8 events; explicit integers pass through
     assert ws.labels == ("count_8", "count_8")
+
+
+def test_family_labels_are_the_labels_of_the_window_set():
+    # the command line refuses two families of one label before reading a stream
+    counts, spans_us = [0.5, 3, 1.0, 0.01], [30, 7]
+    ws = build_window_set(_stream_at(range(32)), counts, spans_us)
+    assert family_labels(counts, spans_us, G) == list(ws.labels)
+    assert ws.labels == ("count_8", "count_3", "count_16", "count_1", "span_30us", "span_7us")
 
 
 def test_build_window_set_requires_some_family():

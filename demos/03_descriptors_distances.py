@@ -12,7 +12,7 @@ from evplace.descriptors import AccumulationMode, DescriptorParams, describe_win
 from evplace.distance import Metric, best_match_per_query, build_distance_matrix
 from evplace.events import SensorGeometry
 from evplace.synthetic import TraverseParams, generate_traverse, generate_world
-from evplace.windowing import build_window_set, sample_grid
+from evplace.windowing import sample_grid, window_families
 
 SHADES = " .:-=+*#%@"
 
@@ -40,12 +40,9 @@ def main():
     params = DescriptorParams(mode=AccumulationMode.COUNT, down_width=16,
                               down_height=12, patch=4)
     counts = [0.5]
-    q_seq = describe_window_set(
-        build_window_set(query, counts, []), query, sample_grid(query), params
-    )[0]
-    r_seq = describe_window_set(
-        build_window_set(reference, counts, []), reference, sample_grid(reference), params
-    )[0]
+    families = window_families(counts, [], geometry)
+    q_seq = describe_window_set(families, query, sample_grid(query), params)[0]
+    r_seq = describe_window_set(families, reference, sample_grid(reference), params)[0]
     print(f"descriptors: {len(q_seq)} query x {len(r_seq)} reference, "
           f"dim {q_seq.dim}, family {q_seq.label}")
 

@@ -83,13 +83,13 @@ from .synthetic import (
 )
 from .windowing import (
     WindowFamily,
-    WindowSet,
     align_to_time,
     build_window_set,
     normalized_count,
     sample_grid,
     split_fixed_count,
     split_fixed_time,
+    window_families,
 )
 
 __all__ = [
@@ -117,7 +117,6 @@ __all__ = [
     "SyntheticWorld",
     "TraverseParams",
     "WindowFamily",
-    "WindowSet",
     "accumulate_image",
     "align_to_time",
     "approximate_combine",
@@ -152,6 +151,7 @@ __all__ = [
     "split_fixed_count",
     "split_fixed_time",
     "weight_grid_search",
+    "window_families",
     "write_descriptors",
     "write_event_csv",
     "write_eval_results_csv",

@@ -93,7 +93,7 @@ from .pipeline import (
     run_place_recognition,  # noqa: F401  (a name perfbench/tracing.py hooks)
 )
 from .synthetic import generate_traverse, generate_world, pair_ground_truth
-from .windowing import build_window_set, family_labels
+from .windowing import _check_distinct, build_window_set, window_families
 
 logger = logging.getLogger("evplace.cli")  # also when run as __main__
 
@@ -284,10 +284,8 @@ def _check_labels(cfg: PipelineConfig, labels: list[str] | None = None) -> list[
     """The members' labels, by default the config's window families', refusing
     two alike: their output files would overwrite each other."""
     if labels is None:
-        labels = family_labels(cfg.counts, cfg.spans_us, cfg.geometry)
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(f"two ensemble members share the label {label}")
+        return [label for label, _, _ in window_families(cfg.counts, cfg.spans_us, cfg.geometry)]
+    _check_distinct(labels)
     return labels
 
 
@@ -338,9 +336,8 @@ def cmd_windows(args, cfg: PipelineConfig, out: _Outputs) -> None:
         _check_labels(cfg)
     stream, _ = _read_events(out, "events", args.events, cfg)
     with _stage(out, "windowing"):
-        wset = build_window_set(stream, cfg.counts, cfg.spans_us)
         lines = ["family,index,start_idx,end_idx,t_start_us,t_end_us,n_events"]
-        for fam in wset.families:
+        for fam in build_window_set(stream, cfg.counts, cfg.spans_us):
             columns = (fam.start_idx, fam.end_idx, fam.t_start_us, fam.t_end_us, fam.n_events)
             for i, row in enumerate(zip(*(c.tolist() for c in columns))):
                 lines.append(f"{fam.label},{i}," + ",".join(map(str, row)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .events import EventStream, _check_increasing, _freeze, _read_only, csv_rows, csv_table
-from .windowing import WindowSet, align_to_time
+from .windowing import align_to_time
 
 DEFAULT_CLIP = 3.0
 DEFAULT_DOWN_WIDTH = 32
@@ -239,18 +239,20 @@ def sad_descriptor(
 
 
 def describe_window_set(
-    window_set: WindowSet,
+    families,
     stream: EventStream,
     grid: np.ndarray,
     params: DescriptorParams = DescriptorParams(),
 ) -> list[DescriptorSequence]:
     """One descriptor sequence per window family, sampled on a common grid.
 
-    For every grid time the family window nearest in time is selected
-    (see :func:`evplace.windowing.align_to_time`).  Each distinct selected
-    window is rasterized and described once.  All returned sequences carry
-    exactly the grid's timestamps, so matrices built from them are
-    index-aligned.
+    ``families`` are ``(label, count, span_us)`` triples, as
+    :func:`evplace.windowing.window_families` resolves them.  For every
+    grid time, each family's window holding the covered event nearest in
+    time is selected (see :func:`evplace.windowing.align_to_time`); no
+    other window is built.  Each distinct selected window is rasterized and
+    described once.  All returned sequences carry exactly the grid's
+    timestamps, so matrices built from them are index-aligned.
     """
     # One read-only copy, which every returned sequence shares.
     grid = _read_only(np.array(grid, dtype=np.int64, ndmin=1))
@@ -258,17 +260,14 @@ def describe_window_set(
         raise ConfigError("sample grid is empty")
     _check_increasing(grid, "sample grid")
     sequences = []
-    for family in window_set.families:
-        windows, row_window = np.unique(
-            align_to_time(family, stream, grid), return_inverse=True
-        )
-        frames = np.empty((windows.size, params.dim), dtype=np.float64)
-        for k, w in enumerate(windows):
-            image = accumulate_image(
-                stream, int(family.start_idx[w]), int(family.end_idx[w]), params
-            )
+    for label, count, span_us in families:
+        w, start, end = align_to_time(stream, grid, count, span_us)
+        _, first, row_window = np.unique(w, return_index=True, return_inverse=True)
+        frames = np.empty((first.size, params.dim), dtype=np.float64)
+        for k, i in enumerate(first):
+            image = accumulate_image(stream, int(start[i]), int(end[i]), params)
             frames[k] = sad_descriptor(image, params)
-        sequences.append(DescriptorSequence(family.label, grid, _read_only(frames[row_window])))
+        sequences.append(DescriptorSequence(label, grid, _read_only(frames[row_window])))
     return sequences
 
 

@@ -32,14 +32,11 @@ from .evaluation import (
 from .events import EventStream, _read_only
 from .windowing import (
     DEFAULT_APPROX_FRACTION,
-    DEFAULT_COUNT_FRACTIONS,
     DEFAULT_GRID_DT_US,
-    DEFAULT_SPANS_US,
-    WindowSet,
-    build_window_set,
-    normalized_count,
+    build_window_set,  # noqa: F401  (a name perfbench/tracing.py hooks)
     sample_grid,
-    split_fixed_count,
+    split_fixed_count,  # noqa: F401  (a name perfbench/tracing.py hooks)
+    window_families,
 )
 
 
@@ -141,23 +138,23 @@ def describe_traverse(
     :func:`run_from_sequences`, so the query and reference sides can be
     described independently (the command line runs them in two processes).
     ``counts`` and ``spans_us`` follow
-    :func:`evplace.windowing.build_window_set`.  With
+    :func:`evplace.windowing.window_families`.  With
     ``approximate_fraction`` set (the query side), the second value is the
     approximate ensemble's single fixed-count family, sized as that
     fraction of the pixel count, on the same grid; otherwise it is ``None``.
+    Both come from one :func:`describe_window_set` call, which describes
+    only the windows the grid selects.
     """
     grid = sample_grid(stream, grid_dt_us)
     if grid.size == 0:
         raise ConfigError("cannot sample an empty stream")
-    sequences = describe_window_set(
-        build_window_set(stream, counts, spans_us), stream, grid, descriptor
-    )
-    approximate = None
+    families = window_families(counts, spans_us, stream.geometry)
     if approximate_fraction is not None:
-        n_hat = normalized_count(approximate_fraction, stream.geometry)
-        family = split_fixed_count(stream, n_hat)
-        approximate = describe_window_set(WindowSet((family,)), stream, grid, descriptor)[0]
-    return sequences, approximate
+        families += window_families([float(approximate_fraction)], [], stream.geometry)
+    sequences = describe_window_set(families, stream, grid, descriptor)
+    if approximate_fraction is None:
+        return sequences, None
+    return sequences[:-1], sequences[-1]
 
 
 def run_place_recognition(
@@ -176,17 +173,13 @@ def run_place_recognition(
     """Full run from two event streams and ground-truth anchors.
 
     ``counts`` and ``spans_us`` follow
-    :func:`evplace.windowing.build_window_set`.  Set
+    :func:`evplace.windowing.window_families`.  Set
     ``approximate_fraction`` to ``None`` to skip the approximate ensemble;
     otherwise it sizes the single query-side window family as a fraction
     of the pixel count.  A rule that cannot fuse one member per window
     family is refused before either stream is described.
     """
-    if counts is None:
-        counts = DEFAULT_COUNT_FRACTIONS
-    if spans_us is None:
-        spans_us = DEFAULT_SPANS_US
-    rule.check_members(len(counts) + len(spans_us))
+    rule.check_members(len(window_families(counts, spans_us, query_stream.geometry)))
     if query_stream.geometry != reference_stream.geometry:
         raise ConfigError("query and reference streams need one sensor geometry")
     q_seqs, approx_query = describe_traverse(

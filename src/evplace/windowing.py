@@ -10,17 +10,18 @@ stream.  Two slicing schemes are supported:
 
 Each window is only an event index range plus the time interval it
 covers, so a :class:`WindowFamily` stores its windows as four parallel
-arrays, and :func:`align_to_time` maps a whole sample grid onto window
-indices in one vectorized pass.  A family is named only by its size: the
-label ``count_230`` marks windows of 230 events, ``span_44000us`` windows
-of 44 ms.  The label flows unchanged into descriptor sequences, distance
-matrices and output file names.
+arrays.  A family is named only by its size: the label ``count_230``
+marks windows of 230 events, ``span_44000us`` windows of 44 ms.  The
+label flows unchanged into descriptor sequences, distance matrices and
+output file names.  :func:`window_families` resolves the sizes of an
+ensemble's families, and their labels, in one place.
 
-A :class:`WindowSet` bundles several window families of different sizes
-over the same stream.  Downstream code compares places once per family and
-fuses the resulting distance matrices, which is where the ensemble effect
-comes from: no single window size wins everywhere, but their mistakes
-rarely coincide.
+Downstream code compares places once per family and fuses the resulting
+distance matrices, which is where the ensemble effect comes from: no
+single window size wins everywhere, but their mistakes rarely coincide.
+Only the windows nearest the sample grid are described, so
+:func:`align_to_time` finds each grid point's window and its event range
+from the family's size alone, without building the family's windows.
 
 Window sizes may be given as absolute event counts or normalized to the
 number of pixels, e.g. a fraction of ``0.1`` on a 346x260 sensor means
@@ -80,20 +81,6 @@ class WindowFamily:
         return int(self.start_idx.size)
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """An ordered collection of window families over the same stream."""
-
-    families: tuple[WindowFamily, ...]
-
-    def __len__(self) -> int:
-        return len(self.families)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.families)
-
-
 def normalized_count(fraction: float, geometry: SensorGeometry) -> int:
     """Convert a pixel-normalized window size to an absolute event count.
 
@@ -141,83 +128,83 @@ def split_fixed_time(stream: EventStream, span_us: int) -> WindowFamily:
     )
 
 
-def build_window_set(
-    stream: EventStream,
-    counts: tuple[float | int, ...] | list[float | int] | None = None,
-    spans_us: tuple[int, ...] | list[int] | None = None,
-) -> WindowSet:
-    """Build the window families for an ensemble over one stream.
+def window_families(counts, spans_us, geometry: SensorGeometry) -> list[tuple]:
+    """Resolve an ensemble's window families as ``(label, count, span_us)``.
 
-    Parameters
-    ----------
-    stream : EventStream
-    counts : sequence of int or float, optional
-        Fixed-count family sizes.  Floats in ``(0, 1]`` are interpreted as
-        pixel-normalized fractions, integers as absolute event counts.
-        Defaults to ``DEFAULT_COUNT_FRACTIONS``.
-    spans_us : sequence of int, optional
-        Fixed-time family spans in microseconds.  Defaults to
-        ``DEFAULT_SPANS_US``.
-
-    Returns
-    -------
-    WindowSet
-        Count families first (in the given order), then span families.
+    ``counts`` are fixed-count sizes: floats in ``(0, 1]`` are
+    pixel-normalized fractions of ``geometry``, integers absolute event
+    counts; ``spans_us`` are fixed-time spans in microseconds.  ``None``
+    gives ``DEFAULT_COUNT_FRACTIONS`` and ``DEFAULT_SPANS_US``.  Count
+    families come first, in the given order, with ``span_us`` ``None``;
+    then span families, with ``count`` ``None``.  Two families of one
+    label are refused: their outputs would overwrite each other.
     """
-    if counts is None:
-        counts = DEFAULT_COUNT_FRACTIONS
-    if spans_us is None:
-        spans_us = DEFAULT_SPANS_US
+    counts = DEFAULT_COUNT_FRACTIONS if counts is None else counts
+    spans_us = DEFAULT_SPANS_US if spans_us is None else spans_us
     if not counts and not spans_us:
         raise ConfigError("window set needs at least one count or span")
-    families = [split_fixed_count(stream, _event_count(c, stream.geometry)) for c in counts]
-    return WindowSet(tuple(families + [split_fixed_time(stream, int(s)) for s in spans_us]))
+    families = []
+    for c in counts:
+        if isinstance(c, bool):
+            raise ConfigError(f"invalid window count {c!r}")
+        n = normalized_count(c, geometry) if isinstance(c, float) else int(c)
+        if n < 1:
+            raise ConfigError(f"count must be >= 1, got {n}")
+        families.append((f"count_{n}", n, None))
+    for s in map(int, spans_us):
+        if s < 1:
+            raise ConfigError(f"span_us must be positive, got {s}")
+        families.append((f"span_{s}us", None, s))
+    _check_distinct([label for label, _, _ in families])
+    return families
 
 
-def _event_count(count: float | int, geometry: SensorGeometry) -> int:
-    """A fixed-count family's events: a float is a fraction of the pixels."""
-    if isinstance(count, bool):
-        raise ConfigError(f"invalid window count {count!r}")
-    return normalized_count(count, geometry) if isinstance(count, float) else int(count)
+def _check_distinct(labels: list[str]) -> None:
+    """Refuse two ensemble members of one label."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"two ensemble members share the label {label}")
 
 
-def family_labels(counts, spans_us, geometry: SensorGeometry) -> list[str]:
-    """The labels :func:`build_window_set` gives these families on ``geometry``, in order."""
-    spans = [f"span_{int(s)}us" for s in spans_us]
-    return [f"count_{_event_count(c, geometry)}" for c in counts] + spans
+def build_window_set(stream: EventStream, counts=None, spans_us=None) -> tuple[WindowFamily, ...]:
+    """Every window of each family :func:`window_families` resolves, over one stream."""
+    return tuple(
+        split_fixed_time(stream, span) if count is None else split_fixed_count(stream, count)
+        for _, count, span in window_families(counts, spans_us, stream.geometry)
+    )
 
 
-def align_to_time(family: WindowFamily, stream: EventStream, t_us) -> np.ndarray:
-    """Index of the family window best aligned to each sample time in ``t_us``.
+def align_to_time(stream: EventStream, t_us, count: int | None = None, span_us: int | None = None):
+    """The window of one family best aligned to each sample time in ``t_us``.
 
-    For every sample time, the event covered by the family whose timestamp
-    is nearest is found (ties go to the earlier event), and the index of
-    the window containing it is returned.  Sample times beyond the covered
-    range thus resolve to the first or last non-empty window.  Each sample
-    time costs two binary searches: one over events, one over windows.
+    The family is given by its size alone, ``count`` events or ``span_us``
+    microseconds, as :func:`split_fixed_count` or :func:`split_fixed_time`
+    would build it.  For every sample time, the event covered by the family
+    whose timestamp is nearest is found (ties go to the earlier event):
+    the first ``n - n % count`` events of a count family, every event of a
+    span family.  Sample times beyond the covered range thus resolve to the
+    first or last non-empty window.  Returns the window indices and their
+    ``[start, end)`` event ranges, three int64 arrays shaped like ``t_us``.
     """
-    if not len(family):
-        raise AlignmentError(f"family {family.label} has no windows")
-    lo = int(family.start_idx[0])
-    hi = int(family.end_idx[-1])
-    if lo == hi:
-        raise AlignmentError(f"family {family.label} covers no events")
-    t = stream.t[lo:hi]
+    size = count if span_us is None else span_us
+    if (count is None) == (span_us is None) or size < 1:
+        raise ConfigError(f"need one positive count or span_us, got {count}, {span_us}")
+    t = stream.t if count is None else stream.t[: len(stream) - len(stream) % count]
+    if not t.size:
+        raise AlignmentError(f"a family of size {size} has no windows in {len(stream)} events")
     t_us = np.asarray(t_us, dtype=np.int64)
     pos = np.searchsorted(t, t_us, side="left")
     before = np.maximum(pos - 1, 0)
     after = np.minimum(pos, t.size - 1)
     # Tie between equally near neighbours goes to the earlier event.
     take_before = (pos > 0) & (t_us - t[before] <= t[after] - t_us)
-    event_idx = lo + np.where(take_before, before, after)
-    w = np.searchsorted(family.end_idx, event_idx, side="right")
-    outside = (family.start_idx[w] > event_idx) | (event_idx >= family.end_idx[w])
-    if np.any(outside):
-        k = int(np.flatnonzero(outside)[0])
-        raise AlignmentError(
-            f"family {family.label}: event {int(event_idx[k])} not inside window {int(w[k])}"
-        )
-    return w
+    event_idx = np.where(take_before, before, after)
+    if span_us is None:
+        w = event_idx // count
+        return w, w * count, (w + 1) * count
+    w = (t[event_idx] - t[0]) // span_us
+    t_start = t[0] + w * span_us
+    return w, np.searchsorted(t, t_start), np.searchsorted(t, t_start + span_us)
 
 
 def sample_grid(stream: EventStream, dt_us: int = DEFAULT_GRID_DT_US) -> np.ndarray:

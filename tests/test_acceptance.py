@@ -263,14 +263,14 @@ def _check_fixed_time(stream, span, failures, tag):
         failures.append(f"{tag}: trailing windows beyond the last event")
 
 
-def _check_alignment(stream, family: WindowFamily, rng, failures, tag):
+def _check_alignment(stream, family: WindowFamily, size, rng, failures, tag):
     lo = int(family.start_idx[0])
     hi = int(family.end_idx[-1])
     covered = stream.t[lo:hi]
     t_lo, t_hi = int(stream.t[0]) - 2_000, int(stream.t[-1]) + 2_000
     samples = rng.integers(t_lo, t_hi + 1, size=30)
-    got = align_to_time(family, stream, samples)
-    for ts, w in zip(samples, got):
+    got, starts, ends = align_to_time(stream, samples, **size)
+    for ts, w, start, end in zip(samples, got, starts, ends):
         nearest = lo + int(np.argmin(np.abs(covered - ts)))
         expect = next(
             k
@@ -279,6 +279,9 @@ def _check_alignment(stream, family: WindowFamily, rng, failures, tag):
         )
         if w != expect:
             failures.append(f"{tag}: t*={ts} aligned to window {w}, nearest event is in {expect}")
+            return
+        if (start, end) != (family.start_idx[w], family.end_idx[w]):
+            failures.append(f"{tag}: t*={ts} window {w} given as events [{start}, {end})")
             return
 
 
@@ -294,11 +297,13 @@ def test_windowing_invariants_on_random_streams():
         span_total = max(1, int(stream.t[-1]) - int(stream.t[0]))
         for span in (997, max(1, span_total // 17)):
             _check_fixed_time(stream, span, failures, f"n={n} span={span}")
-        cw = split_fixed_count(stream, max(1, n // 13))
+        size = {"count": max(1, n // 13)}
+        cw = split_fixed_count(stream, size["count"])
         if len(cw):
-            _check_alignment(stream, cw, rng, failures, f"n={n} count align")
-        tw = split_fixed_time(stream, max(1, span_total // 11))
-        _check_alignment(stream, tw, rng, failures, f"n={n} span align")
+            _check_alignment(stream, cw, size, rng, failures, f"n={n} count align")
+        size = {"span_us": max(1, span_total // 11)}
+        tw = split_fixed_time(stream, size["span_us"])
+        _check_alignment(stream, tw, size, rng, failures, f"n={n} span align")
     elapsed = time.perf_counter() - t0
     if elapsed >= 10.0:
         failures.append(f"took {elapsed:.2f}s, bound is 10s")

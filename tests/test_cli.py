@@ -639,9 +639,11 @@ def test_a_pipe_input_fails_unread_with_stage_tag(
 def test_a_failed_allocation_fails_with_stage_tag(
     workspace, tmp_path, capsys, command, stage, message
 ):
-    # A span of 2**63 us asks build_window_set for petabytes; whether such a
-    # request fails at once depends on the host's overcommit policy, so the
-    # MemoryError is raised here without the allocation.
+    # A time span of 2**63 us asks build_window_set (windows) for petabytes of
+    # span windows and sample_grid (run's describe) for terabytes of grid
+    # points; whether such a request fails at once depends on the host's
+    # overcommit policy, so the MemoryError is raised here without the
+    # allocation.
     data = workspace["data"]
     out = tmp_path / "out"
     events_path = data / "query_events.csv"
@@ -651,9 +653,10 @@ def test_a_failed_allocation_fails_with_stage_tag(
     else:
         args = _event_run_args(workspace, events_path, data / "reference_events.csv", out)
     error = MemoryError(message)
-    # run builds its windows in the pipeline module, windows in the command itself
+    # run samples its grid in the pipeline module, windows builds its windows
+    # in the command itself
     with mock.patch.object(cli, "build_window_set", side_effect=error), \
-            mock.patch.object(pipeline, "build_window_set", side_effect=error):
+            mock.patch.object(pipeline, "sample_grid", side_effect=error):
         assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"evplace {command}: error [{stage}] {message or 'MemoryError'}\n", err

@@ -28,7 +28,7 @@ from evplace.errors import (
     ParseError,
 )
 from evplace.events import EventStream, SensorGeometry
-from evplace.windowing import align_to_time, build_window_set, sample_grid
+from evplace.windowing import build_window_set, sample_grid, window_families
 
 G = SensorGeometry(4, 4)
 
@@ -376,19 +376,23 @@ def _dense_stream(rng, n, t_max, geometry=G):
 def test_describe_window_set_shapes_and_grid():
     rng = np.random.default_rng(67)
     s = _dense_stream(rng, 500, 100_000)
+    families = window_families([10, 40], [20_000], s.geometry)
     ws = build_window_set(s, counts=[10, 40], spans_us=[20_000])
     grid = sample_grid(s, 25_000)
     params = DescriptorParams(down_width=4, down_height=4, patch=2)
-    seqs = describe_window_set(ws, s, grid, params)
+    seqs = describe_window_set(families, s, grid, params)
     assert [q.label for q in seqs] == ["count_10", "count_40", "span_20000us"]
     for q in seqs:
         assert len(q) == grid.size
         assert np.array_equal(q.t_us, grid)
         assert q.dim == params.dim
-    # every row is the descriptor of the window aligned to its grid time alone
-    for family, q in zip(ws.families, seqs):
+    # every row is the descriptor of the split_fixed_* window holding the
+    # covered event nearest its grid time (ties: the earlier event)
+    for family, q in zip(ws, seqs):
+        covered = s.t[: int(family.end_idx[-1])]
         for j, t_star in enumerate(grid.tolist()):
-            (w,) = align_to_time(family, s, [t_star])
+            nearest = int(np.argmin(np.abs(covered - t_star)))
+            (w,) = np.flatnonzero((family.start_idx <= nearest) & (nearest < family.end_idx))
             image = accumulate_image(
                 s, int(family.start_idx[w]), int(family.end_idx[w]), params
             )
@@ -398,9 +402,9 @@ def test_describe_window_set_shapes_and_grid():
 def test_describe_empty_grid_rejected():
     rng = np.random.default_rng(71)
     s = _dense_stream(rng, 50, 1000)
-    ws = build_window_set(s, counts=[5], spans_us=[])
+    families = window_families([5], [], s.geometry)
     with pytest.raises(ConfigError):
-        describe_window_set(ws, s, np.array([], dtype=np.int64), DescriptorParams())
+        describe_window_set(families, s, np.array([], dtype=np.int64), DescriptorParams())
 
 
 def test_describe_family_without_windows_fails_alignment():
@@ -408,9 +412,9 @@ def test_describe_family_without_windows_fails_alignment():
 
     rng = np.random.default_rng(73)
     s = _dense_stream(rng, 20, 1000)
-    ws = build_window_set(s, counts=[50], spans_us=[])  # more than len(s)
+    families = window_families([50], [], s.geometry)  # more than len(s)
     with pytest.raises(AlignmentError):
-        describe_window_set(ws, s, sample_grid(s, 100), DescriptorParams(down_width=4, down_height=4, patch=2))
+        describe_window_set(families, s, sample_grid(s, 100), DescriptorParams(down_width=4, down_height=4, patch=2))
 
 
 # ---------------------------------------------------------------------------

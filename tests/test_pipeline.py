@@ -7,11 +7,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from evplace import pipeline
+from evplace import pipeline, windowing
 from evplace.descriptors import (
     AccumulationMode,
     DescriptorParams,
     DescriptorSequence,
+    accumulate_image,
+    sad_descriptor,
 )
 from evplace.ensemble import EnsembleRule, RuleKind
 from evplace.errors import ConfigError
@@ -19,6 +21,7 @@ from evplace.evaluation import GroundTruth, precision_at_full_recall
 from evplace.events import SensorGeometry
 from evplace.pipeline import describe_traverse, run_from_sequences, run_place_recognition
 from evplace.synthetic import TraverseParams, generate_traverse, generate_world
+from evplace.windowing import build_window_set, normalized_count, sample_grid, split_fixed_count
 
 GEOM = SensorGeometry(16, 12)
 DESCRIPTOR = DescriptorParams(
@@ -72,6 +75,55 @@ def test_member_count_and_labels_follow_window_grids():
     assert labels == ["count_58", "span_400000us", "span_700000us"]
     assert result.fused.member_label == "mean_of_3"
     assert result.approximate.member_label == "approx_mean_of_3"
+
+
+def test_two_families_of_one_label_are_refused():
+    qry, ref, anchors = _synthetic_pair()
+    # 0.3 of the 16 x 12 pixels is 58 events: two members would be count_58
+    with pytest.raises(ConfigError, match="share the label count_58"):
+        run_place_recognition(
+            qry, ref, anchors, counts=[0.3, 58], spans_us=[],
+            descriptor=DESCRIPTOR, grid_dt_us=500_000,
+        )
+
+
+def _brute_force_rows(stream, family, grid):
+    """The descriptor of the window holding the covered event nearest each grid time."""
+    covered = stream.t[: int(family.end_idx[-1])]
+    rows = []
+    for t_star in grid.tolist():
+        nearest = int(np.argmin(np.abs(covered - t_star)))  # ties: the earlier event
+        (w,) = np.flatnonzero((family.start_idx <= nearest) & (nearest < family.end_idx))
+        image = accumulate_image(
+            stream, int(family.start_idx[w]), int(family.end_idx[w]), DESCRIPTOR
+        )
+        rows.append(sad_descriptor(image, DESCRIPTOR))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("approximate_fraction", [None, 0.5])
+def test_describe_builds_no_window_arrays(approximate_fraction):
+    qry, _, _ = _synthetic_pair()
+    counts, spans_us = [0.3, 0.6], [400_000]
+    families = list(build_window_set(qry, counts, spans_us))
+    families.append(split_fixed_count(qry, normalized_count(0.5, GEOM)))
+    grid = sample_grid(qry, 500_000)
+    refuse = dict(side_effect=AssertionError("built a family's windows"))
+    with mock.patch.object(windowing, "split_fixed_count", **refuse), \
+            mock.patch.object(windowing, "split_fixed_time", **refuse), \
+            mock.patch.object(pipeline, "split_fixed_count", **refuse):
+        seqs, approx = describe_traverse(
+            qry, counts, spans_us, DESCRIPTOR, 500_000, approximate_fraction
+        )
+    if approximate_fraction is None:
+        assert approx is None
+        families.pop()
+    else:
+        seqs.append(approx)
+    assert [seq.label for seq in seqs] == [f.label for f in families]
+    for family, seq in zip(families, seqs):
+        assert np.array_equal(seq.t_us, grid)
+        assert seq.values.tobytes() == _brute_force_rows(qry, family, grid).tobytes()
 
 
 def test_grid_points_outside_anchor_span_are_dropped():

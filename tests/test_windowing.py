@@ -12,12 +12,12 @@ from evplace.windowing import (
     DEFAULT_SPANS_US,
     align_to_time,
     build_window_set,
-    family_labels,
     normalized_count,
     sample_grid,
     WindowFamily,
     split_fixed_count,
     split_fixed_time,
+    window_families,
 )
 
 G = SensorGeometry(4, 4)
@@ -192,32 +192,50 @@ def test_build_window_set_defaults_give_nine_families():
         np.ones(n, dtype=np.int8),
     )
     ws = build_window_set(s)
-    assert len(ws.families) == len(DEFAULT_COUNT_FRACTIONS) + len(DEFAULT_SPANS_US)
-    assert ws.labels[0] == "count_8996"
-    assert ws.labels[-1] == "span_140000us"
+    assert len(ws) == len(DEFAULT_COUNT_FRACTIONS) + len(DEFAULT_SPANS_US)
+    assert ws[0].label == "count_8996"
+    assert ws[-1].label == "span_140000us"
 
 
 def test_build_window_set_counts_then_spans_order():
     s = _stream_at(range(0, 100, 10))
     ws = build_window_set(s, counts=[2], spans_us=[30])
-    assert ws.labels == ("count_2", "span_30us")
-    assert len(ws.families[0]) == 5
-    assert ws.families[1].n_events.tolist() == [3, 3, 3, 1]
+    assert [f.label for f in ws] == ["count_2", "span_30us"]
+    assert len(ws[0]) == 5
+    assert ws[1].n_events.tolist() == [3, 3, 3, 1]
 
 
 def test_build_window_set_fraction_vs_absolute():
     s = _stream_at(range(32))
-    ws = build_window_set(s, counts=[0.5, 8], spans_us=[])
-    # 0.5 of a 16-pixel array is 8 events; explicit integers pass through
-    assert ws.labels == ("count_8", "count_8")
+    # 0.5 of a 16-pixel array is 8 events; explicit integers pass through,
+    # so these are two families of one label, whose outputs would collide
+    with pytest.raises(ConfigError, match="share the label count_8"):
+        build_window_set(s, counts=[0.5, 8], spans_us=[])
+    assert [f.label for f in build_window_set(s, counts=[0.5, 9], spans_us=[])] == [
+        "count_8", "count_9"
+    ]
 
 
-def test_family_labels_are_the_labels_of_the_window_set():
+def test_window_families_are_the_families_of_the_window_set():
     # the command line refuses two families of one label before reading a stream
     counts, spans_us = [0.5, 3, 1.0, 0.01], [30, 7]
     ws = build_window_set(_stream_at(range(32)), counts, spans_us)
-    assert family_labels(counts, spans_us, G) == list(ws.labels)
-    assert ws.labels == ("count_8", "count_3", "count_16", "count_1", "span_30us", "span_7us")
+    families = window_families(counts, spans_us, G)
+    assert [label for label, _, _ in families] == [f.label for f in ws]
+    assert [f.label for f in ws] == [
+        "count_8", "count_3", "count_16", "count_1", "span_30us", "span_7us"
+    ]
+    assert [(count, span) for _, count, span in families] == [
+        (8, None), (3, None), (16, None), (1, None), (None, 30), (None, 7)
+    ]
+
+
+def test_window_families_refuse_bad_sizes_and_shared_labels():
+    for counts, spans_us in (([], []), ([True], []), ([1.5], []), ([0], []), ([], [0])):
+        with pytest.raises(ConfigError):
+            window_families(counts, spans_us, G)
+    with pytest.raises(ConfigError, match="share the label span_30us"):
+        window_families([], [30, 30], G)
 
 
 def test_build_window_set_requires_some_family():
@@ -236,36 +254,41 @@ def test_build_window_set_rejects_bool_count():
 
 def test_align_picks_window_of_nearest_event():
     s = _stream_at([0, 10, 20])
-    fam = split_fixed_time(s, 15)
     # at 12 event 10 is nearer than 20; at 19 event 20 is nearer
-    assert align_to_time(fam, s, [12, 19]).tolist() == [0, 1]
+    assert align_to_time(s, [12, 19], span_us=15)[0].tolist() == [0, 1]
 
 
 def test_align_tie_goes_to_earlier_event():
     s = _stream_at([10, 20])
-    fam = split_fixed_time(s, 10)
-    assert align_to_time(fam, s, [15]).tolist() == [0]
+    assert align_to_time(s, [15], span_us=10)[0].tolist() == [0]
 
 
 def test_align_clamps_beyond_last_event():
     s = _stream_at([0, 40])
-    fam = split_fixed_time(s, 15)
     # the last window holds the last event, the first one the first event
-    assert align_to_time(fam, s, [10_000, -10_000]).tolist() == [2, 0]
+    assert align_to_time(s, [10_000, -10_000], span_us=15)[0].tolist() == [2, 0]
 
 
 def test_align_skips_empty_windows():
     s = _stream_at([0, 40])
-    fam = split_fixed_time(s, 15)
     # t*=22 is inside the empty middle window; nearest events are 40 (|18|)
     # and 0 (|22|), so the final window wins
-    assert align_to_time(fam, s, [22]).tolist() == [2]
+    assert align_to_time(s, [22], span_us=15)[0].tolist() == [2]
 
 
 def test_align_requires_events():
     s = _stream_at(range(4))
     with pytest.raises(AlignmentError):
-        align_to_time(split_fixed_count(s, 5), s, [0])
+        align_to_time(s, [0], count=5)
+    with pytest.raises(AlignmentError):
+        align_to_time(EventStream.empty(G), [0], span_us=10)
+
+
+def test_align_needs_one_positive_size():
+    s = _stream_at(range(4))
+    for size in ({}, {"count": 2, "span_us": 10}, {"count": 0}, {"span_us": 0}):
+        with pytest.raises(ConfigError):
+            align_to_time(s, [0], **size)
 
 
 def _brute_force_align(s, fam, t_star):
@@ -284,9 +307,11 @@ def test_align_matches_brute_force_fuzz():
     for _ in range(40):
         s = _random_stream(rng, int(rng.integers(2, 150)), t_max=10_000)
         if rng.random() < 0.5:
-            fam = split_fixed_time(s, int(rng.integers(50, 3000)))
+            size = {"span_us": int(rng.integers(50, 3000))}
+            fam = split_fixed_time(s, size["span_us"])
         else:
-            fam = split_fixed_count(s, int(rng.integers(1, len(s) + 1)))
+            size = {"count": int(rng.integers(1, len(s) + 1))}
+            fam = split_fixed_count(s, size["count"])
         t = s.t.astype(np.int64)
         gaps = np.flatnonzero((np.diff(t) % 2 == 0) & (np.diff(t) > 0))
         grid = np.concatenate(
@@ -297,10 +322,11 @@ def test_align_matches_brute_force_fuzz():
                 t[rng.integers(0, t.size, size=5)],  # exactly on an event
             ]
         )
-        got = align_to_time(fam, s, grid)
-        assert got.shape == grid.shape
-        for t_star, w in zip(grid.tolist(), got.tolist()):
+        got, start, end = align_to_time(s, grid, **size)
+        assert got.shape == start.shape == end.shape == grid.shape
+        for t_star, w, a, b in zip(grid.tolist(), got.tolist(), start.tolist(), end.tolist()):
             assert w == _brute_force_align(s, fam, t_star)
+            assert (a, b) == _ranges(fam)[w]
 
 
 # ---------------------------------------------------------------------------

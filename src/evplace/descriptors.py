@@ -7,6 +7,12 @@ result into a 1-D vector.  Patch normalization makes the vector invariant
 to global changes in event rate, which is what varies most between visits
 to the same place.
 
+Resize and normalization work on a ``(B, height, width)`` stack of
+images, so :func:`describe_window_set` describes a block of windows per
+numpy call rather than one: at small sizes a frame costs little more than
+the overhead of each call.  Every output value is the same sum in the same
+order whatever the block, and :func:`sad_descriptor` is the stack of one.
+
 Descriptors computed elsewhere (e.g. by a learned image model on
 reconstructed frames) can be loaded from CSV and used interchangeably:
 downstream code only sees :class:`DescriptorSequence` objects, a
@@ -37,6 +43,11 @@ DEFAULT_PATCH = 8
 DEGENERATE_STD = 1e-9
 # Output rows per block of the area resize's column products.
 _RESIZE_BLOCK_ROWS = 8
+# Image bytes per block of frames that describe_window_set resizes and
+# normalizes together: 10 frames at 32x24, and one frame, the accumulated
+# image itself uncopied, at 346x260 (720 kB), where the per-call overhead
+# is small beside the work.  Larger blocks buy little and raise the peak.
+_BLOCK_BYTES = 64 * 1024
 
 
 class AccumulationMode(enum.Enum):
@@ -173,37 +184,40 @@ def _area_band(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Downsample by exact box averaging (handles non-integer ratios).
+    """Downsample the last two axes by exact box averaging (handles
+    non-integer ratios); leading axes are a stack of images.
 
     ``pixels`` must be finite: the row step below skips zero-weight rows,
     which is exact only because ``0 * x`` is a zero for finite ``x``.
     """
-    in_h, in_w = pixels.shape
+    in_h, in_w = pixels.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return pixels.copy()
     wc = _area_weights(in_w, out_w)
     if in_w == 1:
         # One column makes the rows the contiguous axis, which numpy sums
         # pairwise, zero-weight rows included; the product is out_h x in_h.
-        tmp = (_area_weights(in_h, out_h)[:, :, None] * pixels).sum(axis=1)
+        tmp = (_area_weights(in_h, out_h)[:, :, None] * pixels[..., None, :, :]).sum(axis=-2)
     else:
         # Each output row sums only its band of input rows, in ascending
-        # order, as one gather (0.8 MB at 346x260 to 32x24, freed before
-        # the column products).  numpy adds the terms of this axis one
-        # after another, starting from +0.0, so a partial sum is never -0.0
-        # and the skipped zero-weight terms would not have changed it.
+        # order, one band offset at a time into one (..., out_h, in_w)
+        # buffer: the order in which numpy sums a band axis, starting from
+        # +0.0, so a partial sum is never -0.0 and the skipped zero-weight
+        # terms would not have changed it.
         idx, wband = _area_band(in_h, out_h)
-        tmp = (pixels[idx] * wband[:, :, None]).sum(axis=1)
+        tmp = np.zeros(pixels.shape[:-2] + (out_h, in_w))
+        for k in range(idx.shape[1]):
+            tmp += pixels[..., idx[:, k], :] * wband[:, k, None]
     # Columns: a broadcast-and-sum over the full weights, which keeps their
     # zero terms: dropping them would change the values.  Each output row
     # is its own sum, so taking _RESIZE_BLOCK_ROWS of them at a time gives
-    # the same bits with a third of the product (0.7 MB, not 2.1 MB, at
-    # 346x260 to 32x24).
-    wct = wc.T[None, :, :]
-    out = np.empty((out_h, out_w))
+    # the same bits with a third of the product (0.7 MB, not 2.1 MB, per
+    # 346x260 frame to 32x24).
+    wct = wc.T
+    out = np.empty(pixels.shape[:-2] + (out_h, out_w))
     for r in range(0, out_h, _RESIZE_BLOCK_ROWS):
         rows = slice(r, r + _RESIZE_BLOCK_ROWS)
-        out[rows] = (tmp[rows, :, None] * wct).sum(axis=1)
+        out[..., rows, :] = (tmp[..., rows, :, None] * wct).sum(axis=-2)
     return out
 
 
@@ -217,25 +231,37 @@ def sad_descriptor(
     tile is shifted to zero mean and scaled to unit (population) standard
     deviation, and the frame is flattened row-major.  Tiles with nearly
     zero variance come out as zeros.  The vector length is ``params.dim``.
+    This is :func:`describe_window_set`'s block path on a stack of one
+    image, so both give the same bits.
     """
-    down_width, down_height, patch = params.down_width, params.down_height, params.patch
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ConfigError(f"image must be 2-D, got shape {image.shape}")
-    if not np.isfinite(image).all():
+    return _describe_stack(image[None], params)[0]
+
+
+def _describe_stack(images: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """The descriptors of a ``(B, height, width)`` stack of images, ``(B, dim)``.
+
+    Each frame's values are the same sums in the same order as for a stack
+    of one: the broadcast-and-sum ops reduce only within a frame, along the
+    same axes.
+    """
+    down_width, down_height, patch = params.down_width, params.down_height, params.patch
+    if not np.isfinite(images).all():
         raise ConfigError("image contains non-finite values")
-    in_h, in_w = image.shape
+    in_h, in_w = images.shape[1:]
     if down_width > in_w or down_height > in_h:
         raise ConfigError(
             f"target {down_height}x{down_width} exceeds image {in_h}x{in_w}"
         )
-    small = _area_resize(image, down_height, down_width)
-    blocks = small.reshape(down_height // patch, patch, down_width // patch, patch)
-    mean = blocks.mean(axis=(1, 3), keepdims=True)
+    small = _area_resize(images, down_height, down_width)
+    blocks = small.reshape(-1, down_height // patch, patch, down_width // patch, patch)
+    mean = blocks.mean(axis=(2, 4), keepdims=True)
     centered = blocks - mean
-    std = np.sqrt((centered**2).mean(axis=(1, 3), keepdims=True))
+    std = np.sqrt((centered**2).mean(axis=(2, 4), keepdims=True))
     normed = np.where(std < DEGENERATE_STD, 0.0, centered / np.maximum(std, DEGENERATE_STD))
-    return normed.reshape(down_height, down_width).ravel()
+    return normed.reshape(len(images), params.dim)
 
 
 def describe_window_set(
@@ -253,20 +279,31 @@ def describe_window_set(
     other window is built.  Each distinct selected window is rasterized and
     described once.  All returned sequences carry exactly the grid's
     timestamps, so matrices built from them are index-aligned.
+
+    A family's windows are described in blocks of up to ``_BLOCK_BYTES`` of
+    images (at least one), each block by one set of numpy calls
+    (:func:`_describe_stack`), with the same bits as one
+    :func:`sad_descriptor` call per window.  A block of one is the
+    accumulated image itself, not a copy.
     """
     # One read-only copy, which every returned sequence shares.
     grid = _read_only(np.array(grid, dtype=np.int64, ndmin=1))
     if grid.size == 0:
         raise ConfigError("sample grid is empty")
     _check_increasing(grid, "sample grid")
+    per_block = max(1, _BLOCK_BYTES // (stream.geometry.n_pixels * 8))
     sequences = []
     for label, count, span_us in families:
         w, start, end = align_to_time(stream, grid, count, span_us)
         _, first, row_window = np.unique(w, return_index=True, return_inverse=True)
         frames = np.empty((first.size, params.dim), dtype=np.float64)
-        for k, i in enumerate(first):
-            image = accumulate_image(stream, int(start[i]), int(end[i]), params)
-            frames[k] = sad_descriptor(image, params)
+        for b in range(0, first.size, per_block):
+            images = [
+                accumulate_image(stream, int(start[i]), int(end[i]), params)
+                for i in first[b : b + per_block]
+            ]
+            stack = np.stack(images) if len(images) > 1 else images[0][None]
+            frames[b : b + len(images)] = _describe_stack(stack, params)
         sequences.append(DescriptorSequence(label, grid, _read_only(frames[row_window])))
     return sequences
 

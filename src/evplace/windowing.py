@@ -180,10 +180,16 @@ def align_to_time(stream: EventStream, t_us, count: int | None = None, span_us: 
     The family is given by its size alone, ``count`` events or ``span_us``
     microseconds, as :func:`split_fixed_count` or :func:`split_fixed_time`
     would build it.  For every sample time, the event covered by the family
-    whose timestamp is nearest is found (ties go to the earlier event):
-    the first ``n - n % count`` events of a count family, every event of a
-    span family.  Sample times beyond the covered range thus resolve to the
-    first or last non-empty window.  Returns the window indices and their
+    (the first ``n - n % count`` events of a count family, every event of a
+    span family) whose timestamp is nearest is found.  A tie between an
+    earlier and a later timestamp goes to the earlier one.  Of several
+    events at the chosen timestamp, the one nearest the sample in stream
+    order is taken, the sample sitting after every earlier event and before
+    the rest: the last of them if their time precedes the sample, the first
+    if it equals or follows it.  So for events at 10, 10, 20, 20 and a
+    count of 1, samples at 12, 15, 18 and 25 resolve to events 1, 1, 2 and
+    3.  Sample times beyond the covered range resolve to the first or last
+    non-empty window.  Returns the window indices and their
     ``[start, end)`` event ranges, three int64 arrays shaped like ``t_us``.
     """
     size = count if span_us is None else span_us
@@ -196,7 +202,8 @@ def align_to_time(stream: EventStream, t_us, count: int | None = None, span_us: 
     pos = np.searchsorted(t, t_us, side="left")
     before = np.maximum(pos - 1, 0)
     after = np.minimum(pos, t.size - 1)
-    # Tie between equally near neighbours goes to the earlier event.
+    # The sample's neighbours in stream order: the last event before its
+    # time and the first at or after it.  A tie goes to the earlier one.
     take_before = (pos > 0) & (t_us - t[before] <= t[after] - t_us)
     event_idx = np.where(take_before, before, after)
     if span_us is None:

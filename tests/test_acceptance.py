@@ -263,15 +263,30 @@ def _check_fixed_time(stream, span, failures, tag):
         failures.append(f"{tag}: trailing windows beyond the last event")
 
 
+def _nearest_event(covered, ts):
+    """The covered event nearest ``ts`` in time (ties: the earlier time),
+    then nearest in stream order to the sample's place, after every earlier
+    event and before the rest."""
+    slot = int(np.count_nonzero(covered < ts))
+    i = np.arange(covered.size)
+    order = np.where(i < slot, slot - i, i - slot + 1)
+    return int(np.lexsort((order, covered, np.abs(covered - ts)))[0])
+
+
 def _check_alignment(stream, family: WindowFamily, size, rng, failures, tag):
     lo = int(family.start_idx[0])
     hi = int(family.end_idx[-1])
     covered = stream.t[lo:hi]
     t_lo, t_hi = int(stream.t[0]) - 2_000, int(stream.t[-1]) + 2_000
-    samples = rng.integers(t_lo, t_hi + 1, size=30)
+    samples = np.concatenate(
+        [
+            rng.integers(t_lo, t_hi + 1, size=30),
+            covered[rng.integers(0, covered.size, size=10)] + 1,  # just after a run
+        ]
+    )
     got, starts, ends = align_to_time(stream, samples, **size)
     for ts, w, start, end in zip(samples, got, starts, ends):
-        nearest = lo + int(np.argmin(np.abs(covered - ts)))
+        nearest = lo + _nearest_event(covered, ts)
         expect = next(
             k
             for k, (start, end) in enumerate(zip(family.start_idx, family.end_idx))

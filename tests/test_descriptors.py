@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from evplace import descriptors
 from evplace.descriptors import (
+    DEGENERATE_STD,
     AccumulationMode,
     DescriptorParams,
     DescriptorSequence,
     _area_band,
     _area_resize,
     _area_weights,
+    _describe_stack,
     accumulate_image,
     describe_window_set,
     load_descriptors,
@@ -28,7 +32,7 @@ from evplace.errors import (
     ParseError,
 )
 from evplace.events import EventStream, SensorGeometry
-from evplace.windowing import build_window_set, sample_grid, window_families
+from evplace.windowing import align_to_time, build_window_set, sample_grid, window_families
 
 G = SensorGeometry(4, 4)
 
@@ -332,9 +336,11 @@ def test_area_band_holds_the_nonzero_weights_in_order():
 
 
 def test_area_resize_temporaries_stay_small_at_sensor_size():
-    # A whole (24, 260, 346) float64 product would be 17 MB; the banded rows
-    # gather 0.8 MB (1.6 MB with its weighted copy), and the column product
-    # is 0.7 MB a block of rows at a time (2.1 MB for all 24 rows at once).
+    # A whole (24, 260, 346) float64 product would be 17 MB.  The banded
+    # rows add one band offset at a time into one (24, 346) buffer (66 kB,
+    # with two like it per offset), where a gather of the whole band took
+    # 0.8 MB and its weighted copy as much again.  The column product is
+    # 0.7 MB a block of rows at a time (2.1 MB for all 24 rows at once).
     img = np.random.default_rng(84).random((260, 346))
     _area_resize(img, 24, 32)  # fills the weight cache outside the measurement
     tracemalloc.start()
@@ -343,7 +349,7 @@ def test_area_resize_temporaries_stay_small_at_sensor_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * img.nbytes
+    assert peak < 1.25 * img.nbytes
 
 
 def test_descriptor_dim_matches_params():
@@ -387,11 +393,15 @@ def test_describe_window_set_shapes_and_grid():
         assert np.array_equal(q.t_us, grid)
         assert q.dim == params.dim
     # every row is the descriptor of the split_fixed_* window holding the
-    # covered event nearest its grid time (ties: the earlier event)
+    # covered event nearest its grid time (ties: the earlier time), then
+    # nearest in stream order to the sample's place, after every earlier event
     for family, q in zip(ws, seqs):
         covered = s.t[: int(family.end_idx[-1])]
         for j, t_star in enumerate(grid.tolist()):
-            nearest = int(np.argmin(np.abs(covered - t_star)))
+            slot = int(np.count_nonzero(covered < t_star))
+            i = np.arange(covered.size)
+            order = np.where(i < slot, slot - i, i - slot + 1)
+            nearest = int(np.lexsort((order, covered, np.abs(covered - t_star)))[0])
             (w,) = np.flatnonzero((family.start_idx <= nearest) & (nearest < family.end_idx))
             image = accumulate_image(
                 s, int(family.start_idx[w]), int(family.end_idx[w]), params
@@ -415,6 +425,170 @@ def test_describe_family_without_windows_fails_alignment():
     families = window_families([50], [], s.geometry)  # more than len(s)
     with pytest.raises(AlignmentError):
         describe_window_set(families, s, sample_grid(s, 100), DescriptorParams(down_width=4, down_height=4, patch=2))
+
+
+def _sad_descriptor_2d(image, params):
+    """One frame's descriptor by 2-D ops alone, the resize by the dense
+    product: the oracle of the block path."""
+    dh, dw, p = params.down_height, params.down_width, params.patch
+    small = image.copy() if image.shape == (dh, dw) else _area_resize_dense(image, dh, dw)
+    tiles = small.reshape(dh // p, p, dw // p, p)
+    mean = tiles.mean(axis=(1, 3), keepdims=True)
+    centered = tiles - mean
+    std = np.sqrt((centered**2).mean(axis=(1, 3), keepdims=True))
+    normed = np.where(std < DEGENERATE_STD, 0.0, centered / np.maximum(std, DEGENERATE_STD))
+    return normed.ravel()
+
+
+def _describe_per_frame(families, stream, grid, params):
+    """Each family's rows from one accumulate_image and one 2-D descriptor
+    per distinct window."""
+    rows = []
+    for _, count, span_us in families:
+        w, start, end = align_to_time(stream, grid, count, span_us)
+        _, first, row_window = np.unique(w, return_index=True, return_inverse=True)
+        frames = np.array(
+            [
+                _sad_descriptor_2d(accumulate_image(stream, int(start[i]), int(end[i]), params), params)
+                for i in first
+            ]
+        )
+        rows.append(frames[row_window])
+    return rows
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("mode", list(AccumulationMode))
+@pytest.mark.parametrize(
+    "geometry, down, patch, grid_dt_us",
+    [
+        (SensorGeometry(32, 24), (16, 12), 4, 10_000),
+        (SensorGeometry(346, 260), (32, 24), 8, 100_000),
+        (SensorGeometry(45, 30), (12, 9), 3, 10_000),  # non-integer ratios
+        (SensorGeometry(1, 40), (1, 6), 1, 10_000),  # one column
+    ],
+)
+def test_describe_window_set_equals_the_per_frame_loop(geometry, down, patch, grid_dt_us, mode):
+    rng = np.random.default_rng(geometry.n_pixels)
+    s = _dense_stream(rng, 4_000, 400_000, geometry)
+    params = DescriptorParams(
+        mode=mode, clip=2.0, down_width=down[0], down_height=down[1], patch=patch
+    )
+    families = window_families([150, 900], [30_000], geometry)
+    grid = sample_grid(s, grid_dt_us)
+    seqs = describe_window_set(families, s, grid, params)
+    for seq, expect in zip(seqs, _describe_per_frame(families, s, grid, params)):
+        assert _same_bits(seq.values, expect), (seq.label, mode)
+
+
+@pytest.mark.parametrize(
+    "shape", [(24, 32, 12, 16, 4), (260, 346, 24, 32, 8), (30, 45, 9, 12, 3), (40, 1, 6, 1, 1)]
+)
+def test_a_stack_is_described_as_its_frames_one_at_a_time(shape):
+    in_h, in_w, out_h, out_w, patch = shape
+    rng = np.random.default_rng(in_h * in_w)
+    signed_zeros = np.where(rng.random((in_h, in_w)) < 0.5, 0.0, -0.0)
+    sparse_negative = np.where(
+        rng.random((in_h, in_w)) < 0.05, -rng.integers(1, 4, size=(in_h, in_w)), -0.0
+    )
+    stack = np.stack(
+        [
+            signed_zeros,
+            -signed_zeros,
+            sparse_negative,
+            rng.integers(0, 5, size=(in_h, in_w)).astype(np.float64),
+            rng.standard_normal((in_h, in_w)),
+        ]
+    )
+    params = DescriptorParams(down_width=out_w, down_height=out_h, patch=patch)
+    small = _area_resize(stack, out_h, out_w)
+    frames = _describe_stack(stack, params)
+    for k, image in enumerate(stack):
+        assert _same_bits(small[k], _area_resize_dense(image, out_h, out_w)), k
+        assert _same_bits(frames[k], _sad_descriptor_2d(image, params)), k
+        assert _same_bits(frames[k], sad_descriptor(image, params)), k
+
+
+def _record_stacks():
+    """Patch ``_describe_stack`` to record each stack it is given."""
+    stacks = []
+
+    def record(images, params):
+        stacks.append(images)
+        return _describe_stack(images, params)
+
+    return stacks, mock.patch.object(descriptors, "_describe_stack", side_effect=record)
+
+
+def test_describe_window_set_fills_blocks_with_a_partial_last_one():
+    geometry = SensorGeometry(32, 24)
+    per_block = descriptors._BLOCK_BYTES // (geometry.n_pixels * 8)
+    assert per_block == 10
+    rng = np.random.default_rng(89)
+    s = _dense_stream(rng, 20_000, 2_400_000, geometry)
+    params = DescriptorParams(
+        mode=AccumulationMode.COUNT, down_width=16, down_height=12, patch=4
+    )
+    # count_400 picks a window per grid point; count_20000 has one window.
+    families = window_families([400, len(s)], [], geometry)
+    grid = sample_grid(s, 100_000)
+    n_windows = np.unique(align_to_time(s, grid, count=400)[0]).size
+    assert n_windows > 2 * per_block and n_windows % per_block
+    stacks, patch = _record_stacks()
+    with patch:
+        seqs = describe_window_set(families, s, grid, params)
+    sizes = [min(per_block, n_windows - b) for b in range(0, n_windows, per_block)]
+    assert [len(stack) for stack in stacks] == sizes + [1]
+    for seq, expect in zip(seqs, _describe_per_frame(families, s, grid, params)):
+        assert _same_bits(seq.values, expect), seq.label
+
+
+def test_a_block_at_sensor_size_is_the_accumulated_image_uncopied():
+    geometry = SensorGeometry(346, 260)
+    assert descriptors._BLOCK_BYTES < geometry.n_pixels * 8
+    s = _dense_stream(np.random.default_rng(97), 3_000, 300_000, geometry)
+    images = []
+
+    def accumulate(*args):
+        images.append(accumulate_image(*args))
+        return images[-1]
+
+    stacks, patch = _record_stacks()
+    with patch, mock.patch.object(descriptors, "accumulate_image", side_effect=accumulate):
+        describe_window_set(window_families([500], [], geometry), s, sample_grid(s, 50_000))
+    assert len(stacks) == len(images) > 1
+    for stack, image in zip(stacks, images):
+        assert stack.shape == (1, 260, 346) and np.shares_memory(stack, image)
+
+
+def test_describe_window_set_peak_follows_the_block_not_the_frame_count():
+    geometry = SensorGeometry(32, 24)
+    rng = np.random.default_rng(101)
+    s = _dense_stream(rng, 100_000, 10_000_000, geometry)
+    params = DescriptorParams(
+        mode=AccumulationMode.COUNT, down_width=16, down_height=12, patch=4
+    )
+    families = window_families([77], [], geometry)
+    per_block = descriptors._BLOCK_BYTES // (geometry.n_pixels * 8)
+    for grid_dt_us in (300_000, 25_000):  # 34 and 400 frames: 4 and 40 blocks
+        grid = sample_grid(s, grid_dt_us)
+        assert grid.size > 3 * per_block
+        describe_window_set(families, s, grid, params)  # fills the weight caches
+        tracemalloc.start()
+        try:
+            describe_window_set(families, s, grid, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result holds each distinct frame and each grid row once; a
+        # block's images, products and sums stay under 12 blocks of bytes.
+        # All 400 frames at once would be 2.5 MB of images and 13 MB of
+        # column products.
+        result = 2 * grid.size * params.dim * 8
+        assert peak < result + 12 * descriptors._BLOCK_BYTES, (grid.size, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,12 @@ def _brute_force_rows(stream, family, grid):
     covered = stream.t[: int(family.end_idx[-1])]
     rows = []
     for t_star in grid.tolist():
-        nearest = int(np.argmin(np.abs(covered - t_star)))  # ties: the earlier event
+        # Nearest in time, ties to the earlier time, then nearest in stream
+        # order to the sample's place, after every earlier event.
+        slot = int(np.count_nonzero(covered < t_star))
+        i = np.arange(covered.size)
+        order = np.where(i < slot, slot - i, i - slot + 1)
+        nearest = int(np.lexsort((order, covered, np.abs(covered - t_star)))[0])
         (w,) = np.flatnonzero((family.start_idx <= nearest) & (nearest < family.end_idx))
         image = accumulate_image(
             stream, int(family.start_idx[w]), int(family.end_idx[w]), DESCRIPTOR

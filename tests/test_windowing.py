@@ -263,6 +263,15 @@ def test_align_tie_goes_to_earlier_event():
     assert align_to_time(s, [15], span_us=10)[0].tolist() == [0]
 
 
+def test_align_repeated_timestamps_pick_the_event_nearest_in_stream_order():
+    # Of the events at the nearest time, the one next to the sample's place
+    # in the stream: the last of a run before the sample, the first of a
+    # run at or after it.  argmin of the time distance would give 0, 0, 2.
+    s = _stream_at([10, 10, 20, 20])
+    assert align_to_time(s, [12, 15, 25], count=1)[0].tolist() == [1, 1, 3]
+    assert align_to_time(s, [5, 10, 18, 20], count=1)[0].tolist() == [0, 0, 2, 2]
+
+
 def test_align_clamps_beyond_last_event():
     s = _stream_at([0, 40])
     # the last window holds the last event, the first one the first event
@@ -292,11 +301,18 @@ def test_align_needs_one_positive_size():
 
 
 def _brute_force_align(s, fam, t_star):
-    """Index of the window holding the nearest covered event (ties: earlier)."""
+    """Index of the window holding the covered event nearest ``t_star`` in
+    time (ties: the earlier time), then nearest in stream order to the
+    sample's place, after every earlier event and before the rest."""
     lo, hi = int(fam.start_idx[0]), int(fam.end_idx[-1])
+    slot = lo + sum(int(s.t[i]) < t_star for i in range(lo, hi))
     best_i = min(
         range(lo, hi),
-        key=lambda i: (abs(int(s.t[i]) - t_star), int(s.t[i])),
+        key=lambda i: (
+            abs(int(s.t[i]) - t_star),
+            int(s.t[i]),
+            slot - i if i < slot else i - slot + 1,
+        ),
     )
     (expect,) = [k for k, (a, b) in enumerate(_ranges(fam)) if a <= best_i < b]
     return expect
@@ -305,7 +321,9 @@ def _brute_force_align(s, fam, t_star):
 def test_align_matches_brute_force_fuzz():
     rng = np.random.default_rng(41)
     for _ in range(40):
-        s = _random_stream(rng, int(rng.integers(2, 150)), t_max=10_000)
+        # Runs of up to four events share a timestamp.
+        t = rng.integers(0, 10_000, size=int(rng.integers(2, 60)))
+        s = _stream_at(np.sort(np.repeat(t, rng.integers(1, 5, size=t.size))))
         if rng.random() < 0.5:
             size = {"span_us": int(rng.integers(50, 3000))}
             fam = split_fixed_time(s, size["span_us"])
@@ -320,6 +338,7 @@ def test_align_matches_brute_force_fuzz():
                 [int(t[0]) - 1, int(t[-1]) + 1],
                 (t[gaps] + t[gaps + 1]) // 2,  # exact ties between neighbours
                 t[rng.integers(0, t.size, size=5)],  # exactly on an event
+                t[rng.integers(0, t.size, size=5)] + 1,  # just after a run
             ]
         )
         got, start, end = align_to_time(s, grid, **size)

@@ -70,24 +70,39 @@ DEFAULTS: dict[str, Any] = {
     "synthetic": None,
 }
 
-_SYNTHETIC_TRAVERSE_KEYS = {"seed", "dwell_s", "rate_scale", "noise_rate", "dropout"}
-_SYNTHETIC_KEYS = {
-    "world_seed",
-    "n_places",
-    "segments_per_place",
-    "reference",
-    "query",
-}
+# Stand-in defaults that give _merge the synthetic section's key types (the
+# section has none of its own: its seeds are required).
+_TRAVERSE_TYPES = {"seed": 0, "dwell_s": 0.0, "rate_scale": 0.0, "noise_rate": 0.0, "dropout": 0.0}
+_SYNTHETIC_TYPES = {"world_seed": 0, "n_places": 0, "segments_per_place": 0,
+                    "reference": _TRAVERSE_TYPES, "query": _TRAVERSE_TYPES}
+# Per default's type: the JSON type it asks for, and the Python types that hold it.
+_JSON_TYPES = {bool: ("a boolean", bool), int: ("an integer", int),
+               float: ("a number", (int, float)), str: ("a string", str),
+               list: ("a list", list), dict: ("an object", dict)}
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """``base`` with ``override`` laid over it, objects merged key by key.
+
+    Every key must be one of ``base``'s, and every value must have its
+    default's JSON type: an integer for an integer, any number for a float,
+    a boolean (never a number) for a boolean, and likewise a string, list or
+    object.  A key whose default is null keeps its own checks, made later.
+    """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where)
+        default = base[key]
+        if default is not None:
+            name, types = _JSON_TYPES[type(default)]
+            if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
+                raise ConfigError(
+                    f"config key {where!r} has the wrong type: needs {name}, not {value!r}"
+                )
+        if isinstance(default, dict):
+            out[key] = _merge(default, value, where)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -160,10 +175,12 @@ class PipelineConfig:
         try:
             return cls._validate(merged)
         except TypeError as e:
-            # A value of the wrong JSON type (a list where a number belongs, ...).
+            # A wrongly typed value under a null default, which _merge lets
+            # through (rule.weights: 5, sweep.values: 5).
             raise ConfigError(f"config value has the wrong type: {e}") from e
         except OverflowError as e:
-            # An infinite number (JSON Infinity, 1e400) where an integer belongs.
+            # An infinite span (JSON Infinity, 1e400), or an integer too
+            # large for a float where a number belongs.
             raise ConfigError(f"config value is out of range: {e}") from e
 
     @classmethod
@@ -171,7 +188,7 @@ class PipelineConfig:
         geometry = SensorGeometry(int(c["geometry"]["width"]), int(c["geometry"]["height"]))
         hp = c["filters"]["hot_pixels"]
         bu = c["filters"]["bursts"]
-        if float(hp["sigma"]) <= 0:
+        if not float(hp["sigma"]) > 0:  # NaN fails too
             raise ConfigError("filters.hot_pixels.sigma must be positive")
         if int(bu["bin_us"]) < 1:
             raise ConfigError("filters.bursts.bin_us must be positive")
@@ -191,7 +208,7 @@ class PipelineConfig:
                 raise ConfigError(f"absolute window count {v} must be >= 1")
         spans_us = []
         for v in spans_ms:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
                 raise ConfigError(f"windows.spans_ms entry {v!r} is not a number")
             span_us = int(round(float(v) * 1000))
             if span_us < 1:
@@ -259,16 +276,9 @@ class PipelineConfig:
         synthetic = None
         if c["synthetic"] is not None:
             s = c["synthetic"]
-            unknown = set(s) - _SYNTHETIC_KEYS
-            if unknown:
-                raise ConfigError(f"unknown synthetic config keys {sorted(unknown)}")
+            _merge({"synthetic": _SYNTHETIC_TYPES}, {"synthetic": s})  # keys and types
             for side in ("reference", "query"):
-                if side not in s or not isinstance(s[side], dict):
-                    raise ConfigError(f"synthetic.{side} section is required")
-                bad = set(s[side]) - _SYNTHETIC_TRAVERSE_KEYS
-                if bad:
-                    raise ConfigError(f"unknown synthetic.{side} keys {sorted(bad)}")
-                if "seed" not in s[side]:
+                if "seed" not in s.get(side, {}):
                     raise ConfigError(f"synthetic.{side}.seed is required")
             if "world_seed" not in s or "n_places" not in s:
                 raise ConfigError("synthetic.world_seed and synthetic.n_places are required")

@@ -11,7 +11,8 @@ Resize and normalization work on a ``(B, height, width)`` stack of
 images, so :func:`describe_window_set` describes a block of windows per
 numpy call rather than one: at small sizes a frame costs little more than
 the overhead of each call.  Every output value is the same sum in the same
-order whatever the block, and :func:`sad_descriptor` is the stack of one.
+order whatever the block: :func:`sad_descriptor` takes one image or a
+block.
 
 Descriptors computed elsewhere (e.g. by a learned image model on
 reconstructed frames) can be loaded from CSV and used interchangeably:
@@ -98,7 +99,7 @@ class DescriptorParams:
     patch: int = DEFAULT_PATCH
 
     def __post_init__(self):
-        if self.clip <= 0:
+        if not self.clip > 0:  # NaN fails too
             raise ConfigError(f"clip must be positive, got {self.clip}")
         if self.patch < 1:
             raise ConfigError(f"patch must be >= 1, got {self.patch}")
@@ -224,33 +225,25 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def sad_descriptor(
     image: np.ndarray, params: DescriptorParams = DescriptorParams()
 ) -> np.ndarray:
-    """Compute the patch-normalized frame descriptor of a 2-D event image.
+    """The patch-normalized frame descriptor of a ``(height, width)`` event
+    image, ``(dim,)``, or of each image of a ``(B, height, width)`` block,
+    ``(B, dim)``.
 
-    The image is area-averaged down to ``params.down_height x
+    Each image is area-averaged down to ``params.down_height x
     params.down_width``, each non-overlapping ``params.patch x params.patch``
     tile is shifted to zero mean and scaled to unit (population) standard
     deviation, and the frame is flattened row-major.  Tiles with nearly
-    zero variance come out as zeros.  The vector length is ``params.dim``.
-    This is :func:`describe_window_set`'s block path on a stack of one
-    image, so both give the same bits.
+    zero variance come out as zeros.  An image's values are the same sums in
+    the same order whatever block it is in, and as on its own: the
+    broadcast-and-sum ops reduce only within a frame, along the same axes.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ConfigError(f"image must be 2-D, got shape {image.shape}")
-    return _describe_stack(image[None], params)[0]
-
-
-def _describe_stack(images: np.ndarray, params: DescriptorParams) -> np.ndarray:
-    """The descriptors of a ``(B, height, width)`` stack of images, ``(B, dim)``.
-
-    Each frame's values are the same sums in the same order as for a stack
-    of one: the broadcast-and-sum ops reduce only within a frame, along the
-    same axes.
-    """
+    images = np.asarray(image, dtype=np.float64)
+    if images.ndim not in (2, 3):
+        raise ConfigError(f"image must be 2-D or a 3-D block, got shape {images.shape}")
     down_width, down_height, patch = params.down_width, params.down_height, params.patch
     if not np.isfinite(images).all():
         raise ConfigError("image contains non-finite values")
-    in_h, in_w = images.shape[1:]
+    in_h, in_w = images.shape[-2:]
     if down_width > in_w or down_height > in_h:
         raise ConfigError(
             f"target {down_height}x{down_width} exceeds image {in_h}x{in_w}"
@@ -261,7 +254,7 @@ def _describe_stack(images: np.ndarray, params: DescriptorParams) -> np.ndarray:
     centered = blocks - mean
     std = np.sqrt((centered**2).mean(axis=(2, 4), keepdims=True))
     normed = np.where(std < DEGENERATE_STD, 0.0, centered / np.maximum(std, DEGENERATE_STD))
-    return normed.reshape(len(images), params.dim)
+    return normed.reshape(images.shape[:-2] + (params.dim,))
 
 
 def describe_window_set(
@@ -281,9 +274,8 @@ def describe_window_set(
     timestamps, so matrices built from them are index-aligned.
 
     A family's windows are described in blocks of up to ``_BLOCK_BYTES`` of
-    images (at least one), each block by one set of numpy calls
-    (:func:`_describe_stack`), with the same bits as one
-    :func:`sad_descriptor` call per window.  A block of one is the
+    images (at least one), one :func:`sad_descriptor` call per block, with
+    the same bits as one call per window.  A block of one is the
     accumulated image itself, not a copy.
     """
     # One read-only copy, which every returned sequence shares.
@@ -303,7 +295,7 @@ def describe_window_set(
                 for i in first[b : b + per_block]
             ]
             stack = np.stack(images) if len(images) > 1 else images[0][None]
-            frames[b : b + len(images)] = _describe_stack(stack, params)
+            frames[b : b + len(images)] = sad_descriptor(stack, params)
         sequences.append(DescriptorSequence(label, grid, _read_only(frames[row_window])))
     return sequences
 

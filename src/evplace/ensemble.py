@@ -73,7 +73,7 @@ class EnsembleRule:
         if self.weights is not None:
             if self.kind is not RuleKind.WEIGHTED:
                 raise ConfigError("weights are only valid for the weighted rule")
-            if len(self.weights) == 0 or any(w <= 0 for w in self.weights):
+            if len(self.weights) == 0 or not all(w > 0 for w in self.weights):
                 raise ConfigError("weights must be positive")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         elif self.kind is RuleKind.WEIGHTED:

@@ -659,7 +659,7 @@ def hot_pixel_mask(
         The events to keep, ``None`` when nothing is flagged, and the
         flagged pixels in the order found (row-major scan within each round).
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails too
         raise ConfigError(f"sigma must be positive, got {sigma}")
     n_pixels = stream.geometry.n_pixels
     counts = np.zeros(n_pixels, dtype=np.int64)

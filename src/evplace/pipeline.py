@@ -58,11 +58,6 @@ class PipelineResult:
         return tuple(e.precision for e in self.member_evals)
 
 
-def _restrict(seq: DescriptorSequence, mask: np.ndarray, grid: np.ndarray) -> DescriptorSequence:
-    """``seq``'s rows under ``mask``, on ``grid``: the restricted grid every sequence shares."""
-    return DescriptorSequence(seq.label, grid, _read_only(seq.values[mask]))
-
-
 def run_from_sequences(
     query_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
     reference_seqs: list[DescriptorSequence] | tuple[DescriptorSequence, ...],
@@ -76,26 +71,27 @@ def run_from_sequences(
 
     Query sequences must share one sample grid (likewise references); grid
     points without ground-truth coverage are dropped from the query side.
-    ``approximate_query`` adds the single-query-family ensemble.
+    ``approximate_query`` adds the single-query-family ensemble.  It rides
+    with the member query sequences through the one grid check and the one
+    restriction, and is split off after them.
     """
     if len(query_seqs) != len(reference_seqs) or not query_seqs:
         raise ConfigError("need equally many query and reference sequences")
+    with_approx = approximate_query is not None
+    query_seqs = [*query_seqs, approximate_query] if with_approx else list(query_seqs)
     q_grid = query_seqs[0].t_us
     for s in query_seqs[1:]:
         if not np.array_equal(s.t_us, q_grid):
             raise ConfigError(f"query sequence {s.label} is not grid-aligned")
-    if approximate_query is not None and not np.array_equal(
-        approximate_query.t_us, q_grid
-    ):
-        raise ConfigError("approximate query sequence is not grid-aligned")
 
     gt, keep = interpolate_ground_truth(anchors, q_grid)
     dropped = int(q_grid.size - keep.sum())
     if dropped:
-        grid = _read_only(q_grid[keep])
-        query_seqs = [_restrict(s, keep, grid) for s in query_seqs]
-        if approximate_query is not None:
-            approximate_query = _restrict(approximate_query, keep, grid)
+        grid = _read_only(q_grid[keep])  # the one restricted grid every sequence shares
+        query_seqs = [
+            DescriptorSequence(s.label, grid, _read_only(s.values[keep])) for s in query_seqs
+        ]
+    approximate_query = query_seqs.pop() if with_approx else None
 
     members = tuple(
         build_distance_matrix(q, r, metric)

@@ -66,11 +66,11 @@ class TraverseParams:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.dwell_s <= 0:
+        if not self.dwell_s > 0:  # each test written so that NaN fails it
             raise ConfigError(f"dwell_s must be positive, got {self.dwell_s}")
-        if self.rate_scale <= 0:
+        if not self.rate_scale > 0:
             raise ConfigError(f"rate_scale must be positive, got {self.rate_scale}")
-        if self.noise_rate < 0:
+        if not self.noise_rate >= 0:
             raise ConfigError(f"noise_rate must be >= 0, got {self.noise_rate}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -145,6 +145,8 @@ def generate_traverse(
     timeline (pair two traverses with :func:`pair_ground_truth`).  Place
     ``i``'s times lie in ``[i * dwell_us, (i + 1) * dwell_us)``, so sorting
     each place stably and joining them once sorts the whole traverse.
+    Each place is drawn straight into the ``t``, ``pixel`` and ``p``
+    columns, valid by construction, and only the places' order is checked.
     """
     rng = np.random.default_rng(params.seed)
     geom = world.geometry
@@ -153,7 +155,7 @@ def generate_traverse(
         raise ConfigError("dwell_s is below one microsecond")
     centers = np.arange(world.n_places, dtype=np.float64) * dwell_us + dwell_us / 2.0
     truth = GroundTruth(centers, centers)  # refuses a world of no places
-    places, end = [], 0
+    columns, end = ([], [], []), 0  # t, pixel, p: one array per place each
     pixel_ids = np.arange(geom.n_pixels, dtype=np.int32)
     for i in range(world.n_places):
         lam = (params.rate_scale * world.place_patterns[i] + params.noise_rate) * params.dwell_s
@@ -165,14 +167,13 @@ def generate_traverse(
         pol = (rng.integers(0, 2, size=n_i) * 2 - 1).astype(np.int8)
         kept = np.flatnonzero(rng.random(n_i) >= params.dropout)
         kept = kept[np.argsort(t[kept], kind="stable")]
-        pix = np.repeat(pixel_ids, counts)[kept]
-        place = EventStream(geom, t[kept], pix % geom.width, pix // geom.width, pol[kept])
-        if len(place) and place.t[0] < end:
+        t = t[kept]
+        if t.size and t[0] < end:
             raise OrderingError(f"place {i} starts before the places before it end")
-        end = place.t[-1] if len(place) else end
-        places.append(place)
-    columns = (np.concatenate([getattr(s, c) for s in places]) for c in ("t", "pixel", "p"))
-    return EventStream._adopt(geom, *columns), truth
+        end = t[-1] if t.size else end
+        for column, values in zip(columns, (t, np.repeat(pixel_ids, counts)[kept], pol[kept])):
+            column.append(values)
+    return EventStream._adopt(geom, *map(np.concatenate, columns)), truth
 
 
 def pair_ground_truth(query_gt: GroundTruth, reference_gt: GroundTruth) -> GroundTruth:

@@ -214,6 +214,41 @@ def test_wrongly_typed_override_fails_with_config_tag(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("filters.hot_pixels.sigma=NaN", "filters.hot_pixels.sigma"),
+        ("geometry.width=32.9", "geometry.width"),
+        ('filters.bursts.enabled="no"', "filters.bursts.enabled"),
+    ],
+)
+def test_a_nan_or_wrongly_typed_value_fails_at_config(workspace, tmp_path, capsys, override, key):
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "windows",
+            "--config", str(workspace["cfg"]),
+            "--set", override,
+            "--events", str(workspace["data"] / "query_events.csv"),
+            "-o", str(out),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace windows: error [config]") and key in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_with_a_nan_query_rate_fails_before_writing(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["synth", "--config", str(workspace["cfg"]), "--set", "synthetic.query.noise_rate=NaN"]
+    assert main([*args, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evplace synth: error [config] noise_rate must be >= 0"), err
+    assert not out.exists()
+
+
 def test_infinite_override_fails_with_config_tag(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     events = workspace["data"] / "query_events.csv"

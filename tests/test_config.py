@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -125,6 +126,64 @@ def test_validation_catches_bad_values():
     for raw in bad_cases:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["filters.hot_pixels.sigma=NaN"], "filters.hot_pixels.sigma must be positive"),
+        (["descriptor.clip=NaN"], "clip must be positive"),
+        (["rule.kind=weighted", "rule.weights=[1, NaN]"], "weights must be positive"),
+        (["windows.spans_ms=[44, NaN]"], "spans_ms entry nan is not a number"),
+        (["synthetic.reference.dwell_s=NaN"], "dwell_s must be positive"),
+        (["synthetic.query.rate_scale=NaN"], "rate_scale must be positive"),
+        (["synthetic.query.noise_rate=NaN"], "noise_rate must be >= 0"),
+    ],
+)
+def test_nan_fails_every_must_be_positive_check(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(CONFIGS / "synthetic-default.json"), overrides)
+
+
+@pytest.mark.parametrize(
+    "override, needs",
+    [
+        ("geometry.width=32.9", "an integer"),
+        ("geometry.height=true", "an integer"),
+        ('loc_threshold_us="900000"', "an integer"),
+        ("grid_dt_us=1e6", "an integer"),
+        ('filters.hot_pixels.enabled="false"', "a boolean"),
+        ("filters.bursts.enabled=1", "a boolean"),
+        ("descriptor.clip=true", "a number"),
+        ("descriptor.mode=3", "a string"),
+        ("windows.counts=0.5", "a list"),
+        ("filters=[]", "an object"),
+        ("synthetic.n_places=10.0", "an integer"),
+        ("synthetic.query.seed=true", "an integer"),
+        ('synthetic.reference.dwell_s="1"', "a number"),
+    ],
+)
+def test_a_value_of_the_wrong_json_type_is_refused_naming_its_key(override, needs):
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError, match=f"config key '{key}' has the wrong type: needs {needs}"):
+        load_config(str(CONFIGS / "synthetic-default.json"), [override])
+
+
+def test_a_float_key_takes_any_number():
+    cfg = load_config(
+        str(CONFIGS / "synthetic-default.json"),
+        ["descriptor.clip=2", "filters.hot_pixels.sigma=4", "synthetic.query.dwell_s=1"],
+    )
+    assert (cfg.descriptor.clip, cfg.hot_pixels_sigma, cfg.synthetic.query.dwell_s) == (2.0, 4.0, 1)
+
+
+def test_every_committed_and_benchmark_config_loads(monkeypatch):
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config(str(path))
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for raw in (workloads.SENSOR_CONFIG, workloads.ROUTE_CONFIG):
+        PipelineConfig.from_dict(json.loads(json.dumps(raw)))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from evplace.descriptors import (
     _area_band,
     _area_resize,
     _area_weights,
-    _describe_stack,
     accumulate_image,
     describe_window_set,
     load_descriptors,
@@ -364,6 +363,12 @@ def test_params_refuse_a_target_size_below_one(width, height):
         DescriptorParams(down_width=width, down_height=height, patch=4)
 
 
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+def test_params_refuse_a_clip_that_is_not_positive(clip):
+    with pytest.raises(ConfigError, match="clip must be positive"):
+        DescriptorParams(clip=clip)
+
+
 # ---------------------------------------------------------------------------
 # describing a window set
 
@@ -505,7 +510,7 @@ def test_a_stack_is_described_as_its_frames_one_at_a_time(shape):
     )
     params = DescriptorParams(down_width=out_w, down_height=out_h, patch=patch)
     small = _area_resize(stack, out_h, out_w)
-    frames = _describe_stack(stack, params)
+    frames = sad_descriptor(stack, params)
     for k, image in enumerate(stack):
         assert _same_bits(small[k], _area_resize_dense(image, out_h, out_w)), k
         assert _same_bits(frames[k], _sad_descriptor_2d(image, params)), k
@@ -513,14 +518,14 @@ def test_a_stack_is_described_as_its_frames_one_at_a_time(shape):
 
 
 def _record_stacks():
-    """Patch ``_describe_stack`` to record each stack it is given."""
+    """Patch ``sad_descriptor`` to record each stack it is given."""
     stacks = []
 
     def record(images, params):
         stacks.append(images)
-        return _describe_stack(images, params)
+        return sad_descriptor(images, params)
 
-    return stacks, mock.patch.object(descriptors, "_describe_stack", side_effect=record)
+    return stacks, mock.patch.object(descriptors, "sad_descriptor", side_effect=record)
 
 
 def test_describe_window_set_fills_blocks_with_a_partial_last_one():
@@ -544,6 +549,41 @@ def test_describe_window_set_fills_blocks_with_a_partial_last_one():
     assert [len(stack) for stack in stacks] == sizes + [1]
     for seq, expect in zip(seqs, _describe_per_frame(families, s, grid, params)):
         assert _same_bits(seq.values, expect), seq.label
+
+
+@pytest.mark.parametrize("mode", list(AccumulationMode))
+def test_describe_window_set_calls_sad_descriptor_once_per_block(mode):
+    geometry = SensorGeometry(32, 24)
+    per_block = descriptors._BLOCK_BYTES // (geometry.n_pixels * 8)
+    s = _dense_stream(np.random.default_rng(103), 6_000, 1_200_000, geometry)
+    params = DescriptorParams(mode=mode, clip=2.0, down_width=16, down_height=12, patch=4)
+    families = window_families([60, 700], [45_000], geometry)
+    grid = sample_grid(s, 20_000)
+    n_windows = [np.unique(align_to_time(s, grid, c, span)[0]).size for _, c, span in families]
+    stacks, patch = _record_stacks()
+    with patch:
+        seqs = describe_window_set(families, s, grid, params)
+    expect_sizes = [
+        min(per_block, n - b) for n in n_windows for b in range(0, n, per_block)
+    ]
+    assert [stack.shape for stack in stacks] == [(k, 24, 32) for k in expect_sizes]
+    for seq, expect in zip(seqs, _describe_per_frame(families, s, grid, params)):
+        assert _same_bits(seq.values, expect), (seq.label, mode)
+
+
+def test_sad_descriptor_takes_one_image_or_a_block():
+    rng = np.random.default_rng(107)
+    params = DescriptorParams(down_width=16, down_height=12, patch=4)
+    block = rng.integers(-3, 4, size=(7, 24, 32)).astype(np.float64)
+    frames = sad_descriptor(block, params)
+    assert frames.shape == (7, params.dim)
+    for k, image in enumerate(block):
+        one = sad_descriptor(image, params)
+        assert one.shape == (params.dim,) and _same_bits(one, frames[k]), k
+        assert _same_bits(sad_descriptor(block[k : k + 1], params)[0], one), k
+    for bad in (block[0, 0], block[None]):
+        with pytest.raises(ConfigError, match="2-D or a 3-D block"):
+            sad_descriptor(bad, params)
 
 
 def test_a_block_at_sensor_size_is_the_accumulated_image_uncopied():

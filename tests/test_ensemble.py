@@ -261,6 +261,12 @@ def test_weights_must_be_positive():
         EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, -0.5))
 
 
+def test_a_nan_weight_is_refused():
+    # NaN compares false both ways, so a check written "w <= 0" lets it through.
+    with pytest.raises(ConfigError, match="weights must be positive"):
+        EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, float("nan"), 1.0))
+
+
 def test_rules_stay_inside_member_bounds():
     rng = np.random.default_rng(139)
     members = _random_members(rng, 5)

@@ -1227,6 +1227,16 @@ def test_hot_pixels_output_is_subsequence():
     assert np.array_equal(out.p, s.p[keep])
 
 
+def test_hot_pixel_mask_refuses_a_nan_sigma():
+    # With a NaN threshold nothing would be flagged: the filter silently off.
+    pixels = [5] * 50 + list(range(16))
+    s = EventStream(G4, range(len(pixels)), [i % 4 for i in pixels], [i // 4 for i in pixels],
+                    [1] * len(pixels))
+    assert hot_pixel_mask(s, 1.0)[1] == [(1, 1)]
+    with pytest.raises(ConfigError, match="sigma must be positive"):
+        hot_pixel_mask(s, float("nan"))
+
+
 def _remove_hot_pixels_rounds(stream, sigma):
     """The per-round select loop ``remove_hot_pixels`` replaced: its oracle.
 

@@ -200,6 +200,17 @@ def test_approximate_query_must_be_grid_aligned():
         run_from_sequences([q], [r], _identity_anchors(t), approximate_query=stray)
 
 
+@pytest.mark.parametrize("stray_t", [[0, 3_000_000], [0, 1_000_000, 2_000_000], [1_000_000]])
+def test_an_approximate_query_off_the_query_grid_fails_the_members_grid_check(stray_t):
+    rng = np.random.default_rng(71)
+    t = [0, 1_000_000]
+    q = _seq(rng.standard_normal((2, 4)), t, "q")
+    r = _seq(rng.standard_normal((2, 4)), t, "r")
+    stray = _seq(rng.standard_normal((len(stray_t), 4)), stray_t, "stray")
+    with pytest.raises(ConfigError, match="query sequence external_stray is not grid-aligned"):
+        run_from_sequences([q, q], [r, r], _identity_anchors(t), approximate_query=stray)
+
+
 def test_run_from_sequences_external_descriptors():
     # place-recognition on hand-made descriptors: two places, clean match
     t = [0, 1_000_000, 2_000_000]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,28 @@ def test_traverse_sorted_place_by_place_equals_the_whole_traverse_sort(
     assert gt.ref_t_us.tobytes() == expect_gt.ref_t_us.tobytes()
 
 
+def test_traverse_builds_no_per_place_stream(monkeypatch):
+    """Places are drawn straight into columns: with the checked
+    ``EventStream`` constructor disabled, the traverse keeps its bytes (the
+    digest was taken from the per-place-stream implementation)."""
+    world = generate_world(5, 4, GEOM)
+    params = TraverseParams(seed=7, dwell_s=0.5, rate_scale=0.8, noise_rate=3.0, dropout=0.3)
+    expect, _ = _whole_traverse(world, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a checked EventStream")
+
+    monkeypatch.setattr(EventStream, "__init__", refuse)
+    stream, _ = generate_traverse(world, params)
+    digest = hashlib.sha256()
+    for name in ("t", "pixel", "p"):
+        got, want = getattr(stream, name), getattr(expect, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        digest.update(got.tobytes())
+    assert len(stream) == 8203
+    assert digest.hexdigest() == "2bfb58a4d8b9ba09128dce68781b1f5a36a121d0797ba7eb210b6479bc26a929"
+
+
 def test_traverse_refuses_a_place_that_starts_before_the_last_ended(monkeypatch):
     # Timestamps drawn at 2.5 dwells put place 0 after place 1, drawn at 0.
     draws = iter([2.5, 0.0, 0.0, 0.0])  # place 0's times and dropout, then place 1's
@@ -319,6 +343,13 @@ def test_traverse_params_validation():
     ):
         with pytest.raises(ConfigError):
             TraverseParams(seed=0, **bad)
+
+
+@pytest.mark.parametrize("field", ["dwell_s", "rate_scale", "noise_rate", "dropout"])
+def test_traverse_params_refuse_nan(field):
+    # NaN compares false both ways, so a check written "x <= 0" lets it through.
+    with pytest.raises(ConfigError, match=field):
+        TraverseParams(seed=0, **{field: float("nan")})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Pipeline configuration: JSON file, defaults, and flag overrides.
 
-A config is one JSON object.  Every key has a default, unknown keys are
-rejected, and values are validated by constructing the corresponding
-domain objects before any data is touched.  Command-line ``--set
-a.b.c=value`` overrides are applied on top of the file, flags winning.
+A config is one JSON object.  Every key has a default, and command-line
+``--set a.b.c=value`` overrides are applied on top of the file, flags
+winning.  One walk, :func:`_merge`, decides each value's JSON type: an
+unknown key, a value of another type than its default's (or its stand-in's,
+where the default is null), a list entry that is not a number and an
+integer too large for a float are refused there, naming the key.  Then
+:meth:`PipelineConfig._validate` checks each value's range, again naming
+the key, and builds the domain objects, before any data is touched.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any
 
 from .descriptors import (
@@ -38,6 +43,7 @@ from .windowing import (
     DEFAULT_COUNT_FRACTIONS,
     DEFAULT_GRID_DT_US,
     DEFAULT_SPANS_US,
+    _INT64_MAX,
 )
 
 DEFAULTS: dict[str, Any] = {
@@ -70,42 +76,67 @@ DEFAULTS: dict[str, Any] = {
     "synthetic": None,
 }
 
-# Stand-in defaults that give _merge the synthetic section's key types (the
-# section has none of its own: its seeds are required).
+# Stand-ins that type the keys whose default is null: a list (of numbers, as
+# every list is) for the weights and the sweep, and the synthetic section's
+# keys, none of which is filled in (its seeds are required).
 _TRAVERSE_TYPES = {"seed": 0, "dwell_s": 0.0, "rate_scale": 0.0, "noise_rate": 0.0, "dropout": 0.0}
-_SYNTHETIC_TYPES = {"world_seed": 0, "n_places": 0, "segments_per_place": 0,
-                    "reference": _TRAVERSE_TYPES, "query": _TRAVERSE_TYPES}
+_STAND_INS = {
+    "rule.weights": [],
+    "sweep.values": [],
+    "synthetic": {"world_seed": 0, "n_places": 0, "segments_per_place": 0,
+                  "reference": _TRAVERSE_TYPES, "query": _TRAVERSE_TYPES},
+}
 # Per default's type: the JSON type it asks for, and the Python types that hold it.
 _JSON_TYPES = {bool: ("a boolean", bool), int: ("an integer", int),
                float: ("a number", (int, float)), str: ("a string", str),
                list: ("a list", list), dict: ("an object", dict)}
+# The least integer that float() rounds to infinity.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """``base`` with ``override`` laid over it, objects merged key by key.
+def _merge(like: Any, value: Any, default: Any = None, where: str = "") -> Any:
+    """``value``, checked against ``like``'s JSON type and laid over ``default``.
 
-    Every key must be one of ``base``'s, and every value must have its
-    default's JSON type: an integer for an integer, any number for a float,
-    a boolean (never a number) for a boolean, and likewise a string, list or
-    object.  A key whose default is null keeps its own checks, made later.
+    ``like`` is the key's default, or its stand-in where the default is
+    null.  An integer takes an integer, a float any number a float can hold,
+    a boolean a boolean (never a number), and a string a string.  A list's
+    entries are numbers, each checked as a float is.  An object's keys must
+    be ``like``'s, and each value is merged over ``default``'s, so an object
+    under a null default holds only the keys given.  A key whose default is
+    null also takes null.  Each error names the key, ``where``.
     """
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        default = base[key]
-        if default is not None:
-            name, types = _JSON_TYPES[type(default)]
-            if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
-                raise ConfigError(
-                    f"config key {where!r} has the wrong type: needs {name}, not {value!r}"
-                )
-        if isinstance(default, dict):
-            out[key] = _merge(default, value, where)
+    name, types = _JSON_TYPES[type(like)]
+    if not isinstance(value, types) or isinstance(value, bool) != isinstance(like, bool):
+        raise ConfigError(f"config key {where!r} has the wrong type: needs {name}, not {value!r}")
+    if isinstance(like, float) and isinstance(value, int) and abs(value) >= _FLOAT_LIMIT:
+        raise ConfigError(f"config key {where!r} is an integer too large for a float")
+    if isinstance(like, list):
+        return [_merge(0.0, v, None, f"{where}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(like, dict):
+        return value
+    out = copy.deepcopy(default) if default is not None else {}
+    for key, v in value.items():
+        at = f"{where}.{key}" if where else key
+        if key not in like:
+            raise ConfigError(f"unknown config key {at!r}")
+        if v is None and like[key] is None:
+            out[key] = None
         else:
-            out[key] = copy.deepcopy(value)
+            out[key] = _merge(_STAND_INS.get(at, like[key]), v, out.get(key), at)
     return out
+
+
+def _check(ok: bool, key: str, rule: str) -> None:
+    """Refuse ``key``'s value unless ``ok``: it must be as ``rule`` says."""
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}")
+
+
+def _enum(kind: type[Enum], value: str, key: str) -> Enum:
+    """The member of ``kind`` named ``value``, refusing any other name."""
+    names = [member.value for member in kind]
+    _check(value in names, key, f"one of {', '.join(names)}, not {value!r}")
+    return kind(value)
 
 
 def _parse_override(expr: str) -> tuple[list[str], Any]:
@@ -117,7 +148,7 @@ def _parse_override(expr: str) -> tuple[list[str], Any]:
         raise ConfigError(f"override {expr!r} has an empty key path")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of too many digits: the text itself
         value = raw
     return keys, value
 
@@ -171,141 +202,97 @@ class PipelineConfig:
         for expr in overrides or []:
             keys, value = _parse_override(expr)
             _apply_override(raw, keys, value)
-        merged = _merge(DEFAULTS, raw)
-        try:
-            return cls._validate(merged)
-        except TypeError as e:
-            # A wrongly typed value under a null default, which _merge lets
-            # through (rule.weights: 5, sweep.values: 5).
-            raise ConfigError(f"config value has the wrong type: {e}") from e
-        except OverflowError as e:
-            # An infinite span (JSON Infinity, 1e400), or an integer too
-            # large for a float where a number belongs.
-            raise ConfigError(f"config value is out of range: {e}") from e
+        return cls._validate(_merge(DEFAULTS, raw, DEFAULTS))
 
     @classmethod
     def _validate(cls, c: dict) -> "PipelineConfig":
-        geometry = SensorGeometry(int(c["geometry"]["width"]), int(c["geometry"]["height"]))
+        """Check the range of each value of a merged config, naming its key,
+        and build the domain objects.  Each check is written so that NaN
+        fails it; an integer the run holds as an int64 must fit one."""
+        geometry = SensorGeometry(c["geometry"]["width"], c["geometry"]["height"])
         hp = c["filters"]["hot_pixels"]
         bu = c["filters"]["bursts"]
-        if not float(hp["sigma"]) > 0:  # NaN fails too
-            raise ConfigError("filters.hot_pixels.sigma must be positive")
-        if int(bu["bin_us"]) < 1:
-            raise ConfigError("filters.bursts.bin_us must be positive")
-        if not (0.0 < float(bu["fraction"]) <= 1.0):
-            raise ConfigError("filters.bursts.fraction must be in (0, 1]")
+        _check(hp["sigma"] > 0, "filters.hot_pixels.sigma", "positive")
+        _check(0.0 < bu["fraction"] <= 1.0, "filters.bursts.fraction", "in (0, 1]")
+        for key, value in (
+            ("filters.bursts.bin_us", bu["bin_us"]),
+            ("grid_dt_us", c["grid_dt_us"]),
+            ("loc_threshold_us", c["loc_threshold_us"]),
+        ):
+            _check(1 <= value <= _INT64_MAX, key, "from 1 to 2**63 - 1")
 
-        counts = c["windows"]["counts"] or []
-        spans_ms = c["windows"]["spans_ms"] or []
+        counts = c["windows"]["counts"]
+        spans_ms = c["windows"]["spans_ms"]
         if not counts and not spans_ms:
             raise ConfigError("windows.counts and windows.spans_ms are both empty")
         for v in counts:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"windows.counts entry {v!r} is not a number")
-            if isinstance(v, float) and not (0.0 < v <= 1.0):
-                raise ConfigError(f"fractional window count {v} must be in (0, 1]")
-            if isinstance(v, int) and v < 1:
-                raise ConfigError(f"absolute window count {v} must be >= 1")
-        spans_us = []
-        for v in spans_ms:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
-                raise ConfigError(f"windows.spans_ms entry {v!r} is not a number")
-            span_us = int(round(float(v) * 1000))
-            if span_us < 1:
-                raise ConfigError(f"windows.spans_ms entry {v!r} must be at least 0.001 (1 us)")
-            spans_us.append(span_us)
+            _check(0.0 < v <= 1.0 if isinstance(v, float) else 1 <= v <= _INT64_MAX,
+                   f"windows.counts entry {v!r}",
+                   "a fraction in (0, 1] or a count from 1 to 2**63 - 1")
+        for v in spans_ms:  # round(v * 1000) us, from 1 to 2**63 - 1
+            _check(0.5 < v * 1000 < 2**63, f"windows.spans_ms entry {v!r}",
+                   "at least 0.001 ms (1 us) and below 2**63 us")
 
         d = c["descriptor"]
-        try:
-            mode = AccumulationMode(str(d["mode"]))
-        except ValueError:
-            raise ConfigError(f"unknown descriptor mode {d['mode']!r}") from None
         descriptor = DescriptorParams(
-            mode=mode,
+            mode=_enum(AccumulationMode, d["mode"], "descriptor.mode"),
             clip=float(d["clip"]),
-            down_width=int(d["down_width"]),
-            down_height=int(d["down_height"]),
-            patch=int(d["patch"]),
+            down_width=d["down_width"],
+            down_height=d["down_height"],
+            patch=d["patch"],
         )
         if descriptor.down_width > geometry.width or descriptor.down_height > geometry.height:
             raise ConfigError("descriptor downsample target exceeds the sensor size")
 
-        try:
-            metric = Metric(str(c["metric"]))
-        except ValueError:
-            raise ConfigError(f"unknown metric {c['metric']!r}") from None
-
         r = c["rule"]
-        try:
-            kind = RuleKind(str(r["kind"]))
-        except ValueError:
-            raise ConfigError(f"unknown ensemble rule {r['kind']!r}") from None
-        weights = r.get("weights")
-        rule = EnsembleRule(
-            kind,
-            weights=tuple(float(w) for w in weights) if weights else None,
-            trim=int(r.get("trim", DEFAULT_TRIM)),
-        )
+        kind = _enum(RuleKind, r["kind"], "rule.kind")
+        rule = EnsembleRule(kind, weights=r["weights"] or None, trim=r["trim"])
 
         ap = c["approximate"]
-        approximate_fraction = None
-        if ap["enabled"]:
-            approximate_fraction = float(ap["fraction"])
-            if not (0.0 < approximate_fraction <= 1.0):
-                raise ConfigError("approximate.fraction must be in (0, 1]")
-
-        grid_dt_us = int(c["grid_dt_us"])
-        loc_threshold_us = int(c["loc_threshold_us"])
-        if grid_dt_us < 1:
-            raise ConfigError("grid_dt_us must be positive")
-        if loc_threshold_us < 1:
-            raise ConfigError("loc_threshold_us must be positive")
+        _check(not ap["enabled"] or 0.0 < ap["fraction"] <= 1.0,
+               "approximate.fraction", "in (0, 1]")
 
         sw = c["sweep"]
-        sweep_points = int(sw["points"])
-        if sweep_points < 1:
-            raise ConfigError("sweep.points must be >= 1")
+        _check(sw["points"] >= 1, "sweep.points", ">= 1")
         sweep_values = None
         if sw["values"] is not None:
-            sweep_values = tuple(float(v) for v in sw["values"])
-            if not sweep_values or not all(map(math.isfinite, sweep_values)):
-                raise ConfigError("sweep.values must be a non-empty list of finite numbers")
-            if any(b < a for a, b in zip(sweep_values, sweep_values[1:])):
-                raise ConfigError("sweep.values must be ascending")
+            sweep_values = tuple(map(float, sw["values"]))
+            _check(sweep_values and all(map(math.isfinite, sweep_values)),
+                   "sweep.values", "a non-empty list of finite numbers")
+            _check(sweep_values == tuple(sorted(sweep_values)), "sweep.values", "ascending")
 
         synthetic = None
         if c["synthetic"] is not None:
             s = c["synthetic"]
-            _merge({"synthetic": _SYNTHETIC_TYPES}, {"synthetic": s})  # keys and types
             for side in ("reference", "query"):
                 if "seed" not in s.get(side, {}):
                     raise ConfigError(f"synthetic.{side}.seed is required")
             if "world_seed" not in s or "n_places" not in s:
                 raise ConfigError("synthetic.world_seed and synthetic.n_places are required")
             synthetic = SyntheticConfig(
-                world_seed=int(s["world_seed"]),
-                n_places=int(s["n_places"]),
-                segments_per_place=int(s.get("segments_per_place", DEFAULT_SEGMENTS_PER_PLACE)),
+                world_seed=s["world_seed"],
+                n_places=s["n_places"],
+                segments_per_place=s.get("segments_per_place", DEFAULT_SEGMENTS_PER_PLACE),
                 reference=TraverseParams(**s["reference"]),
                 query=TraverseParams(**s["query"]),
             )
 
         return cls(
             geometry=geometry,
-            hot_pixels_enabled=bool(hp["enabled"]),
+            hot_pixels_enabled=hp["enabled"],
             hot_pixels_sigma=float(hp["sigma"]),
-            bursts_enabled=bool(bu["enabled"]),
-            burst_bin_us=int(bu["bin_us"]),
+            bursts_enabled=bu["enabled"],
+            burst_bin_us=bu["bin_us"],
             burst_fraction=float(bu["fraction"]),
             counts=tuple(counts),
-            spans_us=tuple(spans_us),
+            spans_us=tuple(round(v * 1000) for v in spans_ms),
             descriptor=descriptor,
-            metric=metric,
+            metric=_enum(Metric, c["metric"], "metric"),
             rule=rule,
-            approximate_fraction=approximate_fraction,
-            grid_dt_us=grid_dt_us,
-            loc_threshold_us=loc_threshold_us,
-            sweep_points=sweep_points,
+            approximate_fraction=float(ap["fraction"]) if ap["enabled"] else None,
+            grid_dt_us=c["grid_dt_us"],
+            loc_threshold_us=c["loc_threshold_us"],
+            sweep_points=sw["points"],
             sweep_values=sweep_values,
             synthetic=synthetic,
             resolved=json.loads(json.dumps(c)),
@@ -319,6 +306,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Pipelin
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # a JSONDecodeError, or an integer of too many digits
                 raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return PipelineConfig.from_dict(raw, overrides)

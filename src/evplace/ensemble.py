@@ -60,8 +60,9 @@ _FOLDS = {RuleKind.PRODUCT: np.multiply, RuleKind.MIN: np.minimum, RuleKind.MAX:
 class EnsembleRule:
     """A combination rule plus its parameters.
 
-    ``weights`` applies only to the weighted rule (one positive factor per
-    member); ``trim`` only to the trimmed mean (members cut per side).
+    ``weights`` applies only to the weighted rule (one positive, finite
+    factor per member); ``trim`` only to the trimmed mean (members cut
+    per side).
     The checks that need the member count are in :meth:`check_members`.
     """
 
@@ -73,8 +74,8 @@ class EnsembleRule:
         if self.weights is not None:
             if self.kind is not RuleKind.WEIGHTED:
                 raise ConfigError("weights are only valid for the weighted rule")
-            if len(self.weights) == 0 or not all(w > 0 for w in self.weights):
-                raise ConfigError("weights must be positive")
+            if len(self.weights) == 0 or not all(0 < w < np.inf for w in self.weights):
+                raise ConfigError("weights must be positive and finite")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         elif self.kind is RuleKind.WEIGHTED:
             raise ConfigError("weighted rule needs weights")

@@ -66,12 +66,13 @@ class TraverseParams:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if not self.dwell_s > 0:  # each test written so that NaN fails it
-            raise ConfigError(f"dwell_s must be positive, got {self.dwell_s}")
-        if not self.rate_scale > 0:
-            raise ConfigError(f"rate_scale must be positive, got {self.rate_scale}")
-        if not self.noise_rate >= 0:
-            raise ConfigError(f"noise_rate must be >= 0, got {self.noise_rate}")
+        # each test written so that NaN and infinity fail it
+        if not 0 < self.dwell_s < np.inf:
+            raise ConfigError(f"dwell_s must be positive and finite, got {self.dwell_s}")
+        if not 0 < self.rate_scale < np.inf:
+            raise ConfigError(f"rate_scale must be positive and finite, got {self.rate_scale}")
+        if not 0 <= self.noise_rate < np.inf:
+            raise ConfigError(f"noise_rate must be >= 0 and finite, got {self.noise_rate}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -31,6 +31,7 @@ number of pixels, e.g. a fraction of ``0.1`` on a 346x260 sensor means
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ DEFAULT_SPANS_US = (44_000, 66_000, 88_000, 120_000, 140_000)
 # Query-window size (as a pixel fraction) for the approximate ensemble.
 DEFAULT_APPROX_FRACTION = 0.5
 DEFAULT_GRID_DT_US = 1_000_000
+# The largest int64: the bound of every size, step and time the run holds as one.
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,9 @@ def window_families(counts, spans_us, geometry: SensorGeometry) -> list[tuple]:
     counts; ``spans_us`` are fixed-time spans in microseconds.  ``None``
     gives ``DEFAULT_COUNT_FRACTIONS`` and ``DEFAULT_SPANS_US``.  Count
     families come first, in the given order, with ``span_us`` ``None``;
-    then span families, with ``count`` ``None``.  Two families of one
-    label are refused: their outputs would overwrite each other.
+    then span families, with ``count`` ``None``.  A size that is not a
+    number, or lies beyond the int64 range, is refused, and so are two
+    families of one label: their outputs would overwrite each other.
     """
     counts = DEFAULT_COUNT_FRACTIONS if counts is None else counts
     spans_us = DEFAULT_SPANS_US if spans_us is None else spans_us
@@ -145,18 +149,21 @@ def window_families(counts, spans_us, geometry: SensorGeometry) -> list[tuple]:
         raise ConfigError("window set needs at least one count or span")
     families = []
     for c in counts:
-        if isinstance(c, bool):
-            raise ConfigError(f"invalid window count {c!r}")
-        n = normalized_count(c, geometry) if isinstance(c, float) else int(c)
-        if n < 1:
-            raise ConfigError(f"count must be >= 1, got {n}")
+        n = normalized_count(c, geometry) if isinstance(c, float) else _window_size(c, "count")
         families.append((f"count_{n}", n, None))
-    for s in map(int, spans_us):
-        if s < 1:
-            raise ConfigError(f"span_us must be positive, got {s}")
+    for s in spans_us:
+        s = _window_size(s, "span_us")
         families.append((f"span_{s}us", None, s))
     _check_distinct([label for label, _, _ in families])
     return families
+
+
+def _window_size(value, name: str) -> int:
+    """``value`` as a window size: a number from 1 to the int64 maximum."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not number or not 1 <= value <= _INT64_MAX:
+        raise ConfigError(f"window {name} must be a number from 1 to 2**63 - 1, got {value!r}")
+    return int(value)
 
 
 def _check_distinct(labels: list[str]) -> None:

@@ -240,6 +240,57 @@ def test_a_nan_or_wrongly_typed_value_fails_at_config(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+# Values the run would misread or could not hold as an int64 or a float: each
+# must fail at [config], naming its key, before any input is read.
+BIG = 10**23
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("windows", ["rule.kind=weighted", 'rule.weights="1234"'], "rule.weights"),
+        ("windows", ["rule.kind=weighted", 'rule.weights={"1":0,"2":0,"3":0,"4":0}'],
+         "rule.weights"),
+        ("windows", ['sweep.values="12"'], "sweep.values"),
+        ("windows", ['sweep.values={"0.5":1,"0.7":2}'], "sweep.values"),
+        ("windows", ["sweep.values=[true, 2]"], "sweep.values[0]"),
+        ("windows", ['sweep.values=["a"]'], "sweep.values[0]"),
+        ("windows", ["rule.kind=weighted", 'rule.weights=["a"]'], "rule.weights[0]"),
+        ("windows", [f"filters.hot_pixels.sigma={10**400}"], "filters.hot_pixels.sigma"),
+        ("describe", ["windows.spans_ms=[1e20]"], "windows.spans_ms"),
+        ("windows", ["windows.spans_ms=[1e20]"], "windows.spans_ms"),
+        ("run", ["windows.spans_ms=[1e20]"], "windows.spans_ms"),
+        ("describe", [f"grid_dt_us={BIG}"], "grid_dt_us"),
+        ("filter", ["filters.bursts.enabled=true", f"filters.bursts.bin_us={BIG}"],
+         "filters.bursts.bin_us"),
+        ("run", ["filters.bursts.enabled=true", f"filters.bursts.bin_us={BIG}"],
+         "filters.bursts.bin_us"),
+        ("windows", [f"windows.counts=[{BIG}]"], "windows.counts"),
+        ("run", [f"loc_threshold_us={BIG}"], "loc_threshold_us"),
+        ("run", ["rule.kind=weighted", "rule.weights=[1e400, 1, 1, 1]"], "weights"),
+        ("synth", ["synthetic.query.dwell_s=1e400"], "dwell_s"),
+    ],
+)
+def test_a_value_the_run_cannot_hold_fails_at_config(workspace, tmp_path, capsys, command,
+                                                     overrides, key):
+    data = workspace["data"]
+    out = tmp_path / "out"
+    args = [command, "--config", str(workspace["cfg"])]
+    for override in overrides:
+        args += ["--set", override]
+    if command == "run":
+        args += ["--query", str(data / "query_events.csv")]
+        args += ["--reference", str(data / "reference_events.csv")]
+        args += ["--gt", str(data / "ground_truth.csv")]
+    elif command != "synth":
+        args += ["--events", str(data / "query_events.csv")]
+    assert main([*args, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"evplace {command}: error [config] ") and key in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_with_a_nan_query_rate_fails_before_writing(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["synth", "--config", str(workspace["cfg"]), "--set", "synthetic.query.noise_rate=NaN"]

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evplace.config import DEFAULTS, PipelineConfig, load_config
+from evplace.config import _STAND_INS, DEFAULTS, PipelineConfig, load_config
 from evplace.descriptors import AccumulationMode
 from evplace.distance import Metric
 from evplace.ensemble import RuleKind
@@ -134,7 +138,7 @@ def test_validation_catches_bad_values():
         (["filters.hot_pixels.sigma=NaN"], "filters.hot_pixels.sigma must be positive"),
         (["descriptor.clip=NaN"], "clip must be positive"),
         (["rule.kind=weighted", "rule.weights=[1, NaN]"], "weights must be positive"),
-        (["windows.spans_ms=[44, NaN]"], "spans_ms entry nan is not a number"),
+        (["windows.spans_ms=[44, NaN]"], "spans_ms entry nan must be at least 0.001"),
         (["synthetic.reference.dwell_s=NaN"], "dwell_s must be positive"),
         (["synthetic.query.rate_scale=NaN"], "rate_scale must be positive"),
         (["synthetic.query.noise_rate=NaN"], "noise_rate must be >= 0"),
@@ -300,3 +304,144 @@ def test_load_config_without_file_gives_defaults():
 def test_resolved_reflects_overrides():
     cfg = PipelineConfig.from_dict(overrides=["loc_threshold_us=123456"])
     assert cfg.resolved["loc_threshold_us"] == 123456
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["rule.kind=weighted", 'rule.weights="123456789"'], "rule.weights"),
+        (["rule.kind=weighted", 'rule.weights={"1": 0, "2": 0}'], "rule.weights"),
+        (["rule.kind=weighted", 'rule.weights=["a"]'], "rule.weights[0]"),
+        (['sweep.values="12"'], "sweep.values"),
+        (['sweep.values={"0.5": 1, "0.7": 2}'], "sweep.values"),
+        (["sweep.values=[true, 2]"], "sweep.values[0]"),
+        (['sweep.values=["a"]'], "sweep.values[0]"),
+        (['windows.counts=[0.5, "2"]'], "windows.counts[1]"),
+        (["windows.spans_ms=[44, null]"], "windows.spans_ms[1]"),
+        (["synthetic=[]"], "synthetic"),
+        (['synthetic.query={"seed": 1, "dwell_s": null}'], "synthetic.query.dwell_s"),
+    ],
+)
+def test_null_default_keys_and_list_entries_are_typed(overrides, key):
+    # a string or object is never read as a list of numbers, nor a boolean as a number
+    with pytest.raises(ConfigError, match=f"^config key '{re.escape(key)}' has the wrong type"):
+        load_config(str(CONFIGS / "synthetic-default.json"), overrides)
+
+
+def test_a_null_default_takes_null_and_a_resolved_config_loads_as_itself():
+    cfg = PipelineConfig.from_dict({"rule": {"weights": None}, "sweep": {"values": None}})
+    assert (cfg.rule.weights, cfg.sweep_values, cfg.synthetic) == (None, None, None)
+    raw = json.loads((CONFIGS / "synthetic-default.json").read_text())
+    for resolved in (cfg.resolved, load_config(str(CONFIGS / "synthetic-default.json")).resolved):
+        assert PipelineConfig.from_dict(resolved).resolved == resolved
+    # the synthetic stand-ins type the section but fill in none of its keys
+    assert resolved["synthetic"] == raw["synthetic"]
+
+
+@pytest.mark.parametrize(
+    "override, refused",
+    [
+        (f"grid_dt_us={2**63}", "grid_dt_us must be from 1 to 2**63 - 1"),
+        (f"loc_threshold_us={2**63}", "loc_threshold_us must be from 1 to 2**63 - 1"),
+        (f"filters.bursts.bin_us={2**63}", "filters.bursts.bin_us must be from 1 to 2**63 - 1"),
+        (f"windows.counts=[{2**63}]",
+         f"windows.counts entry {2**63} must be a fraction in (0, 1] or a count from 1 to 2**63 - 1"),
+        (f"windows.spans_ms=[{2**63 // 1000 + 1}]",
+         f"windows.spans_ms entry {2**63 // 1000 + 1} must be at least 0.001 ms (1 us) and below 2**63 us"),
+        ("windows.spans_ms=[1e20]",
+         "windows.spans_ms entry 1e+20 must be at least 0.001 ms (1 us) and below 2**63 us"),
+    ],
+)
+def test_an_integer_the_run_holds_as_an_int64_must_fit_one(override, refused):
+    with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
+        PipelineConfig.from_dict(None, [override])
+
+
+def test_int64_keys_take_the_int64_maximum_and_seeds_any_size():
+    top = 2**63 - 1
+    cfg = load_config(
+        str(CONFIGS / "synthetic-default.json"),
+        [
+            f"grid_dt_us={top}", f"loc_threshold_us={top}", f"filters.bursts.bin_us={top}",
+            f"windows.counts=[{top}]", f"windows.spans_ms=[{top // 1000}]",
+            f"synthetic.world_seed={10**26}", f"synthetic.query.seed={10**26}",
+            f"filters.hot_pixels.sigma={2**1024 - 2**970 - 1}",
+        ],
+    )
+    assert (cfg.grid_dt_us, cfg.loc_threshold_us, cfg.burst_bin_us) == (top, top, top)
+    assert (cfg.counts, cfg.spans_us) == ((top,), (top // 1000 * 1000,))
+    assert (cfg.synthetic.world_seed, cfg.synthetic.query.seed) == (10**26, 10**26)
+    assert cfg.hot_pixels_sigma == sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        (f"filters.hot_pixels.sigma={10**400}", "filters.hot_pixels.sigma"),
+        (f"descriptor.clip=-{2**1024 - 2**970}", "descriptor.clip"),
+        (f"windows.spans_ms=[{10**400}]", "windows.spans_ms[0]"),
+        (f"synthetic.query.dwell_s={10**400}", "synthetic.query.dwell_s"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_is_refused_naming_its_key(override, key):
+    with pytest.raises(ConfigError, match=f"^config key '{re.escape(key)}' is an integer too large"):
+        load_config(str(CONFIGS / "synthetic-default.json"), [override])
+
+
+def test_an_integer_of_too_many_digits_is_refused_naming_its_key(tmp_path):
+    # json refuses to parse it, so the override is its text: a string
+    with pytest.raises(ConfigError, match="^config key 'grid_dt_us' has the wrong type"):
+        PipelineConfig.from_dict(None, ["grid_dt_us=" + "1" * 5000])
+    path = tmp_path / "cfg.json"
+    path.write_text('{"grid_dt_us": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="is not valid JSON"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [("descriptor.mode=velocity", "descriptor.mode"), ("metric=euclidean", "metric"),
+     ("rule.kind=plurality", "rule.kind")],
+)
+def test_an_unknown_name_is_refused_naming_its_key(override, key):
+    value = override.split("=")[1]
+    with pytest.raises(ConfigError, match=f"^{key} must be one of .*, not '{value}'$"):
+        PipelineConfig.from_dict(None, [override])
+
+
+def _key_paths(tree: dict, prefix: tuple = ()):
+    for key, value in tree.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+KEY_PATHS = sorted({*_key_paths(DEFAULTS), *_key_paths({"synthetic": _STAND_INS["synthetic"]})})
+KEY_NAMES = sorted({path[-1] for path in KEY_PATHS})
+EDGE_NUMBERS = [
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**400, -(10**400),
+    1e308, -1e308, float("nan"), float("inf"), float("-inf"), 0, 0.0, 1, -1, 0.5,
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.sampled_from(EDGE_NUMBERS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEY_NAMES) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=st.sampled_from(KEY_PATHS), value=JSON_VALUES, weighted=st.booleans())
+def test_any_json_value_under_any_key_loads_or_is_a_config_error(path, value, weighted):
+    raw = json.loads((CONFIGS / "synthetic-default.json").read_text())
+    if weighted:
+        raw["rule"] = {"kind": "weighted", "weights": [1.0] * 9}
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    try:
+        PipelineConfig.from_dict(raw)
+    except ConfigError:
+        pass

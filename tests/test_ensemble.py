@@ -267,6 +267,12 @@ def test_a_nan_weight_is_refused():
         EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, float("nan"), 1.0))
 
 
+def test_an_infinite_weight_is_refused():
+    # it would fail only after every member is built, at the fused matrix
+    with pytest.raises(ConfigError, match="^weights must be positive and finite$"):
+        EnsembleRule(RuleKind.WEIGHTED, weights=(1.0, float("inf"), 1.0))
+
+
 def test_rules_stay_inside_member_bounds():
     rng = np.random.default_rng(139)
     members = _random_members(rng, 5)

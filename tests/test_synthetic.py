@@ -352,6 +352,13 @@ def test_traverse_params_refuse_nan(field):
         TraverseParams(seed=0, **{field: float("nan")})
 
 
+@pytest.mark.parametrize("field", ["dwell_s", "rate_scale", "noise_rate"])
+def test_traverse_params_refuse_infinity(field):
+    # an infinite dwell or rate would fail generation after the reference is written
+    with pytest.raises(ConfigError, match=f"^{field} must be .* and finite, got inf$"):
+        TraverseParams(seed=0, **{field: float("inf")})
+
+
 # ---------------------------------------------------------------------------
 # end-to-end experiments
 

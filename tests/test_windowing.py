@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,32 @@ def test_window_families_refuse_bad_sizes_and_shared_labels():
             window_families(counts, spans_us, G)
     with pytest.raises(ConfigError, match="share the label span_30us"):
         window_families([], [30, 30], G)
+
+
+@pytest.mark.parametrize(
+    "counts, spans_us, refused",
+    [
+        (["5"], [], "count must be a number from 1 to 2**63 - 1, got '5'"),
+        ([None], [], "count must be a number from 1 to 2**63 - 1, got None"),
+        ([2**63], [], f"count must be a number from 1 to 2**63 - 1, got {2**63}"),
+        ([], ["44"], "span_us must be a number from 1 to 2**63 - 1, got '44'"),
+        ([], [float("nan")], "span_us must be a number from 1 to 2**63 - 1, got nan"),
+        ([], [1e20], "span_us must be a number from 1 to 2**63 - 1, got 1e+20"),
+    ],
+)
+def test_window_families_refuse_a_size_that_is_no_int64_number(counts, spans_us, refused):
+    with pytest.raises(ConfigError, match=f"^{re.escape('window ' + refused)}$"):
+        window_families(counts, spans_us, G)
+
+
+def test_window_families_take_sizes_up_to_the_int64_maximum():
+    top = 2**63 - 1
+    assert window_families([top, np.int64(5)], [top, 44.0], G) == [
+        (f"count_{top}", top, None),
+        ("count_5", 5, None),
+        (f"span_{top}us", None, top),
+        ("span_44us", None, 44),
+    ]
 
 
 def test_build_window_set_requires_some_family():
